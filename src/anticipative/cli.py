@@ -131,7 +131,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"shots must be >= 1, got {cfg.shots}")
         if cfg.command == "solve":
             task.check_theta(cfg.theta)
-        if cfg.tol <= 0.0:
+        if cfg.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {cfg.seed}")
+        if not cfg.tol > 0.0:
             raise ValueError(f"tol must be positive, got {cfg.tol!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -204,7 +206,11 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     if cfg.command in ("curves", "simulate"):
-        _write_lines(emit_curves(cfg), cfg.output)
+        try:
+            _write_lines(emit_curves(cfg), cfg.output)
+        except OSError as exc:
+            print(f"error: cannot write {cfg.output}: {exc.strerror}", file=sys.stderr)
+            return 2
         return 0
     if cfg.command == "solve":
         _write_lines(run_solve(cfg), None)

@@ -260,6 +260,15 @@ def angle_schedule(
     )
 
 
+def _born_probability(
+    theta: float, state: str, kind: str, basis: str, depolarizing: float
+) -> float:
+    """Probability of the ``+`` outcome before the readout flip."""
+    u = basis_direction(theta, kind, basis)
+    x = state_vector(theta, state)
+    return 0.5 * (1.0 + (1.0 - depolarizing) * float(x @ u))
+
+
 def outcome_probability(
     theta: float, state: str, kind: str, basis: str, noise: NoiseModel = NOISELESS
 ) -> float:
@@ -268,9 +277,7 @@ def outcome_probability(
     Depolarizing noise contracts the state's Bloch vector before the Born
     rule; the readout flip then mixes the recorded bit.
     """
-    u = basis_direction(theta, kind, basis)
-    x = state_vector(theta, state)
-    p_true = 0.5 * (1.0 + (1.0 - noise.depolarizing) * float(x @ u))
+    p_true = _born_probability(theta, state, kind, basis, noise.depolarizing)
     eps = noise.readout_flip
     return p_true * (1.0 - 2.0 * eps) + eps
 
@@ -370,25 +377,26 @@ def sample_run(
 
     The stream layout is fixed: per-shot basis draws (per-shot mode only),
     then one uniform per shot against the Born probability, then one
-    uniform per shot for the readout flip.  Identical inputs give
-    bit-identical outcomes.
+    uniform per shot for the readout flip.  The Born draw uses the
+    probability before readout, so the flip is applied exactly once.
+    Identical inputs give bit-identical outcomes.
     """
     if rng is None:
         rng = run.rng()
-    eps = noise.readout_flip
+    depol = noise.depolarizing
     if run.basis == RANDOM_BASIS:
         bases = rng.integers(0, 2, size=run.shots).astype(np.uint8)
         pair = KIND_BASES[run.kind]
         p_plus = np.where(
             bases == 0,
-            outcome_probability(run.theta, run.state, run.kind, pair[0], noise),
-            outcome_probability(run.theta, run.state, run.kind, pair[1], noise),
+            _born_probability(run.theta, run.state, run.kind, pair[0], depol),
+            _born_probability(run.theta, run.state, run.kind, pair[1], depol),
         )
     else:
         bases = None
-        p_plus = outcome_probability(run.theta, run.state, run.kind, run.basis, noise)
+        p_plus = _born_probability(run.theta, run.state, run.kind, run.basis, depol)
     born = rng.random(run.shots) >= p_plus
-    flips = rng.random(run.shots) < eps
+    flips = rng.random(run.shots) < noise.readout_flip
     outcomes = (born ^ flips).astype(np.uint8)
     return RunResult(run, noise, outcomes, bases)
 

@@ -5,18 +5,23 @@ excluded, then fall back along a known order) turns the search for the
 best measurement into minimum-error discrimination of an auxiliary
 ensemble indexed by outcome functions ``phi``: maps sending each possible
 exclusion set to a guess.  Every member of that ensemble is a mix of task
-states, so the best discrimination success ``Lambda`` is found by brute
-force over all ``phi``, and measurements are optimal iff they satisfy an
-exact eigenvalue-style certificate.  The two-effect measurements built
-here pass it and average to the four-outcome anticipative measurement.
+states that depends on ``phi`` only through its count vector, so the
+256 (``k = 1``) or 4096 (``k = 2``) functions fall into 66 or 144 count
+classes.  The ensemble is stored as one operator per class plus the
+class multiplicities; the best discrimination success ``Lambda`` is a
+maximum over the classes, and the operator of a single ``phi`` is built
+only when looked up.  Measurements are optimal iff they satisfy an exact
+eigenvalue-style certificate.  The two-effect measurements built here
+pass it and average to the four-outcome anticipative measurement.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from types import MappingProxyType
 
 import numpy as np
 
@@ -155,53 +160,109 @@ def gamma(c: CountVector, inner_product: float) -> float:
 
     ``total + sqrt(da^2 + db^2 + 2 da db (a.b))`` with ``da, db`` the
     signed count differences along the two axes.  Monotone in each count,
-    which is what makes the constrained maxima easy to read off.
+    which is what makes the constrained maxima easy to read off.  The
+    radicand is regrouped around the exact integer square it approaches,
+    so it does not cancel as ``a.b`` nears ``+-1``.
     """
     if not -1.0 <= inner_product <= 1.0:
         raise ValueError(f"inner product must lie in [-1, 1], got {inner_product!r}")
     da = c.alpha_plus - c.alpha_minus
     db = c.beta_plus - c.beta_minus
-    radicand = da * da + db * db + 2.0 * da * db * inner_product
+    if da * db < 0:
+        radicand = (da + db) ** 2 - 2.0 * da * db * (1.0 - inner_product)
+    else:
+        radicand = (da - db) ** 2 + 2.0 * da * db * (1.0 + inner_product)
     return c.total + float(np.sqrt(max(radicand, 0.0)))
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+class CountClasses:
+    """The outcome functions of one ``k``, grouped by count vector.
+
+    ``slots[i]`` is the count vector of class ``i`` as
+    ``(alpha_plus, alpha_minus, beta_plus, beta_minus)`` and
+    ``multiplicity[i]`` is how many functions share it.  ``class_of[j]``
+    is the class of ``enumerate_functions(k)[j]`` and ``index`` maps each
+    function to its class.
+    """
+
+    def __init__(self, k: int) -> None:
+        functions = enumerate_functions(k)
+        ids: dict[CountVector, int] = {}
+        class_of = np.array(
+            [ids.setdefault(counts(phi, k), len(ids)) for phi in functions]
+        )
+        self.slots = _readonly(np.array([c.as_tuple() for c in ids]))
+        self.multiplicity = _readonly(np.bincount(class_of))
+        self.class_of = _readonly(class_of)
+        self.index = MappingProxyType(dict(zip(functions, class_of.tolist())))
+
+
+@lru_cache(maxsize=None)
+def count_classes(k: int) -> CountClasses:
+    """Count classes of all ``4^|T|`` outcome functions, built on first use.
+
+    66 classes for ``k = 1`` and 144 for ``k = 2``.
+    """
+    return CountClasses(k)
 
 
 @dataclass(frozen=True, eq=False)
 class AuxiliaryEnsemble:
     """The ensemble ``{e(phi)}`` whose discrimination solves the game.
 
-    ``members[phi]`` is proportional to a count-weighted mix of task
-    states; ``normalization`` is the constant ``C`` that makes the traces
-    sum to one; ``lambda_max`` is the best single-member score
+    Every member is proportional to a count-weighted mix of task states
+    and depends on ``phi`` only through its count class: ``e(phi)`` is
+    ``scalars[i] * I + blochs[i] . sigma`` with ``i`` the class of ``phi``
+    in :func:`count_classes`.  ``members`` is a read-only mapping over all
+    outcome functions that builds one operator per lookup.
+    ``normalization`` is the constant ``C`` that makes the traces sum to
+    one; ``lambda_max`` is the best single-member score
     ``max_phi (scalar + |bloch|)``; ``delta`` is the overall scale linking
     the game value to the discrimination value.
     """
 
-    members: Mapping[OutcomeFunction, HermitianOp]
+    k: int
+    scalars: np.ndarray
+    blochs: np.ndarray
     normalization: float
     lambda_max: float
     inner_product: float
     delta: float
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "members", dict(self.members))
-
     @property
-    def k(self) -> int:
-        phi = next(iter(self.members))
-        return len(phi.sets[0])
+    def members(self) -> Mapping[OutcomeFunction, HermitianOp]:
+        return _Members(self)
 
     def total_trace(self) -> float:
-        return sum(op.trace for op in self.members.values())
+        return 2.0 * float(count_classes(self.k).multiplicity @ self.scalars)
 
 
-def member_score(op: HermitianOp) -> float:
-    """Discrimination score of one member: its largest eigenvalue."""
-    return op.scalar + op.bloch_norm
+class _Members(Mapping):
+    """``phi -> e(phi)`` over every outcome function of the ensemble's ``k``."""
+
+    def __init__(self, aux: AuxiliaryEnsemble) -> None:
+        self._aux = aux
+        self._index = count_classes(aux.k).index
+
+    def __getitem__(self, phi: OutcomeFunction) -> HermitianOp:
+        i = self._index[phi]
+        return HermitianOp(self._aux.scalars[i], self._aux.blochs[i])
+
+    def __iter__(self) -> Iterator[OutcomeFunction]:
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
-@lru_cache(maxsize=None)
-def _count_vectors(k: int) -> tuple[CountVector, ...]:
-    return tuple(counts(phi, k) for phi in enumerate_functions(k))
+def _scores(scalars: np.ndarray, blochs: np.ndarray) -> np.ndarray:
+    """Discrimination score of each class: its member's largest eigenvalue."""
+    return scalars + np.linalg.norm(blochs, axis=1)
 
 
 def build_auxiliary(theta: float, k: int) -> AuxiliaryEnsemble:
@@ -215,28 +276,25 @@ def build_auxiliary(theta: float, k: int) -> AuxiliaryEnsemble:
     if k not in SOLVER_K:
         raise ValueError(f"k must be one of {SOLVER_K}, got {k!r}")
     a, b = basis_vectors(theta)
-    ip = float(a @ b)
-    functions = enumerate_functions(k)
-    vectors = _count_vectors(k)
-    grand_total = sum(c.total for c in vectors)
+    classes = count_classes(k)
+    slots = classes.slots
+    totals = slots.sum(axis=1)
+    da = slots[:, 0] - slots[:, 1]
+    db = slots[:, 2] - slots[:, 3]
     # Unit total trace forces 12 C = sum of all counts.
-    c_norm = grand_total / 12.0
+    c_norm = int(classes.multiplicity @ totals) / 12.0
     scale = 1.0 / (24.0 * c_norm)
-    members: dict[OutcomeFunction, HermitianOp] = {}
-    best = 0.0
-    for phi, c in zip(functions, vectors):
-        da = c.alpha_plus - c.alpha_minus
-        db = c.beta_plus - c.beta_minus
-        op = HermitianOp(c.total * scale, (da * a + db * b) * scale)
-        members[phi] = op
-        best = max(best, member_score(op))
+    scalars = _readonly(totals * scale)
+    blochs = _readonly((da[:, None] * a + db[:, None] * b) * scale)
     ensemble = make_ensemble(theta)
     delta = sum(ensemble[x].trace for x in ensemble.inputs)
     return AuxiliaryEnsemble(
-        members=members,
+        k=k,
+        scalars=scalars,
+        blochs=blochs,
         normalization=c_norm,
-        lambda_max=best,
-        inner_product=ip,
+        lambda_max=float(_scores(scalars, blochs).max()),
+        inner_product=float(a @ b),
         delta=delta,
     )
 
@@ -246,18 +304,19 @@ def lambda_argmax(
 ) -> tuple[float, frozenset[OutcomeFunction]]:
     """Best member score and the set of members attaining it.
 
-    The tie tolerance applies on the unnormalized (gamma) scale, where
-    distinct scores are well separated; degenerate geometries such as
-    ``a . b = 0`` then report every maximizer.
+    Each count class is scored once and only the winning classes expand
+    back to outcome functions.  The tie tolerance applies on the
+    unnormalized (gamma) scale, where distinct scores are well separated;
+    degenerate geometries such as ``a . b = 0`` then report every
+    maximizer.
     """
     scale = 24.0 * aux.normalization
-    best = max(member_score(op) for op in aux.members.values())
-    winners = frozenset(
-        phi
-        for phi, op in aux.members.items()
-        if member_score(op) * scale >= best * scale - tol
-    )
-    return best, winners
+    scores = _scores(aux.scalars, aux.blochs)
+    best = float(scores.max())
+    wins = scores * scale >= best * scale - tol
+    functions = enumerate_functions(aux.k)
+    chosen = np.flatnonzero(wins[count_classes(aux.k).class_of])
+    return best, frozenset(functions[j] for j in chosen)
 
 
 def _fallback_chain(k: int, primary: str, secondary: str) -> dict[ExclusionSet, str]:
@@ -418,12 +477,3 @@ def anticipative_success(aux: AuxiliaryEnsemble) -> float:
     """Game value from the discrimination value: ``2 C Lambda``."""
     return 2.0 * aux.normalization * aux.lambda_max
 
-
-def tampered(aux: AuxiliaryEnsemble, factor: float = 1.01) -> AuxiliaryEnsemble:
-    """Scale all members without rescaling ``lambda_max`` (test hook).
-
-    The result violates the certificate for every previously optimal
-    measurement; used to exercise failure paths.
-    """
-    members = {phi: factor * op for phi, op in aux.members.items()}
-    return replace(aux, members=members)

@@ -9,7 +9,7 @@ reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,6 +49,15 @@ class VerificationReport:
             f"tolerance {self.tolerance:g})"
         )
         return out
+
+
+def _tampered(aux: solver.AuxiliaryEnsemble) -> solver.AuxiliaryEnsemble:
+    """Scale every member by 1.01 without rescaling ``lambda_max``.
+
+    The result violates the certificate for every previously optimal
+    measurement; this is the ``aux-normalization`` fault.
+    """
+    return replace(aux, scalars=1.01 * aux.scalars, blochs=1.01 * aux.blochs)
 
 
 def _check_closed_forms(tol: float, thetas: np.ndarray) -> CheckResult:
@@ -135,15 +144,14 @@ def _check_enumeration(tol: float, thetas: np.ndarray) -> CheckResult:
     for k in solver.SOLVER_K:
         functions = solver.enumerate_functions(k)
         ok = ok and len(functions) == sizes[k]
+        # The brute-force maximum only needs each distinct count vector once.
+        found = {solver.counts(phi, k) for phi in functions}
         for theta in thetas:
             aux = solver.build_auxiliary(theta, k)
             ok = ok and abs(aux.normalization - norms[k]) <= tol
             worst = max(worst, abs(aux.total_trace() - 1.0))
             best, winners = solver.lambda_argmax(aux)
-            brute = max(
-                solver.gamma(solver.counts(phi, k), aux.inner_product)
-                for phi in functions
-            )
+            brute = max(solver.gamma(c, aux.inner_product) for c in found)
             worst = max(worst, abs(best * 24.0 * aux.normalization - brute))
             worst = max(
                 worst,
@@ -183,7 +191,7 @@ def _check_certificates(
         for theta in sample:
             aux = solver.build_auxiliary(theta, k)
             if fault == "aux-normalization":
-                aux = solver.tampered(aux)
+                aux = _tampered(aux)
             m_ab = solver.paired_measurement(theta, k, "ab")
             m_ba = solver.paired_measurement(theta, k, "ba")
             mixed = solver.convex_combination([m_ab, m_ba])

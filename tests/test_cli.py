@@ -210,3 +210,21 @@ class TestVerify:
         code, _, err = run_cli(["verify", "--tol", "-1"], capsys)
         assert code == 2
         assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--seed", "-1"],
+        ["verify", "--tol", "nan"],
+        ["curves", "--output", "<tmp dir>"],
+    ],
+)
+def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    argv = [str(tmp_path) if arg == "<tmp dir>" else arg for arg in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -316,6 +317,20 @@ class TestEstimation:
         for prev, nxt in zip(values, values[1:]):
             for key, value in prev.items():
                 assert nxt[key] <= value + 1e-15
+
+    def test_readout_noise_matches_exact_success(self):
+        # the readout flip is applied once per shot, so noisy estimates
+        # sit within a Bonferroni-corrected z bound of the exact noisy
+        # success; a doubled flip lands about 50 sigma away
+        noise = NoiseModel(0.0, 0.1)
+        plan = plan_experiment([0.4, 1.0, math.pi / 2], shots=50000, seed=7)
+        curves = simulate_curves(plan, noise)
+        assert {k for _, _, k in curves} == {0, 1, 2}
+        bound = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * len(curves)))
+        for (theta, kind, k), est in curves.items():
+            p = exact_success(theta, kind, k, noise)
+            sigma = math.sqrt(p * (1.0 - p) / est.shots)
+            assert abs(est.value - p) <= bound * sigma
 
 
 class TestRecords:

@@ -3,15 +3,21 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from anticipative.bloch import IDENTITY, Measurement, joint_table
+from anticipative import solver
+from anticipative.bloch import IDENTITY, HermitianOp, Measurement, joint_table
 from anticipative.game import GameSpec, exclusion_info_map, success_with_cpost
 from anticipative.solver import (
+    GAMMA_TOL,
     CountVector,
     OutcomeFunction,
     anticipative_success,
@@ -19,6 +25,7 @@ from anticipative.solver import (
     certificate_residual,
     certify_optimal,
     convex_combination,
+    count_classes,
     counts,
     enumerate_functions,
     exclusion_sets,
@@ -26,7 +33,6 @@ from anticipative.solver import (
     lambda_argmax,
     projection_post,
     reduce_to_povm,
-    tampered,
     fallback_function,
     paired_measurement,
 )
@@ -42,6 +48,8 @@ from anticipative.task import (
     theta_grid,
 )
 from anticipative.task import INPUT_LABELS
+
+from anticipative.verify import _tampered
 
 from matrix_oracle import to_matrix
 
@@ -107,6 +115,41 @@ class TestCounts:
         assert CountVector(3, 0, 2, 1).is_feasible(2)
 
 
+class TestCountClasses:
+    def test_class_counts_and_multiplicities(self):
+        for k, n_classes, n_functions in ((1, 66, 256), (2, 144, 4096)):
+            classes = count_classes(k)
+            assert classes.slots.shape == (n_classes, 4)
+            assert len(np.unique(classes.slots, axis=0)) == n_classes
+            assert classes.multiplicity.min() >= 1
+            assert classes.multiplicity.sum() == n_functions
+
+    def test_every_function_maps_to_its_count_vector(self):
+        for k in (1, 2):
+            classes = count_classes(k)
+            functions = enumerate_functions(k)
+            assert len(classes.index) == len(functions)
+            for j, phi in enumerate(functions):
+                i = classes.index[phi]
+                assert classes.class_of[j] == i
+                assert tuple(classes.slots[i]) == counts(phi, k).as_tuple()
+
+    def test_not_built_at_import(self):
+        code = (
+            "import anticipative.solver as s; "
+            "print(s.count_classes.cache_info().currsize)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(solver.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+        )
+        assert out.stdout.strip() == "0"
+
+
 class TestGamma:
     def test_frozen_examples(self):
         assert gamma(CountVector(3, 0, 1, 0), 0.0) == pytest.approx(
@@ -129,16 +172,19 @@ class TestGamma:
         st.integers(0, 3),
         st.floats(0.0, 1.0, allow_nan=False),
     )
+    # unit vectors whose inner product is ip exactly; near ip = 1 the
+    # score must not lose the small Bloch deviation to cancellation
+    @example(1, 0, 0, 1, 0.9999999999999999)
+    @example(3, 0, 0, 3, 0.9999999999999999)
     def test_matches_vector_norm(self, ap, am, bp, bm, ip):
         # the score is total plus the norm of the summed Bloch deviation
-        theta = math.acos(ip)
-        a, b = basis_vectors(theta) if 0 < theta <= math.pi / 2 else (None, None)
-        if a is None:
-            return
+        a = np.array([1.0, 0.0, 0.0])
+        b = np.array([ip, math.sqrt((1.0 - ip) * (1.0 + ip)), 0.0])
+        assert a @ b == ip
         c = CountVector(ap, am, bp, bm)
         vec = (ap - am) * a + (bp - bm) * b
         expected = c.total + np.linalg.norm(vec)
-        assert gamma(c, float(a @ b)) == pytest.approx(expected, abs=1e-9)
+        assert gamma(c, ip) == pytest.approx(expected, abs=1e-9)
 
     def test_bad_inner_product(self):
         with pytest.raises(ValueError):
@@ -155,6 +201,30 @@ class TestBuildAuxiliary:
             aux = build_auxiliary(0.7, k)
             assert aux.total_trace() == pytest.approx(1.0, abs=1e-12)
             assert aux.delta == pytest.approx(1.0, abs=1e-12)
+
+    def test_members_match_operators_from_counts(self):
+        theta = 0.9
+        a, b = basis_vectors(theta)
+        for k in (1, 2):
+            aux = build_auxiliary(theta, k)
+            scale = 1.0 / (24.0 * aux.normalization)
+            assert len(aux.members) == len(enumerate_functions(k))
+            for phi in enumerate_functions(k):
+                c = counts(phi, k)
+                da = c.alpha_plus - c.alpha_minus
+                db = c.beta_plus - c.beta_minus
+                expected = HermitianOp(c.total * scale, (da * a + db * b) * scale)
+                assert aux.members[phi].allclose(expected, tol=1e-15)
+
+    def test_members_read_only(self):
+        aux = build_auxiliary(0.9, 1)
+        phi = fallback_function(1, +1, "ab")
+        with pytest.raises(TypeError):
+            aux.members[phi] = IDENTITY
+        with pytest.raises(ValueError):
+            aux.scalars[0] = 1.0
+        with pytest.raises(ValueError):
+            aux.blochs[0, 0] = 1.0
 
     def test_members_positive(self):
         aux = build_auxiliary(1.3, 1)
@@ -192,6 +262,21 @@ class TestLambdaArgmax:
                     brute, abs=1e-12
                 )
                 assert winners
+
+    def test_winner_sets_match_brute_force(self):
+        for k in (1, 2):
+            functions = enumerate_functions(k)
+            for theta in (*theta_grid(7), 1e-6, math.pi / 2):
+                aux = build_auxiliary(theta, k)
+                _, winners = lambda_argmax(aux)
+                scores = [gamma(counts(phi, k), aux.inner_product) for phi in functions]
+                best = max(scores)
+                brute = {
+                    phi for phi, s in zip(functions, scores) if s >= best - GAMMA_TOL
+                }
+                assert winners == brute
+            # the last angle, pi/2, doubles the maximizers
+            assert len(winners) == 8
 
     def test_generic_maximizers_are_the_four_fallback_functions(self):
         for k in (1, 2):
@@ -296,7 +381,7 @@ class TestCertificates:
             certificate_residual(aux, Measurement({"stray": IDENTITY}))
 
     def test_tampered_ensemble_fails(self):
-        aux = tampered(build_auxiliary(0.5, 1))
+        aux = _tampered(build_auxiliary(0.5, 1))
         assert not certify_optimal(aux, paired_measurement(0.5, 1, "ab"))
 
     def test_certified_success_through_game_evaluation(self):
@@ -351,7 +436,7 @@ class TestReduction:
             assert got == pytest.approx(anticipative_success(aux), abs=1e-12)
 
     def test_uncertified_inputs_rejected(self):
-        aux = tampered(build_auxiliary(0.7, 1))
+        aux = _tampered(build_auxiliary(0.7, 1))
         with pytest.raises(ValueError, match="does not certify"):
             reduce_to_povm(
                 aux,

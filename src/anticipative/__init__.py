@@ -55,7 +55,6 @@ from .simulate import (
     Estimate,
     ExperimentPlan,
     NoiseModel,
-    ShotRecord,
     angle_schedule,
     empirical_success,
     exact_success,

@@ -61,11 +61,6 @@ class HermitianOp:
         """Whether the smallest eigenvalue is >= -tol."""
         return self.scalar - self.bloch_norm >= -tol
 
-    def is_effect(self, tol: float = DEFAULT_TOL) -> bool:
-        """Whether both eigenvalues lie in [-tol, 1 + tol]."""
-        lo, hi = self.eigenvalues()
-        return lo >= -tol and hi <= 1.0 + tol
-
     def __add__(self, other: "HermitianOp") -> "HermitianOp":
         return HermitianOp(self.scalar + other.scalar, self.bloch + other.bloch)
 
@@ -281,9 +276,6 @@ class JointTable:
 
     def prob(self, x: Label, z: Label) -> float:
         return float(self.probs[self._row[x], self._col[z]])
-
-    def input_marginal(self, x: Label) -> float:
-        return float(self.probs[self._row[x]].sum())
 
     def total(self) -> float:
         return float(self.probs.sum())

@@ -133,8 +133,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             task.check_theta(cfg.theta)
         if cfg.seed < 0:
             raise ValueError(f"seed must be >= 0, got {cfg.seed}")
-        if not cfg.tol > 0.0:
-            raise ValueError(f"tol must be positive, got {cfg.tol!r}")
+        if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
+            raise ValueError(f"tol must be finite and positive, got {cfg.tol!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return cfg

@@ -3,15 +3,21 @@
 Everything here is dimension-agnostic: a game is a joint probability table
 over inputs and measurement outcomes, a correctness predicate, and a
 partial-information channel that leaks a set of wrong answers after the
-measurement.  The two success functionals evaluate a guessing strategy
-with and without that extra information.
+measurement.  A guessing strategy is scored in one place,
+:func:`win_weights`: the probability that it wins on input ``x`` after
+outcome ``z``, averaged over the leaked sets.  The success functionals
+weight that array by the joint table, and the shot simulator uses it as
+its per-shot weights.  Strategies that see no leaked set are scored
+against the channel that always leaks the empty set.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
+
+import numpy as np
 
 from .bloch import DEFAULT_TOL, JointTable, Label
 
@@ -31,12 +37,6 @@ def all_exclusion_sets(answers: tuple[Label, ...], k: int) -> tuple[ExclusionSet
     if not 0 <= k <= len(answers):
         raise ValueError(f"k must be in [0, {len(answers)}], got {k}")
     return tuple(itertools.combinations(answers, k))
-
-
-def canonical_set(answers: tuple[Label, ...], labels: Iterable[Label]) -> ExclusionSet:
-    """Sort ``labels`` into the canonical answer order."""
-    index = {y: i for i, y in enumerate(answers)}
-    return tuple(sorted(labels, key=index.__getitem__))
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,6 +189,44 @@ def no_exclusion_map(game: GameSpec) -> PartialInfoMap:
     return PartialInfoMap({x: {NO_INFO: 1.0} for x in game.inputs})
 
 
+def _arrays(
+    game: GameSpec, alpha: PartialInfoMap
+) -> tuple[list[ExclusionSet], np.ndarray, np.ndarray]:
+    """Leaked sets in first-seen order, ``alpha[x, S]`` and ``correct[x, y]``."""
+    sets = list(dict.fromkeys(s for per_x in alpha.weights.values() for s in per_x))
+    leak = np.array([[alpha.weights[x].get(s, 0.0) for s in sets] for x in game.inputs])
+    correct = np.array(
+        [[y in game.correct_answers(x) for y in game.answers] for x in game.inputs],
+        dtype=float,
+    )
+    return sets, leak, correct
+
+
+def win_weights(
+    game: GameSpec,
+    alpha: PartialInfoMap,
+    nu: PostProcessing,
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """Winning probability of ``nu`` per input and outcome.
+
+    Returns ``w[x, z] = sum_S alpha(S | x) sum_y correctness(x, y)
+    nu(y | z, S)``, indexed by ``game.inputs`` and ``game.outcomes``.  A
+    missing rule for any outcome paired with a set that ``alpha`` leaks
+    with non-zero weight is an error, whatever the outcome's probability.
+    """
+    alpha.validate(game, tol)
+    nu.validate(game, tol)
+    sets, leak, correct = _arrays(game, alpha)
+    column = {y: j for j, y in enumerate(game.answers)}
+    guess = np.zeros((len(sets), len(game.outcomes), len(game.answers)))
+    for i in np.flatnonzero(leak.any(axis=0)):
+        for j, z in enumerate(game.outcomes):
+            for y, q in nu.rule(sets[i], z).items():
+                guess[i, j, column[y]] = q
+    return np.einsum("xs,szy,xy->xz", leak, guess, correct)
+
+
 def success_with_cpost(
     game: GameSpec,
     alpha: PartialInfoMap,
@@ -198,25 +236,10 @@ def success_with_cpost(
     """Average winning probability when guesses may use the leaked set.
 
     Sums ``correctness(x, y) nu(y | z, S) alpha(S | x) p(x, z)`` over all
-    inputs, outcomes, leaked sets and answers.  A missing rule for a
-    ``(S, z)`` pair that occurs with positive probability is an error.
+    inputs, outcomes, leaked sets and answers: the joint table weighted by
+    :func:`win_weights`.
     """
-    alpha.validate(game, tol)
-    nu.validate(game, tol)
-    total = 0.0
-    for x in game.inputs:
-        good = game.correct_answers(x)
-        for s, w in alpha.weights[x].items():
-            if w == 0.0:
-                continue
-            for z in game.outcomes:
-                p = game.joint.prob(x, z)
-                if p == 0.0:
-                    continue
-                dist = nu.rule(s, z)
-                hit = sum(q for y, q in dist.items() if y in good)
-                total += w * p * hit
-    return total
+    return float(np.sum(game.joint.probs * win_weights(game, alpha, nu, tol)))
 
 
 def success_no_cpost(
@@ -226,17 +249,7 @@ def success_no_cpost(
 
     The strategy must be keyed by the ``NO_INFO`` set.
     """
-    nu0.validate(game, tol)
-    total = 0.0
-    for x in game.inputs:
-        good = game.correct_answers(x)
-        for z in game.outcomes:
-            p = game.joint.prob(x, z)
-            if p == 0.0:
-                continue
-            dist = nu0.rule(NO_INFO, z)
-            total += p * sum(q for y, q in dist.items() if y in good)
-    return total
+    return success_with_cpost(game, no_exclusion_map(game), nu0, tol)
 
 
 def bayes_optimal_post(
@@ -250,24 +263,13 @@ def bayes_optimal_post(
     answer order, which makes the output deterministic.
     """
     alpha.validate(game, tol)
-    leaked: list[ExclusionSet] = []
-    for per_x in alpha.weights.values():
-        for s in per_x:
-            if s not in leaked:
-                leaked.append(s)
-    rules: dict[tuple[ExclusionSet, Label], dict[Label, float]] = {}
-    for s in leaked:
-        for z in game.outcomes:
-            best_y = None
-            best_score = -1.0
-            for y in game.answers:
-                score = sum(
-                    alpha.weights[x].get(s, 0.0) * game.joint.prob(x, z)
-                    for x in game.inputs
-                    if y in game.correct_answers(x)
-                )
-                if score > best_score:
-                    best_y = y
-                    best_score = score
-            rules[(s, z)] = {best_y: 1.0}
-    return PostProcessing(rules)
+    sets, leak, correct = _arrays(game, alpha)
+    scores = np.einsum("xs,xz,xy->szy", leak, game.joint.probs, correct)
+    best = scores.argmax(axis=2)
+    return PostProcessing(
+        {
+            (s, z): {game.answers[best[i, j]]: 1.0}
+            for i, s in enumerate(sets)
+            for j, z in enumerate(game.outcomes)
+        }
+    )

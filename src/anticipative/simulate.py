@@ -7,6 +7,11 @@ by a classical readout flip.  Runs draw their random streams from a
 per-run child of the master seed, so any subset of runs can be reproduced
 or executed in parallel without touching the others.
 
+Each shot is scored with an exact weight from the game layer: the
+winning probability of the priority strategy for its outcome and state,
+averaged over the leaked exclusion sets (:func:`success_weights`).  So
+one set of shots estimates every exclusion count ``k``.
+
 Seed lineage: run ``i`` of a plan with master seed ``s`` uses
 ``numpy.random.SeedSequence(s, spawn_key=(i,))``, where ``i`` is the run's
 position in the plan's canonical order (theta, then kind, then state, then
@@ -16,13 +21,15 @@ basis).
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
 
-from .game import all_exclusion_sets
+from .game import exclusion_info_map, no_exclusion_map, win_weights
 from .task import (
     ANTICIPATIVE,
     INPUT_LABELS,
@@ -31,7 +38,8 @@ from .task import (
     anticipative_directions,
     basis_vectors,
     check_theta,
-    priority_table,
+    discrimination_game,
+    priority_post,
 )
 
 #: Projective bases per measurement kind, in canonical order.
@@ -282,78 +290,22 @@ def outcome_probability(
     return p_true * (1.0 - 2.0 * eps) + eps
 
 
-@dataclass(frozen=True)
-class ShotRecord:
-    """One readout: the circuit cell, the raw bit and its outcome label."""
-
-    theta: float
-    state: str
-    kind: str
-    basis: str
-    outcome: int
-    label: str
-    master_seed: int
-    run_index: int
-
-
-RECORD_FIELDS = (
-    "theta",
-    "state",
-    "kind",
-    "basis",
-    "outcome",
-    "label",
-    "master_seed",
-    "run_index",
-)
-
-
-class RunResult(Sequence):
-    """Outcomes of one run, exposed as a lazy sequence of shot records.
+class RunResult:
+    """Outcomes of one run.
 
     Bit 0 means the ``+`` outcome of the shot's basis.  Per-shot-basis
     runs also store which basis each shot drew.
     """
 
     def __init__(
-        self,
-        run: RunSpec,
-        noise: NoiseModel,
-        outcomes: np.ndarray,
-        bases: np.ndarray | None = None,
+        self, run: RunSpec, outcomes: np.ndarray, bases: np.ndarray | None = None
     ) -> None:
         self.run = run
-        self.noise = noise
         self.outcomes = outcomes
         self.bases = bases
         outcomes.setflags(write=False)
         if bases is not None:
             bases.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.outcomes)
-
-    def basis_label(self, i: int) -> str:
-        if self.bases is None:
-            return self.run.basis
-        return KIND_BASES[self.run.kind][self.bases[i]]
-
-    def __getitem__(self, i: int) -> ShotRecord:
-        if not -len(self) <= i < len(self):
-            raise IndexError(i)
-        i %= len(self)
-        basis = self.basis_label(i)
-        bit = int(self.outcomes[i])
-        return ShotRecord(
-            theta=self.run.theta,
-            state=self.run.state,
-            kind=self.run.kind,
-            basis=basis,
-            outcome=bit,
-            label=("+" if bit == 0 else "-") + basis,
-            master_seed=self.run.master_seed,
-            run_index=self.run.index,
-        )
 
     def tallies(self) -> dict[str, tuple[int, int]]:
         """Per-basis ``(plus_count, total)`` pairs."""
@@ -398,7 +350,7 @@ def sample_run(
     born = rng.random(run.shots) >= p_plus
     flips = rng.random(run.shots) < noise.readout_flip
     outcomes = (born ^ flips).astype(np.uint8)
-    return RunResult(run, noise, outcomes, bases)
+    return RunResult(run, outcomes, bases)
 
 
 @dataclass(frozen=True)
@@ -410,26 +362,28 @@ class Estimate:
     shots: int
 
 
-def success_weights(kind: str, k: int) -> dict[tuple[str, str], float]:
+@lru_cache(maxsize=None)
+def success_weights(kind: str, k: int) -> Mapping[tuple[str, str], float]:
     """Exact per-shot success weight ``w(outcome label, prepared state)``.
 
-    A shot with outcome ``z`` and state ``x`` wins against a uniformly
-    drawn exclusion set exactly when the first non-excluded answer in the
-    outcome's priority row is ``x``; the weight is that winning fraction,
-    averaged exactly over all admissible sets.  Multiplying weights by
-    observed frequencies reuses every shot for each ``k``.
+    The weight is the game layer's :func:`~anticipative.game.win_weights`
+    of the priority strategy against a uniformly drawn exclusion set: the
+    chance that a shot with that outcome and state wins, averaged exactly
+    over all admissible sets.  Multiplying weights by observed frequencies
+    reuses every shot for each ``k``.  The strategy and the leak do not
+    depend on ``theta``, so the table is built once per ``(kind, k)`` and
+    returned as a read-only mapping.
     """
-    table = priority_table(kind)
-    weights: dict[tuple[str, str], float] = {}
-    for x in INPUT_LABELS:
-        wrong = tuple(y for y in INPUT_LABELS if y != x)
-        sets = all_exclusion_sets(wrong, k) if k > 0 else ((),)
-        for z, row in table.items():
-            wins = sum(
-                1 for s in sets if next(y for y in row if y not in s) == x
-            )
-            weights[(z, x)] = wins / len(sets)
-    return weights
+    spec = discrimination_game(kind, math.pi / 2)
+    alpha = no_exclusion_map(spec) if k == 0 else exclusion_info_map(spec, k)
+    w = win_weights(spec, alpha, priority_post(kind, k))
+    return MappingProxyType(
+        {
+            (z, x): float(w[i, j])
+            for i, x in enumerate(spec.inputs)
+            for j, z in enumerate(spec.outcomes)
+        }
+    )
 
 
 def _group_runs(
@@ -514,21 +468,6 @@ def simulate_curves(
         for (theta, kind), est in empirical_success(results, k).items():
             curves[(theta, kind, k)] = est
     return curves
-
-
-def write_records(results: Iterable[RunResult], path: str) -> int:
-    """Dump every shot as CSV with a header row; returns the record count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(RECORD_FIELDS) + "\n")
-        for res in results:
-            for rec in res:
-                fh.write(
-                    f"{rec.theta:.12g},{rec.state},{rec.kind},{rec.basis},"
-                    f"{rec.outcome},{rec.label},{rec.master_seed},{rec.run_index}\n"
-                )
-                count += 1
-    return count
 
 
 def _ry(angle: float) -> np.ndarray:

@@ -10,8 +10,10 @@ states that depends on ``phi`` only through its count vector, so the
 classes.  The ensemble is stored as one operator per class plus the
 class multiplicities; the best discrimination success ``Lambda`` is a
 maximum over the classes, and the operator of a single ``phi`` is built
-only when looked up.  Measurements are optimal iff they satisfy an exact
-eigenvalue-style certificate.  The two-effect measurements built here
+only when looked up.  Measurements are optimal iff they satisfy the
+exact Holevo / Yuen-Kennedy-Lax certificate: every used effect is an
+eigen-projection of its member at ``Lambda``, and no member has an
+eigenvalue above ``Lambda``.  The two-effect measurements built here
 pass it and average to the four-outcome anticipative measurement.
 """
 
@@ -20,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -126,20 +128,6 @@ class CountVector:
     def total(self) -> int:
         return sum(self.as_tuple())
 
-    def is_feasible(self, k: int) -> bool:
-        """Combinatorial bounds obeyed by every actual outcome function."""
-        if any(not 0 <= c <= 3 for c in self.as_tuple()):
-            return False
-        if k == 1:
-            return self.total <= 4
-        if k == 2:
-            return (
-                self.total <= 6
-                and self.alpha_plus + self.beta_plus <= 5
-                and self.alpha_minus + self.beta_minus <= 5
-            )
-        raise ValueError(f"k must be one of {SOLVER_K}, got {k!r}")
-
 
 _COUNT_SLOT = {"+a": 0, "-a": 1, "+b": 2, "-b": 3}
 
@@ -223,7 +211,11 @@ class AuxiliaryEnsemble:
     ``normalization`` is the constant ``C`` that makes the traces sum to
     one; ``lambda_max`` is the best single-member score
     ``max_phi (scalar + |bloch|)``; ``delta`` is the overall scale linking
-    the game value to the discrimination value.
+    the game value to the discrimination value.  ``dual_gap`` is the
+    largest member eigenvalue minus ``lambda_max``, positive when
+    ``lambda_max`` is not the maximum; it is taken from each class's own
+    operator, independently of the scores behind ``lambda_max``, and
+    computed once per instance.
     """
 
     k: int
@@ -237,6 +229,11 @@ class AuxiliaryEnsemble:
     @property
     def members(self) -> Mapping[OutcomeFunction, HermitianOp]:
         return _Members(self)
+
+    @cached_property
+    def dual_gap(self) -> float:
+        ops = (HermitianOp(s, v) for s, v in zip(self.scalars, self.blochs))
+        return max(op.eigenvalues()[1] for op in ops) - self.lambda_max
 
     def total_trace(self) -> float:
         return 2.0 * float(count_classes(self.k).multiplicity @ self.scalars)
@@ -396,14 +393,16 @@ def certify_optimal(
 ) -> bool:
     """Exact optimality test for a discrimination measurement.
 
-    True iff ``m`` is a valid measurement and every effect satisfies
-    ``e(phi) M(phi) = Lambda M(phi)`` within ``tol``.  Outcome functions
-    without an entry in ``m`` carry the zero effect and pass trivially.
+    True iff ``m`` is a valid measurement, every effect satisfies
+    ``e(phi) M(phi) = Lambda M(phi)`` within ``tol`` and no member's top
+    eigenvalue exceeds ``Lambda`` by more than ``tol`` (``aux.dual_gap``);
+    stationarity alone accepts any ``Lambda`` that a used member attains.
+    Outcome functions without an entry in ``m`` carry the zero effect.
     """
     report = m.validate(tol)
     if not report:
         return False
-    return certificate_residual(aux, m) <= tol
+    return certificate_residual(aux, m) <= tol and aux.dual_gap <= tol
 
 
 def convex_combination(
@@ -424,15 +423,6 @@ def convex_combination(
             else:
                 mixed[label] = w * effect
     return Measurement(mixed)
-
-
-def projection_post(k: int, outcomes: Iterable[OutcomeFunction]) -> PostProcessing:
-    """The canonical strategy on function-labelled outcomes: guess ``phi(S)``."""
-    rules: dict[tuple[ExclusionSet, OutcomeFunction], dict[str, float]] = {}
-    for phi in outcomes:
-        for s in exclusion_sets(k):
-            rules[(s, phi)] = {phi(s): 1.0}
-    return PostProcessing(rules)
 
 
 def reduce_to_povm(

@@ -19,7 +19,6 @@ import numpy as np
 
 from .bloch import HermitianOp, Measurement, StateEnsemble, joint_table
 from .game import (
-    NO_INFO,
     GameSpec,
     PostProcessing,
     all_exclusion_sets,
@@ -266,19 +265,17 @@ def pipeline_success(scenario: Scenario, theta: float) -> float:
 def priority_post(kind: str, k: int) -> PostProcessing:
     """Deterministic strategy read off the priority table.
 
-    For ``k = 0`` the rule is keyed by the empty set and guesses the head
-    of each outcome's row; otherwise it guesses the first answer not in
-    the leaked size-``k`` set.  Coincides with the Bayes-optimal strategy
-    for every ``theta`` in the task's range.
+    It guesses the first answer of the outcome's row that is not in the
+    leaked size-``k`` set; for ``k = 0`` the only set is the empty
+    ``NO_INFO`` key, so it guesses the head of the row.  Coincides with
+    the Bayes-optimal strategy for every ``theta`` >= 1e-6 in the task's
+    range; closer to 0 the answers tie.
     """
     if k not in K_VALUES:
         raise ValueError(f"k must be one of {K_VALUES}, got {k!r}")
     table = priority_table(kind)
     rules: dict[tuple[tuple[str, ...], str], dict[str, float]] = {}
     for z, row in table.items():
-        if k == 0:
-            rules[(NO_INFO, z)] = {row[0]: 1.0}
-            continue
         for s in all_exclusion_sets(INPUT_LABELS, k):
             guess = next(y for y in row if y not in s)
             rules[(s, z)] = {guess: 1.0}

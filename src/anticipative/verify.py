@@ -15,8 +15,9 @@ import numpy as np
 
 from . import bloch, game, simulate, solver, task
 
-#: The one fault the suite can inject on request, for exercising failures.
-FAULTS = ("aux-normalization",)
+#: Faults the suite can inject on request, for exercising failures.  Each
+#: breaks exactly the optimality certificate check.
+FAULTS = ("aux-normalization", "aux-lambda")
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,25 @@ def _tampered(aux: solver.AuxiliaryEnsemble) -> solver.AuxiliaryEnsemble:
     return replace(aux, scalars=1.01 * aux.scalars, blochs=1.01 * aux.blochs)
 
 
+def _planted_lambda(
+    aux: solver.AuxiliaryEnsemble, theta: float
+) -> tuple[solver.AuxiliaryEnsemble, bloch.Measurement]:
+    """The ``aux-lambda`` fault: a wrong maximum and a measurement stationary for it.
+
+    ``lambda_max`` drops to the score of the constant guess ``+a``, measured
+    along ``+-a`` together with the constant guess ``-a`` (success 1/2).
+    Only the dual half of the certificate rejects the pair.
+    """
+    a, _ = task.basis_vectors(theta)
+    plus, minus = (
+        solver.OutcomeFunction(tuple((s, y) for s in solver.exclusion_sets(aux.k)))
+        for y in ("+a", "-a")
+    )
+    planted = replace(aux, lambda_max=aux.members[plus].eigenvalues()[1])
+    m = bloch.Measurement({plus: bloch.projector(a), minus: bloch.projector(-a)})
+    return planted, m
+
+
 def _check_closed_forms(tol: float, thetas: np.ndarray) -> CheckResult:
     worst = 0.0
     for theta in thetas:
@@ -83,6 +103,7 @@ def _check_closed_forms(tol: float, thetas: np.ndarray) -> CheckResult:
             "game.bayes_optimal_post",
             "game.success_with_cpost",
             "game.success_no_cpost",
+            "game.win_weights",
         ),
     )
 
@@ -183,22 +204,31 @@ def _check_enumeration(tol: float, thetas: np.ndarray) -> CheckResult:
 def _check_certificates(
     tol: float, thetas: np.ndarray, fault: str | None
 ) -> CheckResult:
-    sample = [thetas[0], thetas[len(thetas) // 4], thetas[len(thetas) // 2],
-              thetas[(3 * len(thetas)) // 4], thetas[-1]]
+    n = len(thetas)
+    # Each position once: on a short grid some of the five coincide.
+    sample = [thetas[i] for i in sorted({0, n // 4, n // 2, (3 * n) // 4, n - 1})]
     ok = True
     worst = 0.0
+    gap = -math.inf
     for k in solver.SOLVER_K:
         for theta in sample:
             aux = solver.build_auxiliary(theta, k)
-            if fault == "aux-normalization":
-                aux = _tampered(aux)
             m_ab = solver.paired_measurement(theta, k, "ab")
             m_ba = solver.paired_measurement(theta, k, "ba")
-            mixed = solver.convex_combination([m_ab, m_ba])
-            for m in (m_ab, m_ba, mixed):
+            measurements = [m_ab, m_ba, solver.convex_combination([m_ab, m_ba])]
+            if fault == "aux-normalization":
+                aux = _tampered(aux)
+            elif fault == "aux-lambda":
+                aux, planted = _planted_lambda(aux, theta)
+                measurements = [planted]
+            for m in measurements:
                 ok = ok and solver.certify_optimal(aux, m, tol)
                 worst = max(worst, solver.certificate_residual(aux, m))
-    detail = f"max certificate residual = {worst:.3e} at 5 angles, k in {solver.SOLVER_K}"
+            gap = max(gap, aux.dual_gap)
+    detail = (
+        f"max certificate residual = {worst:.3e}, max dual gap = {gap:.3e} "
+        f"at {len(sample)} angles, k in {solver.SOLVER_K}"
+    )
     if fault:
         detail += f" (fault injected: {fault})"
     return CheckResult(
@@ -213,7 +243,8 @@ def _check_reduction(tol: float, thetas: np.ndarray) -> CheckResult:
     ok = True
     worst = 0.0
     for k in solver.SOLVER_K:
-        for theta in (thetas[0], thetas[len(thetas) // 2], thetas[-1]):
+        for i in sorted({0, len(thetas) // 2, len(thetas) - 1}):
+            theta = thetas[i]
             aux = solver.build_auxiliary(theta, k)
             povm, nu = solver.reduce_to_povm(
                 aux,
@@ -373,6 +404,7 @@ PUBLIC_OPS = {
         "success_with_cpost",
         "success_no_cpost",
         "bayes_optimal_post",
+        "win_weights",
     ),
     "solver": (
         "enumerate_functions",

@@ -50,13 +50,15 @@ class TestHermitianOp:
         assert HermitianOp(0.5, [0.5 + 1e-14, 0.0, 0.0]).is_positive()
 
     def test_effect_bound(self):
-        assert IDENTITY.is_effect()
-        assert ZERO.is_effect()
-        assert HermitianOp(0.5, [0.0, 0.5, 0.0]).is_effect()
+        half = HermitianOp(0.5, [0.0, 0.5, 0.0])
+        assert validate_measurement(Measurement({"1": IDENTITY, "0": ZERO})).valid
+        assert validate_measurement(Measurement({"+": half, "-": IDENTITY - half})).valid
         # eigenvalue 1.3 exceeds the bound even though the op is positive
         op = HermitianOp(0.8, [0.0, 0.5, 0.0])
         assert op.is_positive()
-        assert not op.is_effect()
+        report = validate_measurement(Measurement({"big": op, "rest": IDENTITY - op}))
+        assert not report.valid
+        assert report.failures["big"].startswith("exceeds effect bound")
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -223,7 +225,6 @@ class TestJointTable:
         assert table.prob("0", "+") == pytest.approx(0.5, abs=1e-15)
         assert table.prob("0", "-") == pytest.approx(0.0, abs=1e-15)
         assert table.total() == pytest.approx(1.0, abs=1e-15)
-        assert table.input_marginal("1") == pytest.approx(0.5, abs=1e-15)
 
     def test_matches_matrix_oracle(self):
         ens, m = self._qubit_pair()

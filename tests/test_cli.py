@@ -218,6 +218,8 @@ class TestVerify:
         ["simulate", "--seed", "-1"],
         ["verify", "--tol", "nan"],
         ["curves", "--output", "<tmp dir>"],
+        ["verify", "--tol", "inf"],
+        ["verify", "--tol=-inf"],
     ],
 )
 def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):

@@ -15,7 +15,6 @@ from anticipative.game import (
     PostProcessing,
     all_exclusion_sets,
     bayes_optimal_post,
-    canonical_set,
     exclusion_info_map,
     no_exclusion_map,
     success_no_cpost,
@@ -54,9 +53,6 @@ class TestExclusionSets:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             all_exclusion_sets(INPUT_LABELS, 5)
-
-    def test_canonical_set_sorts_by_answer_index(self):
-        assert canonical_set(INPUT_LABELS, ["-b", "+a"]) == ("+a", "-b")
 
 
 class TestGameSpec:
@@ -166,6 +162,11 @@ class TestSuccessFunctionals:
         nu = PostProcessing({(("-a",), "+a"): {"+a": 1.0}})
         with pytest.raises(ValueError, match="no rule"):
             success_with_cpost(game, alpha, nu)
+        # a rule is required for every outcome, even one of probability zero
+        table = JointTable(("x",), ("z", "never"), np.array([[1.0, 0.0]]))
+        spec = GameSpec(("x",), ("x",), equality, table)
+        with pytest.raises(ValueError, match="no rule"):
+            success_no_cpost(spec, PostProcessing({(NO_INFO, "z"): {"x": 1.0}}))
 
     def test_malformed_rule_is_error(self):
         game = discrimination_game(STANDARD, 1.0)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from statistics import NormalDist
 
@@ -13,7 +12,6 @@ from anticipative.simulate import (
     KIND_BASES,
     NOISELESS,
     RANDOM_BASIS,
-    RECORD_FIELDS,
     NoiseModel,
     RunSpec,
     angle_schedule,
@@ -30,7 +28,6 @@ from anticipative.simulate import (
     state_vector,
     success_weights,
     tilt_angle,
-    write_records,
 )
 from anticipative.task import (
     ANTICIPATIVE,
@@ -204,18 +201,6 @@ class TestSampling:
         assert res.outcomes.tolist() == [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1]
         assert res.bases.tolist() == [0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 1, 0]
 
-    def test_sequence_protocol(self):
-        plan = plan_experiment([1.0], shots=20, seed=3)
-        res = sample_run(plan.runs[0], NOISELESS)
-        assert len(res) == 20
-        rec = res[0]
-        assert rec.state == "+a"
-        assert rec.label == ("+" if rec.outcome == 0 else "-") + rec.basis
-        assert res[-1].run_index == 0
-        with pytest.raises(IndexError):
-            res[20]
-        assert len(list(res)) == 20
-
     def test_outcomes_read_only(self):
         plan = plan_experiment([1.0], shots=8, seed=3)
         res = sample_run(plan.runs[0], NOISELESS)
@@ -259,6 +244,12 @@ class TestWeights:
                 for x in INPUT_LABELS:
                     got = sum(v for (z, xx), v in w.items() if xx == x)
                     assert got == pytest.approx(total, abs=1e-15)
+
+    def test_built_once_and_read_only(self):
+        w = success_weights(STANDARD, 1)
+        assert success_weights(STANDARD, 1) is w
+        with pytest.raises(TypeError):
+            w[("+a", "+a")] = 0.5
 
 
 class TestEstimation:
@@ -331,22 +322,6 @@ class TestEstimation:
             p = exact_success(theta, kind, k, noise)
             sigma = math.sqrt(p * (1.0 - p) / est.shots)
             assert abs(est.value - p) <= bound * sigma
-
-
-class TestRecords:
-    def test_write_and_read_back(self, tmp_path):
-        plan = plan_experiment([1.0], shots=25, kinds=(ANTICIPATIVE,), seed=6)
-        results = [sample_run(run, NOISELESS) for run in plan.runs[:2]]
-        path = tmp_path / "shots.csv"
-        count = write_records(results, str(path))
-        assert count == 50
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 50
-        assert tuple(rows[0]) == RECORD_FIELDS
-        assert rows[0]["kind"] == ANTICIPATIVE
-        assert rows[0]["label"] in ("+m", "-m")
-        assert int(rows[0]["master_seed"]) == 6
 
 
 class TestGateDecomposition:

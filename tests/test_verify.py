@@ -40,8 +40,9 @@ def test_impossible_tolerance_fails():
     assert not report.passed
 
 
-def test_fault_injection_breaks_exactly_the_certificates():
-    report = run_verification(points=3, fault=FAULTS[0])
+@pytest.mark.parametrize("fault", FAULTS)
+def test_fault_injection_breaks_exactly_the_certificates(fault):
+    report = run_verification(points=3, fault=fault)
     assert not report.passed
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["optimality certificates"]

@@ -98,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=2026)
     ver.add_argument(
         "--inject-fault",
+        dest="fault",
         choices=verify.FAULTS,
         default=None,
         help="deliberately break an internal quantity to exercise failure paths",
@@ -107,21 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        theta_min=getattr(args, "theta_min", math.pi / 50),
-        theta_max=getattr(args, "theta_max", math.pi / 2),
-        points=getattr(args, "points", 25),
-        shots=getattr(args, "shots", 20000),
-        seed=getattr(args, "seed", 0),
-        noise_depol=getattr(args, "noise_depol", 0.0),
-        noise_readout=getattr(args, "noise_readout", 0.023),
-        output=getattr(args, "output", None),
-        tol=getattr(args, "tol", 1e-12),
-        theta=getattr(args, "theta", math.pi / 2),
-        k=getattr(args, "k", 1),
-        fault=getattr(args, "inject_fault", None),
-    )
+    cfg = RunConfig(**vars(args))
     try:
         if cfg.command in ("curves", "simulate", "verify"):
             cfg.grid()

@@ -7,10 +7,13 @@ by a classical readout flip.  Runs draw their random streams from a
 per-run child of the master seed, so any subset of runs can be reproduced
 or executed in parallel without touching the others.
 
-Each shot is scored with an exact weight from the game layer: the
-winning probability of the priority strategy for its outcome and state,
-averaged over the leaked exclusion sets (:func:`success_weights`).  So
-one set of shots estimates every exclusion count ``k``.
+Shots are counted per (state, outcome) cell, the outcome as column
+``2 * i + bit`` for basis ``i`` of :data:`KIND_BASES` and bit 0 the ``+``
+outcome: the game layer's outcome order.  Each cell is scored with an
+exact weight from the game layer, the winning probability of the
+priority strategy averaged over the leaked exclusion sets
+(:func:`success_weights`).  So one set of shots estimates every
+exclusion count ``k``.
 
 Seed lineage: run ``i`` of a plan with master seed ``s`` uses
 ``numpy.random.SeedSequence(s, spawn_key=(i,))``, where ``i`` is the run's
@@ -21,10 +24,8 @@ basis).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Iterable
 
 import numpy as np
@@ -124,32 +125,21 @@ class ExperimentPlan:
             raise ValueError(f"shots_per_run must be >= 1, got {self.shots_per_run}")
         if self.basis_mode not in BASIS_MODES:
             raise ValueError(f"basis_mode must be one of {BASIS_MODES}")
+        even = self.basis_mode == "even"
+        shots = self.shots_per_run if even else 2 * self.shots_per_run
         runs: list[RunSpec] = []
         for theta in self.thetas:
             for kind in self.kinds:
                 for state in self.states:
-                    if self.basis_mode == "even":
-                        for basis in KIND_BASES[kind]:
-                            runs.append(
-                                RunSpec(
-                                    index=len(runs),
-                                    theta=theta,
-                                    kind=kind,
-                                    state=state,
-                                    basis=basis,
-                                    shots=self.shots_per_run,
-                                    master_seed=self.master_seed,
-                                )
-                            )
-                    else:
+                    for basis in KIND_BASES[kind] if even else (RANDOM_BASIS,):
                         runs.append(
                             RunSpec(
                                 index=len(runs),
                                 theta=theta,
                                 kind=kind,
                                 state=state,
-                                basis=RANDOM_BASIS,
-                                shots=2 * self.shots_per_run,
+                                basis=basis,
+                                shots=shots,
                                 master_seed=self.master_seed,
                             )
                         )
@@ -294,7 +284,8 @@ class RunResult:
     """Outcomes of one run.
 
     Bit 0 means the ``+`` outcome of the shot's basis.  Per-shot-basis
-    runs also store which basis each shot drew.
+    runs also store which basis each shot drew, as its index in
+    :data:`KIND_BASES`.
     """
 
     def __init__(
@@ -307,19 +298,19 @@ class RunResult:
         if bases is not None:
             bases.setflags(write=False)
 
-    def tallies(self) -> dict[str, tuple[int, int]]:
-        """Per-basis ``(plus_count, total)`` pairs."""
-        if self.bases is None:
-            total = len(self.outcomes)
-            plus = int(total - self.outcomes.sum())
-            return {self.run.basis: (plus, total)}
-        out: dict[str, tuple[int, int]] = {}
-        for idx, basis in enumerate(KIND_BASES[self.run.kind]):
-            mask = self.bases == idx
-            total = int(mask.sum())
-            plus = int(total - self.outcomes[mask].sum())
-            out[basis] = (plus, total)
-        return out
+    def tallies(self) -> np.ndarray:
+        """Shot counts per outcome column ``2 * basis index + bit``.
+
+        The four columns follow the outcome order of the kind's
+        discrimination game (``+a, -a, +b, -b`` or ``+m, -m, +n, -n``).
+        """
+        if self.bases is not None:
+            return np.bincount(2 * self.bases + self.outcomes, minlength=4)
+        counts = np.zeros(4, dtype=np.int64)
+        column = 2 * KIND_BASES[self.run.kind].index(self.run.basis)
+        minus = int(self.outcomes.sum())
+        counts[column : column + 2] = (len(self.outcomes) - minus, minus)
+        return counts
 
 
 def sample_run(
@@ -339,11 +330,9 @@ def sample_run(
     if run.basis == RANDOM_BASIS:
         bases = rng.integers(0, 2, size=run.shots).astype(np.uint8)
         pair = KIND_BASES[run.kind]
-        p_plus = np.where(
-            bases == 0,
-            _born_probability(run.theta, run.state, run.kind, pair[0], depol),
-            _born_probability(run.theta, run.state, run.kind, pair[1], depol),
-        )
+        p_plus = np.array(
+            [_born_probability(run.theta, run.state, run.kind, b, depol) for b in pair]
+        )[bases]
     else:
         bases = None
         p_plus = _born_probability(run.theta, run.state, run.kind, run.basis, depol)
@@ -363,27 +352,24 @@ class Estimate:
 
 
 @lru_cache(maxsize=None)
-def success_weights(kind: str, k: int) -> Mapping[tuple[str, str], float]:
-    """Exact per-shot success weight ``w(outcome label, prepared state)``.
+def success_weights(kind: str, k: int) -> np.ndarray:
+    """Exact per-shot success weights ``w[state, column]``.
 
-    The weight is the game layer's :func:`~anticipative.game.win_weights`
-    of the priority strategy against a uniformly drawn exclusion set: the
-    chance that a shot with that outcome and state wins, averaged exactly
-    over all admissible sets.  Multiplying weights by observed frequencies
-    reuses every shot for each ``k``.  The strategy and the leak do not
-    depend on ``theta``, so the table is built once per ``(kind, k)`` and
-    returned as a read-only mapping.
+    Rows follow ``INPUT_LABELS`` and columns the outcome order of the
+    kind's discrimination game, which is the column ``2 * basis index +
+    bit`` of :meth:`RunResult.tallies`.  The weight is the game layer's
+    :func:`~anticipative.game.win_weights` of the priority strategy
+    against a uniformly drawn exclusion set: the chance that a shot with
+    that state and outcome wins, averaged exactly over all admissible
+    sets.  Multiplying weights by observed counts reuses every shot for
+    each ``k``.  The strategy and the leak do not depend on ``theta``, so
+    the table is built once per ``(kind, k)`` and returned read-only.
     """
     spec = discrimination_game(kind, math.pi / 2)
     alpha = no_exclusion_map(spec) if k == 0 else exclusion_info_map(spec, k)
     w = win_weights(spec, alpha, priority_post(kind, k))
-    return MappingProxyType(
-        {
-            (z, x): float(w[i, j])
-            for i, x in enumerate(spec.inputs)
-            for j, z in enumerate(spec.outcomes)
-        }
-    )
+    w.setflags(write=False)
+    return w
 
 
 def _group_runs(
@@ -400,37 +386,32 @@ def empirical_success(
 ) -> dict[tuple[float, str], Estimate]:
     """Per-(theta, kind) success estimates for exclusion count ``k``.
 
-    Pools the shots of a group, scores them with the exact weights from
-    :func:`success_weights` and bounds the standard error by the binomial
-    formula (the weights lie in [0, 1], so the bound is conservative).
-    Fixed-basis groups must cover both bases of their kind with equal shot
-    counts; per-shot-basis runs are exempt because their balance is
-    stochastic by design.
+    Pools the shot counts of a group into one ``counts[state, column]``
+    table, scores it with the exact weights from :func:`success_weights`
+    and bounds the standard error by the binomial formula (the weights
+    lie in [0, 1], so the bound is conservative).  Fixed-basis groups
+    must cover both bases of their kind with equal shot counts for every
+    state they contain; per-shot-basis runs are exempt because their
+    balance is stochastic by design.
     """
     out: dict[tuple[float, str], Estimate] = {}
     for (theta, kind), group in _group_runs(results).items():
-        weights = success_weights(kind, k)
-        expected_bases = set(KIND_BASES[kind])
-        per_state: dict[str, dict[str, int]] = {}
-        score = 0.0
-        shots = 0
-        fixed_basis_group = all(res.bases is None for res in group)
+        counts = np.zeros((len(INPUT_LABELS), 4), dtype=np.int64)
         for res in group:
-            state = res.run.state
-            totals = per_state.setdefault(state, {})
-            for basis, (plus, total) in res.tallies().items():
-                totals[basis] = totals.get(basis, 0) + total
-                score += plus * weights[("+" + basis, state)]
-                score += (total - plus) * weights[("-" + basis, state)]
-                shots += total
-        if require_equal_split and fixed_basis_group:
-            for state, totals in per_state.items():
-                if set(totals) != expected_bases or len(set(totals.values())) != 1:
+            counts[INPUT_LABELS.index(res.run.state)] += res.tallies()
+        if require_equal_split and all(res.bases is None for res in group):
+            per_basis = (counts[:, 0::2] + counts[:, 1::2]).tolist()
+            for state, totals in zip(INPUT_LABELS, per_basis):
+                if totals[0] != totals[1]:
                     raise ValueError(
                         f"unbalanced basis counts for theta={theta!r}, "
-                        f"kind={kind!r}, state={state!r}: {totals!r}"
+                        f"kind={kind!r}, state={state!r}: "
+                        f"{dict(zip(KIND_BASES[kind], totals))!r}"
                     )
-        value = score / shots
+        shots = int(counts.sum())
+        # Summed left to right in row-major order: np.sum adds pairwise,
+        # which moves some estimates by an ulp and with them CSV digits.
+        value = sum((counts * success_weights(kind, k)).ravel().tolist()) / shots
         stderr = math.sqrt(max(value * (1.0 - value), 0.0) / shots)
         out[(theta, kind)] = Estimate(value=value, stderr=stderr, shots=shots)
     return out
@@ -444,16 +425,10 @@ def exact_success(
     With no noise this equals the closed-form success probability of the
     scenario, which pins the estimator to the analytic layer.
     """
-    weights = success_weights(kind, k)
-    total = 0.0
-    for state in INPUT_LABELS:
-        for basis in KIND_BASES[kind]:
-            p_plus = outcome_probability(theta, state, kind, basis, noise)
-            total += 0.125 * (
-                p_plus * weights[("+" + basis, state)]
-                + (1.0 - p_plus) * weights[("-" + basis, state)]
-            )
-    return total
+    cells = [(x, b) for x in INPUT_LABELS for b in KIND_BASES[kind]]
+    p_plus = np.array([outcome_probability(theta, x, kind, b, noise) for x, b in cells])
+    probs = np.column_stack((p_plus, 1.0 - p_plus)).reshape(len(INPUT_LABELS), 4)
+    return 0.125 * float(np.sum(probs * success_weights(kind, k)))
 
 
 def simulate_curves(

@@ -39,7 +39,6 @@ from .task import (
     INPUT_LABELS,
     basis_vectors,
     check_theta,
-    make_ensemble,
     negate_label,
     signed_label,
 )
@@ -77,10 +76,6 @@ class OutcomeFunction:
     @property
     def sets(self) -> tuple[ExclusionSet, ...]:
         return tuple(key for key, _ in self.items)
-
-    @property
-    def choices(self) -> tuple[str, ...]:
-        return tuple(guess for _, guess in self.items)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{''.join(s)}->{x}" for s, x in self.items)
@@ -210,12 +205,11 @@ class AuxiliaryEnsemble:
     outcome functions that builds one operator per lookup.
     ``normalization`` is the constant ``C`` that makes the traces sum to
     one; ``lambda_max`` is the best single-member score
-    ``max_phi (scalar + |bloch|)``; ``delta`` is the overall scale linking
-    the game value to the discrimination value.  ``dual_gap`` is the
-    largest member eigenvalue minus ``lambda_max``, positive when
-    ``lambda_max`` is not the maximum; it is taken from each class's own
-    operator, independently of the scores behind ``lambda_max``, and
-    computed once per instance.
+    ``max_phi (scalar + |bloch|)``.  ``dual_gap`` is the largest member
+    eigenvalue minus ``lambda_max``, positive when ``lambda_max`` is not
+    the maximum; it is taken from each class's own operator,
+    independently of the scores behind ``lambda_max``, and computed once
+    per instance.
     """
 
     k: int
@@ -224,7 +218,6 @@ class AuxiliaryEnsemble:
     normalization: float
     lambda_max: float
     inner_product: float
-    delta: float
 
     @property
     def members(self) -> Mapping[OutcomeFunction, HermitianOp]:
@@ -283,8 +276,6 @@ def build_auxiliary(theta: float, k: int) -> AuxiliaryEnsemble:
     scale = 1.0 / (24.0 * c_norm)
     scalars = _readonly(totals * scale)
     blochs = _readonly((da[:, None] * a + db[:, None] * b) * scale)
-    ensemble = make_ensemble(theta)
-    delta = sum(ensemble[x].trace for x in ensemble.inputs)
     return AuxiliaryEnsemble(
         k=k,
         scalars=scalars,
@@ -292,7 +283,6 @@ def build_auxiliary(theta: float, k: int) -> AuxiliaryEnsemble:
         normalization=c_norm,
         lambda_max=float(_scores(scalars, blochs).max()),
         inner_product=float(a @ b),
-        delta=delta,
     )
 
 

@@ -32,9 +32,6 @@ from .game import (
 #: Input labels in canonical order; also the answer alphabet.
 INPUT_LABELS = ("+a", "-a", "+b", "-b")
 
-#: Outcome labels of the anticipative measurement, mirroring the axis names.
-ANTICIPATIVE_OUTCOMES = ("+m", "-m", "+n", "-n")
-
 STANDARD = "standard"
 ANTICIPATIVE = "anticipative"
 KINDS = (STANDARD, ANTICIPATIVE)

@@ -1,9 +1,9 @@
 """End-to-end self-checks tying the analytic, solver and simulator layers.
 
-Every public operation of the package is exercised by at least one check;
-the registry at the bottom backs that up in the test suite.  Checks are
-pure functions of the tolerance and seed, so a verification run is
-reproducible.
+Every public operation of the package is exercised by at least one check:
+the test suite records the calls a verification run makes to each
+function in the registry at the bottom.  Checks are pure functions of the
+tolerance and seed, so a verification run is reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    ops: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def exercised_ops(self) -> frozenset[str]:
-        return frozenset(op for c in self.checks for op in c.ops)
 
     def lines(self) -> list[str]:
         out = []
@@ -94,17 +90,6 @@ def _check_closed_forms(tol: float, thetas: np.ndarray) -> CheckResult:
         passed=worst <= tol,
         detail=f"max |pipeline - closed form| = {worst:.3e} over "
         f"{len(thetas)} angles x {len(task.SCENARIOS)} scenarios",
-        ops=(
-            "task.make_ensemble",
-            "task.standard_measurement",
-            "task.anticipative_measurement",
-            "task.closed_form",
-            "game.exclusion_info_map",
-            "game.bayes_optimal_post",
-            "game.success_with_cpost",
-            "game.success_no_cpost",
-            "game.win_weights",
-        ),
     )
 
 
@@ -145,15 +130,6 @@ def _check_born_tables(tol: float, thetas: np.ndarray) -> CheckResult:
         name="born tables",
         passed=ok and worst <= tol,
         detail=f"max table deviation = {worst:.3e}",
-        ops=(
-            "bloch.validate_measurement",
-            "bloch.joint_table",
-            "bloch.trace_product",
-            "bloch.projector",
-            "task.pq_values",
-            "task.anticipative_measurement",
-            "task.make_ensemble",
-        ),
     )
 
 
@@ -189,15 +165,6 @@ def _check_enumeration(tol: float, thetas: np.ndarray) -> CheckResult:
         passed=ok and worst <= tol,
         detail=f"max |brute force - closed form| = {worst:.3e} over "
         f"{len(thetas)} angles, k in {solver.SOLVER_K}",
-        ops=(
-            "solver.enumerate_functions",
-            "solver.counts",
-            "solver.gamma",
-            "solver.build_auxiliary",
-            "solver.lambda_argmax",
-            "solver.anticipative_success",
-            "task.closed_form",
-        ),
     )
 
 
@@ -235,7 +202,6 @@ def _check_certificates(
         name="optimality certificates",
         passed=ok,
         detail=detail,
-        ops=("solver.paired_measurement", "solver.certify_optimal"),
     )
 
 
@@ -276,14 +242,6 @@ def _check_reduction(tol: float, thetas: np.ndarray) -> CheckResult:
         name="povm reduction",
         passed=ok and worst <= tol,
         detail=f"max reduction deviation = {worst:.3e}",
-        ops=(
-            "solver.reduce_to_povm",
-            "task.anticipative_measurement",
-            "task.anticipative_directions",
-            "task.priority_table",
-            "game.success_with_cpost",
-            "game.exclusion_info_map",
-        ),
     )
 
 
@@ -307,7 +265,6 @@ def _check_ordering(thetas: np.ndarray) -> CheckResult:
         name="ordering chain",
         passed=ok,
         detail=f"smallest anticipative advantage on the grid = {min_margin:.3e}",
-        ops=("task.closed_form",),
     )
 
 
@@ -320,7 +277,6 @@ def _check_decomposition(tol: float, seed: int) -> CheckResult:
         name="native decomposition",
         passed=ok,
         detail=f"identity holds at {len(angles)} angles (100 random, seed {seed})",
-        ops=("simulate.native_decomposition_check",),
     )
 
 
@@ -360,12 +316,6 @@ def _check_simulator(tol: float, seed: int) -> CheckResult:
         passed=ok and worst <= tol,
         detail=f"max |exact path - closed form| = {worst:.3e}, "
         f"smoke test max deviation = {stat_worst:.2f} sigma (seed {seed})",
-        ops=(
-            "simulate.plan_experiment",
-            "simulate.sample_run",
-            "simulate.empirical_success",
-            "simulate.angle_schedule",
-        ),
     )
 
 
@@ -396,7 +346,7 @@ def run_verification(
     return VerificationReport(checks=checks, tolerance=tol)
 
 
-#: Public operations per module; the suite must exercise all of them.
+#: Public operations per module; a verification run must call all of them.
 PUBLIC_OPS = {
     "bloch": ("trace_product", "validate_measurement", "projector", "joint_table"),
     "game": (
@@ -435,8 +385,3 @@ PUBLIC_OPS = {
     ),
 }
 
-
-def required_ops() -> frozenset[str]:
-    return frozenset(
-        f"{module}.{op}" for module, names in PUBLIC_OPS.items() for op in names
-    )

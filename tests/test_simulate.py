@@ -36,6 +36,7 @@ from anticipative.task import (
     STANDARD,
     Scenario,
     closed_form,
+    discrimination_game,
     theta_grid,
 )
 
@@ -211,45 +212,70 @@ class TestSampling:
         plan = plan_experiment([1.0], shots=100, seed=8, basis_mode="per-shot")
         res = sample_run(plan.runs[0], NOISELESS)
         tallies = res.tallies()
-        assert set(tallies) == {"a", "b"}
-        assert sum(total for _, total in tallies.values()) == 200
+        assert tallies.shape == (4,)
+        assert tallies[0] + tallies[1] > 0 and tallies[2] + tallies[3] > 0
+        assert tallies.sum() == 200
+
+    @pytest.mark.parametrize("basis_mode", ["even", "per-shot"])
+    def test_tallies_match_direct_count(self, basis_mode):
+        plan = plan_experiment([0.7], shots=300, seed=12, basis_mode=basis_mode)
+        for run in plan.runs:
+            res = sample_run(run, NoiseModel(0.2, 0.1))
+            bases = KIND_BASES[run.kind]
+            drawn = [bases[i] for i in res.bases] if res.bases is not None else None
+            expected = [0, 0, 0, 0]
+            for shot, bit in enumerate(res.outcomes.tolist()):
+                basis = run.basis if drawn is None else drawn[shot]
+                expected[2 * bases.index(basis) + bit] += 1
+            assert res.tallies().tolist() == expected
+
+
+#: Rows of a weight table (``INPUT_LABELS`` order) and its columns: the
+#: outcomes ``+a, -a, +b, -b`` (standard) or ``+m, -m, +n, -n`` (anticipative).
+PA, MA, PB, MB = range(4)
+PLUS_1, MINUS_1, PLUS_2, MINUS_2 = range(4)
 
 
 class TestWeights:
+    @pytest.mark.parametrize("kind", [STANDARD, ANTICIPATIVE])
+    def test_columns_are_the_game_outcome_order(self, kind):
+        expected = tuple(s + b for b in KIND_BASES[kind] for s in "+-")
+        assert discrimination_game(kind, 0.8).outcomes == expected
+
     def test_no_information_weights(self):
         w = success_weights(ANTICIPATIVE, 0)
-        assert w[("+n", "+a")] == 1.0
-        assert w[("+n", "+b")] == 0.0
-        assert w[("-m", "-b")] == 1.0
+        assert w[PA, PLUS_2] == 1.0  # outcome +n, state +a
+        assert w[PB, PLUS_2] == 0.0
+        assert w[MB, MINUS_1] == 1.0  # outcome -m, state -b
 
     def test_single_exclusion_weights(self):
         w = success_weights(ANTICIPATIVE, 1)
-        assert w[("+n", "+a")] == 1.0
-        assert w[("+n", "+b")] == pytest.approx(1 / 3)
-        assert w[("+n", "-b")] == 0.0
-        assert w[("+n", "-a")] == 0.0
+        assert w[PA, PLUS_2] == 1.0
+        assert w[PB, PLUS_2] == pytest.approx(1 / 3)
+        assert w[MB, PLUS_2] == 0.0
+        assert w[MA, PLUS_2] == 0.0
 
     def test_double_exclusion_weights(self):
         w = success_weights(STANDARD, 2)
-        assert w[("+a", "+a")] == 1.0
-        assert w[("+a", "+b")] == pytest.approx(2 / 3)
-        assert w[("+a", "-b")] == pytest.approx(1 / 3)
-        assert w[("+a", "-a")] == 0.0
+        assert w[PA, PLUS_1] == 1.0  # outcome +a, state +a
+        assert w[PB, PLUS_1] == pytest.approx(2 / 3)
+        assert w[MB, PLUS_1] == pytest.approx(1 / 3)
+        assert w[MA, PLUS_1] == 0.0
 
     def test_row_sums(self):
         # each answer appears once per priority rank across the four rows
         for kind in (STANDARD, ANTICIPATIVE):
             for k, total in ((0, 1.0), (1, 4 / 3), (2, 2.0)):
                 w = success_weights(kind, k)
-                for x in INPUT_LABELS:
-                    got = sum(v for (z, xx), v in w.items() if xx == x)
-                    assert got == pytest.approx(total, abs=1e-15)
+                assert w.shape == (len(INPUT_LABELS), 4)
+                for x in range(len(INPUT_LABELS)):
+                    assert sum(w[x].tolist()) == pytest.approx(total, abs=1e-15)
 
     def test_built_once_and_read_only(self):
         w = success_weights(STANDARD, 1)
         assert success_weights(STANDARD, 1) is w
-        with pytest.raises(TypeError):
-            w[("+a", "+a")] = 0.5
+        with pytest.raises(ValueError):
+            w[PA, PLUS_1] = 0.5
 
 
 class TestEstimation:

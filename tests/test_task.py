@@ -13,7 +13,6 @@ from anticipative.bloch import joint_table
 from anticipative.game import NO_INFO
 from anticipative.task import (
     ANTICIPATIVE,
-    ANTICIPATIVE_OUTCOMES,
     INPUT_LABELS,
     K_VALUES,
     SCENARIOS,
@@ -103,7 +102,7 @@ class TestSetups:
 
     def test_measurement_labels(self):
         assert standard_measurement(1.0).outcomes == INPUT_LABELS
-        assert anticipative_measurement(1.0).outcomes == ANTICIPATIVE_OUTCOMES
+        assert anticipative_measurement(1.0).outcomes == ("+m", "-m", "+n", "-n")
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

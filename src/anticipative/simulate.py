@@ -15,6 +15,12 @@ priority strategy averaged over the leaked exclusion sets
 (:func:`success_weights`).  So one set of shots estimates every
 exclusion count ``k``.
 
+Memory: :func:`simulate_curves` streams.  Each run is sampled through one
+reused buffer of :data:`CHUNK` uniforms, tallied once into the count
+table of its (theta, kind) and dropped, so a plan of any size holds one
+chunk buffer plus one run's outcomes (and, in per-shot mode, its bases)
+at a time.
+
 Seed lineage: run ``i`` of a plan with master seed ``s`` uses
 ``numpy.random.SeedSequence(s, spawn_key=(i,))``, where ``i`` is the run's
 position in the plan's canonical order (theta, then kind, then state, then
@@ -34,6 +40,7 @@ from .game import exclusion_info_map, no_exclusion_map, win_weights
 from .task import (
     ANTICIPATIVE,
     INPUT_LABELS,
+    K_VALUES,
     KINDS,
     STANDARD,
     anticipative_directions,
@@ -53,6 +60,9 @@ KIND_BASES: dict[str, tuple[str, str]] = {
 RANDOM_BASIS = "random"
 
 BASIS_MODES = ("even", "per-shot")
+
+#: Uniforms drawn per call into a run's reused buffer (512 KB of floats).
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -303,12 +313,14 @@ class RunResult:
 
         The four columns follow the outcome order of the kind's
         discrimination game (``+a, -a, +b, -b`` or ``+m, -m, +n, -n``).
+        A fixed-basis run fills the two columns of its basis from one
+        ``count_nonzero``; a per-shot-basis run bins every shot.
         """
         if self.bases is not None:
             return np.bincount(2 * self.bases + self.outcomes, minlength=4)
         counts = np.zeros(4, dtype=np.int64)
         column = 2 * KIND_BASES[self.run.kind].index(self.run.basis)
-        minus = int(self.outcomes.sum())
+        minus = np.count_nonzero(self.outcomes)
         counts[column : column + 2] = (len(self.outcomes) - minus, minus)
         return counts
 
@@ -323,23 +335,37 @@ def sample_run(
     uniform per shot for the readout flip.  The Born draw uses the
     probability before readout, so the flip is applied exactly once.
     Identical inputs give bit-identical outcomes.
+
+    The uniforms are drawn :data:`CHUNK` at a time into one reused
+    buffer: a Born pass over all chunks compares them into the outcome
+    array, then a flip pass over all chunks XORs the flips into it.  So
+    the stream is consumed in the order above, and the run holds one
+    chunk of floats besides its outcomes (and, per-shot, its bases).
     """
     if rng is None:
         rng = run.rng()
+    n = run.shots
     depol = noise.depolarizing
     if run.basis == RANDOM_BASIS:
-        bases = rng.integers(0, 2, size=run.shots).astype(np.uint8)
+        bases = rng.integers(0, 2, size=n).astype(np.uint8)
         pair = KIND_BASES[run.kind]
-        p_plus = np.array(
+        p_pair = np.array(
             [_born_probability(run.theta, run.state, run.kind, b, depol) for b in pair]
-        )[bases]
+        )
     else:
         bases = None
         p_plus = _born_probability(run.theta, run.state, run.kind, run.basis, depol)
-    born = rng.random(run.shots) >= p_plus
-    flips = rng.random(run.shots) < noise.readout_flip
-    outcomes = (born ^ flips).astype(np.uint8)
-    return RunResult(run, outcomes, bases)
+    buf = np.empty(min(n, CHUNK))
+    outcomes = np.empty(n, dtype=bool)
+    for lo in range(0, n, CHUNK):
+        u = rng.random(out=buf[: n - lo])
+        hi = lo + len(u)
+        p = p_plus if bases is None else p_pair[bases[lo:hi]]
+        np.greater_equal(u, p, out=outcomes[lo:hi])
+    for lo in range(0, n, CHUNK):
+        u = rng.random(out=buf[: n - lo])
+        outcomes[lo : lo + len(u)] ^= u < noise.readout_flip
+    return RunResult(run, outcomes.view(np.uint8), bases)
 
 
 @dataclass(frozen=True)
@@ -372,34 +398,38 @@ def success_weights(kind: str, k: int) -> np.ndarray:
     return w
 
 
-def _group_runs(
-    results: Iterable[RunResult],
-) -> dict[tuple[float, str], list[RunResult]]:
-    groups: dict[tuple[float, str], list[RunResult]] = {}
-    for res in results:
-        groups.setdefault((res.run.theta, res.run.kind), []).append(res)
-    return groups
-
-
 def empirical_success(
-    results: Iterable[RunResult], k: int, require_equal_split: bool = True
-) -> dict[tuple[float, str], Estimate]:
-    """Per-(theta, kind) success estimates for exclusion count ``k``.
+    results: Iterable[RunResult],
+    ks: tuple[int, ...] = K_VALUES,
+    require_equal_split: bool = True,
+) -> dict[tuple[float, str, int], Estimate]:
+    """Per-(theta, kind, k) success estimates for every exclusion count in ``ks``.
 
-    Pools the shot counts of a group into one ``counts[state, column]``
-    table, scores it with the exact weights from :func:`success_weights`
-    and bounds the standard error by the binomial formula (the weights
-    lie in [0, 1], so the bound is conservative).  Fixed-basis groups
-    must cover both bases of their kind with equal shot counts for every
-    state they contain; per-shot-basis runs are exempt because their
-    balance is stochastic by design.
+    Makes one pass over ``results`` (a generator will do) and keeps no
+    run: each run's :meth:`RunResult.tallies` are added once into the
+    ``counts[state, column]`` table of its (theta, kind).  Each table is
+    then scored with the exact weights of :func:`success_weights`, the
+    tables of all ``ks`` stacked once per kind, and the standard error is
+    bounded by the binomial formula (the weights lie in [0, 1], so the
+    bound is conservative).  Fixed-basis groups must cover both bases of
+    their kind with equal shot counts for every state they contain;
+    groups with a per-shot-basis run are exempt because their balance is
+    stochastic by design.
     """
-    out: dict[tuple[float, str], Estimate] = {}
-    for (theta, kind), group in _group_runs(results).items():
-        counts = np.zeros((len(INPUT_LABELS), 4), dtype=np.int64)
-        for res in group:
-            counts[INPUT_LABELS.index(res.run.state)] += res.tallies()
-        if require_equal_split and all(res.bases is None for res in group):
+    tables: dict[tuple[float, str], np.ndarray] = {}
+    per_shot: set[tuple[float, str]] = set()
+    for res in results:
+        key = (res.run.theta, res.run.kind)
+        if key not in tables:
+            tables[key] = np.zeros((len(INPUT_LABELS), 4), dtype=np.int64)
+        tables[key][INPUT_LABELS.index(res.run.state)] += res.tallies()
+        if res.bases is not None:
+            per_shot.add(key)
+        del res  # drop this run's outcomes before the next run is sampled
+    weights: dict[str, np.ndarray] = {}
+    out: dict[tuple[float, str, int], Estimate] = {}
+    for (theta, kind), counts in tables.items():
+        if require_equal_split and (theta, kind) not in per_shot:
             per_basis = (counts[:, 0::2] + counts[:, 1::2]).tolist()
             for state, totals in zip(INPUT_LABELS, per_basis):
                 if totals[0] != totals[1]:
@@ -408,12 +438,15 @@ def empirical_success(
                         f"kind={kind!r}, state={state!r}: "
                         f"{dict(zip(KIND_BASES[kind], totals))!r}"
                     )
+        if kind not in weights:
+            weights[kind] = np.stack([success_weights(kind, k).ravel() for k in ks])
         shots = int(counts.sum())
-        # Summed left to right in row-major order: np.sum adds pairwise,
-        # which moves some estimates by an ulp and with them CSV digits.
-        value = sum((counts * success_weights(kind, k)).ravel().tolist()) / shots
-        stderr = math.sqrt(max(value * (1.0 - value), 0.0) / shots)
-        out[(theta, kind)] = Estimate(value=value, stderr=stderr, shots=shots)
+        for k, row in zip(ks, (weights[kind] * counts.ravel()).tolist()):
+            # Summed left to right in row-major order: np.sum adds pairwise,
+            # which moves some estimates by an ulp and with them CSV digits.
+            value = sum(row) / shots
+            stderr = math.sqrt(max(value * (1.0 - value), 0.0) / shots)
+            out[(theta, kind, k)] = Estimate(value=value, stderr=stderr, shots=shots)
     return out
 
 
@@ -434,15 +467,14 @@ def exact_success(
 def simulate_curves(
     plan: ExperimentPlan,
     noise: NoiseModel = NOISELESS,
-    ks: tuple[int, ...] = (0, 1, 2),
+    ks: tuple[int, ...] = K_VALUES,
 ) -> dict[tuple[float, str, int], Estimate]:
-    """Sample the whole plan and estimate every scenario on it."""
-    results = [sample_run(run, noise) for run in plan.runs]
-    curves: dict[tuple[float, str, int], Estimate] = {}
-    for k in ks:
-        for (theta, kind), est in empirical_success(results, k).items():
-            curves[(theta, kind, k)] = est
-    return curves
+    """Sample the whole plan and estimate every scenario on it.
+
+    Runs are sampled one at a time as the estimator asks for them, so
+    only one run's outcomes are alive at once.
+    """
+    return empirical_success((sample_run(run, noise) for run in plan.runs), ks)
 
 
 def _ry(angle: float) -> np.ndarray:

@@ -238,9 +238,9 @@ def test_criterion_7_monte_carlo():
     results = [sample_run(run, noise) for run in plan.runs]
     advantage_ok = True
     for k in (1, 2):
-        est = empirical_success(results, k)
+        est = empirical_success(results, (k,))
         advantage_ok = advantage_ok and (
-            est[(math.pi / 2, ANTICIPATIVE)].value > est[(math.pi / 2, STANDARD)].value
+            est[(math.pi / 2, ANTICIPATIVE, k)].value > est[(math.pi / 2, STANDARD, k)].value
         )
     elapsed = time.perf_counter() - start
     report(

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
 from anticipative.simulate import (
+    CHUNK,
     KIND_BASES,
     NOISELESS,
     RANDOM_BASIS,
@@ -32,6 +34,8 @@ from anticipative.simulate import (
 from anticipative.task import (
     ANTICIPATIVE,
     INPUT_LABELS,
+    K_VALUES,
+    KINDS,
     SCENARIOS,
     STANDARD,
     Scenario,
@@ -229,6 +233,30 @@ class TestSampling:
                 expected[2 * bases.index(basis) + bit] += 1
             assert res.tallies().tolist() == expected
 
+    @pytest.mark.parametrize("shots", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("basis", ["m", RANDOM_BASIS])
+    def test_stream_layout_across_chunks(self, shots, basis):
+        # an independent reference draws the documented layout whole:
+        # bases, then n Born uniforms, then n flip uniforms
+        noise = NoiseModel(0.2, 0.1)
+        run = RunSpec(5, 0.7, ANTICIPATIVE, "+b", basis, shots, 2026)
+        rng = np.random.default_rng(run.seed_sequence())
+        bases = rng.integers(0, 2, shots) if basis == RANDOM_BASIS else None
+        born = rng.random(shots)
+        flips = rng.random(shots) < noise.readout_flip
+        depolarized = NoiseModel(noise.depolarizing, 0.0)
+        p_plus = np.array(
+            [outcome_probability(0.7, "+b", ANTICIPATIVE, b, depolarized) for b in "mn"]
+        )
+        expected = (born >= p_plus[0 if bases is None else bases]) ^ flips
+        res = sample_run(run, noise)
+        assert np.array_equal(res.outcomes, expected.astype(np.uint8))
+        assert res.outcomes.dtype == np.uint8
+        if bases is None:
+            assert res.bases is None
+        else:
+            assert np.array_equal(res.bases, bases)
+
 
 #: Rows of a weight table (``INPUT_LABELS`` order) and its columns: the
 #: outcomes ``+a, -a, +b, -b`` (standard) or ``+m, -m, +n, -n`` (anticipative).
@@ -308,17 +336,16 @@ class TestEstimation:
     def test_per_shot_mode_estimates(self):
         plan = plan_experiment([1.0], shots=20000, seed=4, basis_mode="per-shot")
         results = [sample_run(run, NOISELESS) for run in plan.runs]
-        for k in (0, 1, 2):
-            for (theta, kind), est in empirical_success(results, k).items():
-                target = closed_form(Scenario(kind, k), theta)
-                assert abs(est.value - target) <= 4.0 * est.stderr
+        for (theta, kind, k), est in empirical_success(results, (0, 1, 2)).items():
+            target = closed_form(Scenario(kind, k), theta)
+            assert abs(est.value - target) <= 4.0 * est.stderr
 
     def test_unbalanced_group_rejected(self):
         plan = plan_experiment([1.0], shots=50, kinds=(STANDARD,), seed=0)
         results = [sample_run(run, NOISELESS) for run in plan.runs]
         with pytest.raises(ValueError, match="unbalanced"):
-            empirical_success(results[:-1], 1)
-        assert empirical_success(results[:-1], 1, require_equal_split=False)
+            empirical_success(results[:-1], (1,))
+        assert empirical_success(results[:-1], (1,), require_equal_split=False)
 
     def test_noise_monotone_under_common_random_numbers(self):
         # identical seeds share every uniform draw, so adding depolarizing
@@ -328,8 +355,8 @@ class TestEstimation:
         plan = plan_experiment([0.9], shots=62500, seed=11)
         values = []
         for p in (0.0, 0.1, 0.5, 1.0):
-            results = [sample_run(run, NoiseModel(p, 0.0)) for run in plan.runs]
-            est = empirical_success(results, 1)
+            results = (sample_run(run, NoiseModel(p, 0.0)) for run in plan.runs)
+            est = empirical_success(results, (1,))
             values.append({key: e.value for key, e in est.items()})
         for prev, nxt in zip(values, values[1:]):
             for key, value in prev.items():
@@ -348,6 +375,35 @@ class TestEstimation:
             p = exact_success(theta, kind, k, noise)
             sigma = math.sqrt(p * (1.0 - p) / est.shots)
             assert abs(est.value - p) <= bound * sigma
+
+    @pytest.mark.parametrize("basis_mode", ["even", "per-shot"])
+    def test_generator_and_list_agree(self, basis_mode):
+        plan = plan_experiment([0.6, 1.2], shots=3000, seed=21, basis_mode=basis_mode)
+        noise = NoiseModel(0.05, 0.1)
+        results = [sample_run(run, noise) for run in plan.runs]
+        from_list = empirical_success(results)
+        from_generator = empirical_success(sample_run(run, noise) for run in plan.runs)
+        curves = simulate_curves(plan, noise)
+        assert list(from_generator) == list(from_list) == list(curves)
+        assert from_generator == from_list == curves
+
+    def test_simulate_curves_holds_one_run_at_a_time(self):
+        # holding all 32 runs of 250 000 shots would keep 8 MB of outcomes
+        # alive; streaming keeps one run plus one chunk of uniforms
+        plan = plan_experiment([0.5, 1.0], shots=250_000)
+        noise = NoiseModel(0.05, 0.1)
+        # warm the weight cache and numpy's lazily imported random module
+        for kind in KINDS:
+            for k in K_VALUES:
+                success_weights(kind, k)
+        plan.runs[0].rng()
+        tracemalloc.start()
+        try:
+            simulate_curves(plan, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestGateDecomposition:

@@ -3,7 +3,10 @@
 Everything here is dimension-agnostic: a game is a joint probability table
 over inputs and measurement outcomes, a correctness predicate, and a
 partial-information channel that leaks a set of wrong answers after the
-measurement.  A guessing strategy is scored in one place,
+measurement.  Leaks and strategies are arrays in the game's label order:
+``correct[x, y]`` over inputs and answers, ``alpha.weights[x, s]`` over
+inputs and leaked sets, and ``nu.guess[s, z, y]`` over leaked sets,
+outcomes and answers.  A guessing strategy is scored in one place,
 :func:`win_weights`: the probability that it wins on input ``x`` after
 outcome ``z``, averaged over the leaked sets.  The success functionals
 weight that array by the joint table, and the shot simulator uses it as
@@ -14,8 +17,8 @@ against the channel that always leaks the empty set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Mapping
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -32,19 +35,27 @@ def all_exclusion_sets(answers: tuple[Label, ...], k: int) -> tuple[ExclusionSet
     """All size-``k`` subsets of ``answers`` in lexicographic index order.
 
     Each subset keeps the order of ``answers``, which makes the tuples
-    canonical dictionary keys.
+    canonical labels.
     """
     if not 0 <= k <= len(answers):
         raise ValueError(f"k must be in [0, {len(answers)}], got {k}")
     return tuple(itertools.combinations(answers, k))
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """A guessing game.
 
-    ``correctness(x, y)`` says whether answering ``y`` on input ``x`` wins.
-    The joint table fixes the input prior and the measurement statistics at
+    ``correctness(x, y)`` says whether answering ``y`` on input ``x`` wins;
+    it is evaluated once into ``correct[i, j]``, 1.0 when answer
+    ``answers[j]`` wins on input ``inputs[i]`` and 0.0 otherwise.  The
+    joint table fixes the input prior and the measurement statistics at
     once; its rows must be indexed by ``inputs``.
     """
 
@@ -52,6 +63,7 @@ class GameSpec:
     answers: tuple[Label, ...]
     correctness: Callable[[Label, Label], bool]
     joint: JointTable
+    correct: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", tuple(self.inputs))
@@ -61,39 +73,38 @@ class GameSpec:
                 f"joint table rows {self.joint.inputs!r} do not match "
                 f"game inputs {self.inputs!r}"
             )
-        correct = {
-            x: frozenset(y for y in self.answers if self.correctness(x, y))
-            for x in self.inputs
-        }
-        for x, good in correct.items():
-            if not good:
+        correct = _frozen(
+            [[self.correctness(x, y) for y in self.answers] for x in self.inputs]
+        )
+        for x, row in zip(self.inputs, correct):
+            if not row.any():
                 raise ValueError(f"input {x!r} has no correct answer")
-        object.__setattr__(self, "correct_sets", correct)
+        object.__setattr__(self, "correct", correct)
 
     @property
     def outcomes(self) -> tuple[Label, ...]:
         return self.joint.outcomes
 
-    def correct_answers(self, x: Label) -> frozenset[Label]:
-        return self.correct_sets[x]
 
-    def wrong_answers(self, x: Label) -> tuple[Label, ...]:
-        good = self.correct_sets[x]
-        return tuple(y for y in self.answers if y not in good)
+def _holds_correct(game: GameSpec, sets: tuple[ExclusionSet, ...]) -> np.ndarray:
+    """``[x, s]``: whether ``sets[s]`` contains a correct answer for input ``x``."""
+    members = np.array([[y in s for y in game.answers] for s in sets], dtype=float)
+    return game.correct @ members.T > 0
 
 
 @dataclass(frozen=True, eq=False)
 class PartialInfoMap:
-    """Distribution ``alpha(S | x)`` of the leaked exclusion set per input."""
+    """Distribution ``alpha(S | x)`` of the leaked exclusion set per input.
 
-    weights: Mapping[Label, Mapping[ExclusionSet, float]]
+    ``weights[i, j]`` is ``alpha(sets[j] | inputs[i])``: rows follow the
+    game's input order and columns the leaked sets in ``sets``.
+    """
+
+    sets: tuple[ExclusionSet, ...]
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "weights",
-            {x: dict(per_x) for x, per_x in self.weights.items()},
-        )
+        object.__setattr__(self, "weights", _frozen(self.weights))
 
     def validate(self, game: GameSpec, tol: float = DEFAULT_TOL) -> None:
         """Raise unless weights are a proper conditional distribution.
@@ -101,70 +112,80 @@ class PartialInfoMap:
         For each input the weights must sum to one and put zero mass on any
         set containing a correct answer for that input.
         """
-        if set(self.weights) != set(game.inputs):
+        w = self.weights
+        if w.shape != (len(game.inputs), len(self.sets)):
             raise ValueError(
-                f"info map inputs {sorted(map(repr, self.weights))} do not "
-                f"match game inputs {game.inputs!r}"
+                f"info map weights have shape {w.shape}, expected "
+                f"{len(game.inputs)} game inputs x {len(self.sets)} sets"
             )
-        for x, per_x in self.weights.items():
-            good = game.correct_answers(x)
-            total = 0.0
-            for s, w in per_x.items():
-                if w < -tol:
-                    raise ValueError(f"negative weight alpha({s!r} | {x!r}) = {w!r}")
-                if w > tol and good & set(s):
-                    raise ValueError(
-                        f"alpha({s!r} | {x!r}) > 0 but the set contains a "
-                        f"correct answer for {x!r}"
-                    )
-                total += w
+        if (w < -tol).any():
+            i, j = np.argwhere(w < -tol)[0]
+            raise ValueError(
+                f"negative weight alpha({self.sets[j]!r} | {game.inputs[i]!r}) "
+                f"= {w[i, j]}"
+            )
+        leaks_correct = (w > tol) & _holds_correct(game, self.sets)
+        if leaks_correct.any():
+            i, j = np.argwhere(leaks_correct)[0]
+            x = game.inputs[i]
+            raise ValueError(
+                f"alpha({self.sets[j]!r} | {x!r}) > 0 but the set contains a "
+                f"correct answer for {x!r}"
+            )
+        for x, total in zip(game.inputs, w.sum(axis=1)):
             if abs(total - 1.0) > tol:
-                raise ValueError(
-                    f"alpha(. | {x!r}) sums to {total!r}, expected 1"
-                )
+                raise ValueError(f"alpha(. | {x!r}) sums to {total}, expected 1")
 
 
 @dataclass(frozen=True, eq=False)
 class PostProcessing:
-    """Guessing strategy ``nu(y | z, S)`` keyed by ``(S, z)`` pairs.
+    """Guessing strategy ``nu(y | z, S)``.
 
-    Strategies that ignore the posterior information use the ``NO_INFO``
-    key.  Each value is a distribution over answers; answers omitted from a
-    rule carry zero probability.
+    ``guess[j, o, a]`` is ``nu(answers[a] | outcomes[o], sets[j])``; each
+    ``guess[j, o]`` is a distribution over answers.  Strategies that ignore
+    the posterior information have the single set ``NO_INFO``.  The labels
+    travel with the array, so a strategy is only scored against a game and
+    leak with the same outcomes, answers and sets.
     """
 
-    rules: Mapping[tuple[ExclusionSet, Label], Mapping[Label, float]]
+    sets: tuple[ExclusionSet, ...]
+    outcomes: tuple[Label, ...]
+    answers: tuple[Label, ...]
+    guess: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "rules",
-            {key: dict(dist) for key, dist in self.rules.items()},
-        )
+        guess = _frozen(self.guess)
+        shape = (len(self.sets), len(self.outcomes), len(self.answers))
+        if guess.shape != shape:
+            raise ValueError(f"guess has shape {guess.shape}, expected {shape}")
+        object.__setattr__(self, "guess", guess)
 
-    def rule(self, s: ExclusionSet, z: Label) -> Mapping[Label, float]:
-        try:
-            return self.rules[(s, z)]
-        except KeyError:
+    def validate(
+        self, game: GameSpec, sets: tuple[ExclusionSet, ...], tol: float = DEFAULT_TOL
+    ) -> None:
+        """Raise unless every leaked set and game outcome has a rule.
+
+        Sets, outcomes and answers must be those of the leak and the game,
+        in order, and each rule a distribution over the answers.
+        """
+        if (self.sets, self.outcomes) != (sets, game.outcomes):
             raise ValueError(
-                f"post-processing has no rule for outcome {z!r} with "
-                f"excluded set {s!r}"
-            ) from None
-
-    def validate(self, game: GameSpec, tol: float = DEFAULT_TOL) -> None:
-        known = set(game.answers)
-        for (s, z), dist in self.rules.items():
-            stray = set(dist) - known
-            if stray:
-                raise ValueError(
-                    f"rule for ({s!r}, {z!r}) guesses unknown answers {stray!r}"
-                )
-            total = sum(dist.values())
-            if any(w < -tol for w in dist.values()) or abs(total - 1.0) > tol:
-                raise ValueError(
-                    f"rule for ({s!r}, {z!r}) is not a distribution "
-                    f"(sum {total!r})"
-                )
+                f"post-processing has no rule for some leaked set {sets!r} or "
+                f"outcome {game.outcomes!r}; it has {self.sets!r}, {self.outcomes!r}"
+            )
+        if self.answers != game.answers:
+            raise ValueError(
+                f"post-processing guesses unknown answers {self.answers!r}; "
+                f"the game's are {game.answers!r}"
+            )
+        totals = self.guess.sum(axis=2)
+        bad = (self.guess < -tol).any(axis=2) | (abs(totals - 1.0) > tol)
+        if bad.any():
+            j, o = np.argwhere(bad)[0]
+            raise ValueError(
+                f"rule for ({self.sets[j]!r}, {self.outcomes[o]!r}) is not a "
+                f"distribution (sum {totals[j, o]})"
+            )
 
 
 def exclusion_info_map(game: GameSpec, k: int) -> PartialInfoMap:
@@ -172,34 +193,22 @@ def exclusion_info_map(game: GameSpec, k: int) -> PartialInfoMap:
 
     For input ``x`` the channel draws uniformly among all size-``k``
     subsets of the wrong answers for ``x``.  ``k`` must be at least 1 and
-    small enough that every input has such a subset.
+    small enough that every input has such a subset.  The sets are those
+    of :func:`all_exclusion_sets` that some input can leak, in its order.
     """
-    max_k = min(len(game.wrong_answers(x)) for x in game.inputs)
+    max_k = len(game.answers) - int(game.correct.sum(axis=1).max())
     if not 1 <= k <= max_k:
         raise ValueError(f"k must be in [1, {max_k}], got {k}")
-    weights: dict[Label, dict[ExclusionSet, float]] = {}
-    for x in game.inputs:
-        sets = all_exclusion_sets(game.wrong_answers(x), k)
-        weights[x] = {s: 1.0 / len(sets) for s in sets}
-    return PartialInfoMap(weights)
+    sets = all_exclusion_sets(game.answers, k)
+    allowed = ~_holds_correct(game, sets)
+    used = np.flatnonzero(allowed.any(axis=0))
+    weights = allowed[:, used] / allowed[:, used].sum(axis=1, keepdims=True)
+    return PartialInfoMap(tuple(sets[j] for j in used), weights)
 
 
 def no_exclusion_map(game: GameSpec) -> PartialInfoMap:
     """Degenerate channel that always leaks the empty set (k = 0)."""
-    return PartialInfoMap({x: {NO_INFO: 1.0} for x in game.inputs})
-
-
-def _arrays(
-    game: GameSpec, alpha: PartialInfoMap
-) -> tuple[list[ExclusionSet], np.ndarray, np.ndarray]:
-    """Leaked sets in first-seen order, ``alpha[x, S]`` and ``correct[x, y]``."""
-    sets = list(dict.fromkeys(s for per_x in alpha.weights.values() for s in per_x))
-    leak = np.array([[alpha.weights[x].get(s, 0.0) for s in sets] for x in game.inputs])
-    correct = np.array(
-        [[y in game.correct_answers(x) for y in game.answers] for x in game.inputs],
-        dtype=float,
-    )
-    return sets, leak, correct
+    return PartialInfoMap((NO_INFO,), np.ones((len(game.inputs), 1)))
 
 
 def win_weights(
@@ -211,20 +220,13 @@ def win_weights(
     """Winning probability of ``nu`` per input and outcome.
 
     Returns ``w[x, z] = sum_S alpha(S | x) sum_y correctness(x, y)
-    nu(y | z, S)``, indexed by ``game.inputs`` and ``game.outcomes``.  A
-    missing rule for any outcome paired with a set that ``alpha`` leaks
-    with non-zero weight is an error, whatever the outcome's probability.
+    nu(y | z, S)``, indexed by ``game.inputs`` and ``game.outcomes``.
+    ``nu`` must have a rule for every outcome of the game, whatever its
+    probability, and exactly the leaked sets of ``alpha``, in its order.
     """
     alpha.validate(game, tol)
-    nu.validate(game, tol)
-    sets, leak, correct = _arrays(game, alpha)
-    column = {y: j for j, y in enumerate(game.answers)}
-    guess = np.zeros((len(sets), len(game.outcomes), len(game.answers)))
-    for i in np.flatnonzero(leak.any(axis=0)):
-        for j, z in enumerate(game.outcomes):
-            for y, q in nu.rule(sets[i], z).items():
-                guess[i, j, column[y]] = q
-    return np.einsum("xs,szy,xy->xz", leak, guess, correct)
+    nu.validate(game, alpha.sets, tol)
+    return np.einsum("xs,szy,xy->xz", alpha.weights, nu.guess, game.correct)
 
 
 def success_with_cpost(
@@ -247,7 +249,7 @@ def success_no_cpost(
 ) -> float:
     """Average winning probability of a strategy that sees only ``z``.
 
-    The strategy must be keyed by the ``NO_INFO`` set.
+    The strategy's only set must be ``NO_INFO``.
     """
     return success_with_cpost(game, no_exclusion_map(game), nu0, tol)
 
@@ -263,13 +265,6 @@ def bayes_optimal_post(
     answer order, which makes the output deterministic.
     """
     alpha.validate(game, tol)
-    sets, leak, correct = _arrays(game, alpha)
-    scores = np.einsum("xs,xz,xy->szy", leak, game.joint.probs, correct)
-    best = scores.argmax(axis=2)
-    return PostProcessing(
-        {
-            (s, z): {game.answers[best[i, j]]: 1.0}
-            for i, s in enumerate(sets)
-            for j, z in enumerate(game.outcomes)
-        }
-    )
+    scores = np.einsum("xs,xz,xy->szy", alpha.weights, game.joint.probs, game.correct)
+    guess = np.eye(len(game.answers))[scores.argmax(axis=2)]
+    return PostProcessing(alpha.sets, game.outcomes, game.answers, guess)

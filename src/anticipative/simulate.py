@@ -41,6 +41,7 @@ from .task import (
     ANTICIPATIVE,
     INPUT_LABELS,
     K_VALUES,
+    KIND_BASES,
     KINDS,
     STANDARD,
     anticipative_directions,
@@ -49,12 +50,6 @@ from .task import (
     discrimination_game,
     priority_post,
 )
-
-#: Projective bases per measurement kind, in canonical order.
-KIND_BASES: dict[str, tuple[str, str]] = {
-    STANDARD: ("a", "b"),
-    ANTICIPATIVE: ("m", "n"),
-}
 
 #: Marker basis for runs that draw a basis per shot.
 RANDOM_BASIS = "random"

@@ -36,7 +36,9 @@ from .bloch import (
 )
 from .game import ExclusionSet, PostProcessing, all_exclusion_sets
 from .task import (
+    ANTICIPATIVE,
     INPUT_LABELS,
+    KIND_OUTCOMES,
     basis_vectors,
     check_theta,
     negate_label,
@@ -306,30 +308,24 @@ def lambda_argmax(
     return best, frozenset(functions[j] for j in chosen)
 
 
-def _fallback_chain(k: int, primary: str, secondary: str) -> dict[ExclusionSet, str]:
-    """Guess the primary state, fall back to the secondary, then its opposite."""
-    chain = (primary, secondary, negate_label(secondary))
-    rule: dict[ExclusionSet, str] = {}
-    for s in exclusion_sets(k):
-        rule[s] = next(y for y in chain if y not in s)
-    return rule
-
-
 def fallback_function(k: int, sign: int, order: str, flip_a: bool = False) -> OutcomeFunction:
     """The outcome function attached to one effect of the paired measurement.
 
-    ``order = "ab"`` prefers the ``a`` axis and falls back to ``b``;
-    ``order = "ba"`` swaps the roles.  ``flip_a`` replaces ``a`` with its
-    antipode, which yields the extra maximizers at ``a . b = 0``.
+    It guesses the primary state, falls back to the secondary, then to
+    the secondary's opposite.  ``order = "ab"`` makes ``a`` primary and
+    ``b`` secondary; ``order = "ba"`` swaps the roles.  ``flip_a``
+    replaces ``a`` with its antipode, which yields the extra maximizers at
+    ``a . b = 0``.
     """
     if order not in ("ab", "ba"):
         raise ValueError(f"order must be 'ab' or 'ba', got {order!r}")
     a_label = signed_label("a", -sign if flip_a else sign)
     b_label = signed_label("b", sign)
     primary, secondary = (a_label, b_label) if order == "ab" else (b_label, a_label)
-    rule = _fallback_chain(k, primary, secondary)
+    chain = (primary, secondary, negate_label(secondary))
     sets = exclusion_sets(k)
-    return _function_from_choices(sets, (rule[s] for s in sets))
+    choices = (next(y for y in chain if y not in s) for s in sets)
+    return _function_from_choices(sets, choices)
 
 
 def paired_measurement(
@@ -438,9 +434,9 @@ def reduce_to_povm(
         "+m": (m_ba, fallback_function(k, +1, "ba")),
         "-m": (m_ba, fallback_function(k, -1, "ba")),
     }
+    outcomes = KIND_OUTCOMES[ANTICIPATIVE]
     effects: dict[str, HermitianOp] = {}
-    rules: dict[tuple[ExclusionSet, str], dict[str, float]] = {}
-    for label in ("+m", "-m", "+n", "-n"):
+    for label in outcomes:
         m, phi = layout[label]
         try:
             effects[label] = 0.5 * m.effects[phi]
@@ -448,9 +444,10 @@ def reduce_to_povm(
             raise ValueError(
                 f"expected outcome function {phi!r} among {label!r} effects"
             ) from None
-        for s in exclusion_sets(k):
-            rules[(s, label)] = {phi(s): 1.0}
-    return Measurement(effects), PostProcessing(rules)
+    sets = exclusion_sets(k)
+    picks = [[INPUT_LABELS.index(layout[z][1](s)) for z in outcomes] for s in sets]
+    guess = np.eye(len(INPUT_LABELS))[picks]
+    return Measurement(effects), PostProcessing(sets, outcomes, INPUT_LABELS, guess)
 
 
 def anticipative_success(aux: AuxiliaryEnsemble) -> float:

@@ -36,6 +36,19 @@ STANDARD = "standard"
 ANTICIPATIVE = "anticipative"
 KINDS = (STANDARD, ANTICIPATIVE)
 
+#: Projective bases per measurement kind, in canonical order.
+KIND_BASES: dict[str, tuple[str, str]] = {
+    STANDARD: ("a", "b"),
+    ANTICIPATIVE: ("m", "n"),
+}
+
+#: Outcome labels per kind, ``+`` then ``-`` along each basis in turn: the
+#: order of the measurements, of strategies' ``guess`` and of shot tallies.
+KIND_OUTCOMES: dict[str, tuple[str, ...]] = {
+    kind: tuple(s + b for b in bases for s in "+-")
+    for kind, bases in KIND_BASES.items()
+}
+
 #: Number of answers that can be excluded, per scenario.
 K_VALUES = (0, 1, 2)
 
@@ -109,10 +122,14 @@ def basis_vectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
 def make_ensemble(theta: float) -> StateEnsemble:
     """The four equiprobable pure states ``(I +- a.sigma)/8, (I +- b.sigma)/8``."""
     a, b = basis_vectors(theta)
-    vecs = {"+a": a, "-a": -a, "+b": b, "-b": -b}
-    return StateEnsemble(
-        {x: HermitianOp(0.125, 0.125 * v) for x, v in vecs.items()}
-    )
+    vecs = zip(INPUT_LABELS, (a, -a, b, -b))
+    return StateEnsemble({x: HermitianOp(0.125, 0.125 * v) for x, v in vecs})
+
+
+def _two_basis_measurement(kind: str, u: np.ndarray, v: np.ndarray) -> Measurement:
+    """Even mixture of the projective measurements along ``u`` and ``v``."""
+    vecs = zip(KIND_OUTCOMES[kind], (u, -u, v, -v))
+    return Measurement({z: HermitianOp(0.25, 0.25 * w) for z, w in vecs})
 
 
 def standard_measurement(theta: float) -> Measurement:
@@ -121,11 +138,7 @@ def standard_measurement(theta: float) -> Measurement:
     Effects ``(I +- a.sigma)/4`` and ``(I +- b.sigma)/4`` with outcome
     labels matching the input labels.
     """
-    a, b = basis_vectors(theta)
-    vecs = {"+a": a, "-a": -a, "+b": b, "-b": -b}
-    return Measurement(
-        {z: HermitianOp(0.25, 0.25 * v) for z, v in vecs.items()}
-    )
+    return _two_basis_measurement(STANDARD, *basis_vectors(theta))
 
 
 def anticipative_directions(theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -142,11 +155,7 @@ def anticipative_directions(theta: float) -> tuple[np.ndarray, np.ndarray]:
 
 def anticipative_measurement(theta: float) -> Measurement:
     """Even mixture of the projective measurements along ``m`` and ``n``."""
-    m, n = anticipative_directions(theta)
-    vecs = {"+m": m, "-m": -m, "+n": n, "-n": -n}
-    return Measurement(
-        {z: HermitianOp(0.25, 0.25 * v) for z, v in vecs.items()}
-    )
+    return _two_basis_measurement(ANTICIPATIVE, *anticipative_directions(theta))
 
 
 def measurement_for(kind: str, theta: float) -> Measurement:
@@ -266,14 +275,17 @@ def priority_post(kind: str, k: int) -> PostProcessing:
     leaked size-``k`` set; for ``k = 0`` the only set is the empty
     ``NO_INFO`` key, so it guesses the head of the row.  Coincides with
     the Bayes-optimal strategy for every ``theta`` >= 1e-6 in the task's
-    range; closer to 0 the answers tie.
+    range; closer to 0 the answers tie.  Outcomes follow
+    :data:`KIND_OUTCOMES`, the game's order.
     """
     if k not in K_VALUES:
         raise ValueError(f"k must be one of {K_VALUES}, got {k!r}")
     table = priority_table(kind)
-    rules: dict[tuple[tuple[str, ...], str], dict[str, float]] = {}
-    for z, row in table.items():
-        for s in all_exclusion_sets(INPUT_LABELS, k):
-            guess = next(y for y in row if y not in s)
-            rules[(s, z)] = {guess: 1.0}
-    return PostProcessing(rules)
+    sets = all_exclusion_sets(INPUT_LABELS, k)
+    outcomes = KIND_OUTCOMES[kind]
+    picks = [
+        [INPUT_LABELS.index(next(y for y in table[z] if y not in s)) for z in outcomes]
+        for s in sets
+    ]
+    guess = np.eye(len(INPUT_LABELS))[picks]
+    return PostProcessing(sets, outcomes, INPUT_LABELS, guess)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anticipative.cli import (
     CSV_HEADER,
@@ -15,6 +19,7 @@ from anticipative.cli import (
     config_from_args,
     main,
 )
+from anticipative.verify import FAULTS
 
 
 def run_cli(args, capsys):
@@ -230,3 +235,73 @@ def test_invalid_input_exits_2_with_one_line(argv, tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error:")
+
+
+#: Small valid values and invalid ones (zero, negative, non-finite, out of
+#: range, a directory as output file) for each command's flags.
+_SEED = st.sampled_from(["0", "7", "-1"])
+_GRID = {
+    "--theta-min": st.sampled_from(["0.1", "0.3", "0", "-1", "nan", "inf", "2"]),
+    "--theta-max": st.sampled_from(["1.2", "1.5", "0", "-1", "nan", "inf", "2"]),
+    "--seed": _SEED,
+}
+_POINTS = st.sampled_from(["1", "2", "3", "0", "-1", "nan"])
+_SHOTS = st.one_of(st.integers(1, 50).map(str), st.sampled_from(["0", "-1", "nan"]))
+_OUTPUT = st.just(str(Path(__file__).parent))
+_NOISE = st.sampled_from(["0", "0.05", "0.5", "-1", "nan", "inf", "2"])
+_FLAGS = {
+    "curves": ({"--points": _POINTS}, {**_GRID, "--shots": _SHOTS, "--output": _OUTPUT}),
+    "simulate": (
+        {"--points": _POINTS, "--shots": _SHOTS},
+        {
+            **_GRID,
+            "--noise-depol": _NOISE,
+            "--noise-readout": _NOISE,
+            "--output": _OUTPUT,
+        },
+    ),
+    "solve": (
+        {},
+        {
+            "--theta": st.sampled_from(["0.3", "1.2", "0", "-1", "nan", "inf", "2"]),
+            "--k": st.sampled_from(["1", "2", "0", "3", "nan"]),
+        },
+    ),
+    "verify": (
+        {"--points": _POINTS},
+        {
+            "--seed": _SEED,
+            "--tol": st.sampled_from(["1e-12", "1e-9", "0", "-1", "nan", "inf"]),
+            "--inject-fault": st.sampled_from(FAULTS + ("gremlins",)),
+        },
+    ),
+}
+
+
+@st.composite
+def invocations(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    required, optional = _FLAGS[command]
+    flags = draw(st.fixed_dictionaries(required, optional=optional))
+    return [command] + [f"{flag}={value}" for flag, value in flags.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(invocations())
+def test_every_invocation_exits_0_or_2_without_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    errors = err.getvalue()
+    assert "Traceback" not in errors
+    if code == 1:
+        # exit 1 means a verification failed, which only an injected fault causes
+        assert argv[0] == "verify", argv
+        assert any(arg.startswith("--inject-fault=") for arg in argv), argv
+    else:
+        assert code in (0, 2), argv
+    if code == 2:
+        assert sum("error:" in line for line in errors.splitlines()) == 1, errors

@@ -59,8 +59,9 @@ class TestGameSpec:
     def test_four_state_game(self):
         game = discrimination_game(STANDARD, 1.0)
         assert game.inputs == INPUT_LABELS
-        assert game.correct_answers("+a") == {"+a"}
-        assert game.wrong_answers("+a") == ("-a", "+b", "-b")
+        row = game.correct[INPUT_LABELS.index("+a")]
+        assert {y for y, c in zip(game.answers, row) if c} == {"+a"}
+        assert tuple(y for y, c in zip(game.answers, row) if not c) == ("-a", "+b", "-b")
 
     def test_mismatched_table_rejected(self):
         table = JointTable(("x",), ("z",), np.array([[1.0]]))
@@ -79,8 +80,8 @@ class TestExclusionInfoMap:
         for k in (1, 2):
             alpha = exclusion_info_map(game, k)
             alpha.validate(game)
-            for x in INPUT_LABELS:
-                weights = alpha.weights[x]
+            for x, row in zip(INPUT_LABELS, alpha.weights):
+                weights = {s: w for s, w in zip(alpha.sets, row) if w}
                 assert len(weights) == 3
                 assert all(w == pytest.approx(1.0 / 3.0) for w in weights.values())
                 assert all(x not in s for s in weights)
@@ -103,12 +104,20 @@ class TestExclusionInfoMap:
 
     def test_invalid_weights_rejected(self):
         game = discrimination_game(STANDARD, 1.0)
-        bad = PartialInfoMap({x: {(x,): 1.0} for x in INPUT_LABELS})
+        bad = PartialInfoMap(tuple((x,) for x in INPUT_LABELS), np.eye(4))
         with pytest.raises(ValueError, match="correct answer"):
             bad.validate(game)
-        short = PartialInfoMap({x: {("-a" if x != "-a" else "+a",): 0.5} for x in INPUT_LABELS})
+        # each input leaks "-a" with weight 0.5, except "-a", which leaks "+a"
+        short = PartialInfoMap((("-a",), ("+a",)), [[0.5, 0], [0, 0.5], [0.5, 0], [0.5, 0]])
         with pytest.raises(ValueError, match="sums to"):
             short.validate(game)
+        # a row that sums to 1 through a negative weight
+        alpha = exclusion_info_map(game, 1)
+        negative = PartialInfoMap(
+            alpha.sets, np.vstack([[0.0, 1.5, -0.5, 0.0], alpha.weights[1:]])
+        )
+        with pytest.raises(ValueError, match="negative weight"):
+            negative.validate(game)
 
 
 class TestSuccessFunctionals:
@@ -136,13 +145,14 @@ class TestSuccessFunctionals:
 
     def test_no_cpost_identity_relabel(self):
         game = discrimination_game(STANDARD, 1.0)
-        nu0 = PostProcessing({(NO_INFO, z): {z: 1.0} for z in game.outcomes})
+        # outcome labels are the answer labels, so the identity guess is eye(4)
+        nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, [np.eye(4)])
         assert success_no_cpost(game, nu0) == pytest.approx(0.5, abs=1e-12)
 
     def test_no_cpost_uniform_guess(self):
         game = discrimination_game(STANDARD, 1.0)
-        uniform = {y: 0.25 for y in INPUT_LABELS}
-        nu0 = PostProcessing({(NO_INFO, z): dict(uniform) for z in game.outcomes})
+        uniform = np.full((1, 4, 4), 0.25)
+        nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, uniform)
         assert success_no_cpost(game, nu0) == pytest.approx(0.25, abs=1e-12)
 
     def test_no_cpost_anticipative_head_guess(self):
@@ -159,24 +169,35 @@ class TestSuccessFunctionals:
     def test_missing_rule_is_error(self):
         game = discrimination_game(STANDARD, 1.0)
         alpha = exclusion_info_map(game, 1)
-        nu = PostProcessing({(("-a",), "+a"): {"+a": 1.0}})
+        # rules for the leaked set ("-a",) only
+        nu = PostProcessing((("-a",),), game.outcomes, game.answers, [np.eye(4)])
         with pytest.raises(ValueError, match="no rule"):
             success_with_cpost(game, alpha, nu)
+        # a strategy built for the other measurement's outcome labels
+        with pytest.raises(ValueError, match="no rule"):
+            success_with_cpost(game, alpha, priority_post(ANTICIPATIVE, 1))
         # a rule is required for every outcome, even one of probability zero
         table = JointTable(("x",), ("z", "never"), np.array([[1.0, 0.0]]))
         spec = GameSpec(("x",), ("x",), equality, table)
         with pytest.raises(ValueError, match="no rule"):
-            success_no_cpost(spec, PostProcessing({(NO_INFO, "z"): {"x": 1.0}}))
+            success_no_cpost(spec, PostProcessing((NO_INFO,), ("z",), ("x",), [[[1.0]]]))
 
     def test_malformed_rule_is_error(self):
         game = discrimination_game(STANDARD, 1.0)
-        nu0 = PostProcessing({(NO_INFO, z): {"+a": 0.7} for z in game.outcomes})
+        guess = np.zeros((1, 4, 4))
+        guess[..., 0] = 0.7
+        nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
+        with pytest.raises(ValueError, match="not a distribution"):
+            success_no_cpost(game, nu0)
+        # every row sums to 1, through a negative entry
+        guess = np.tile([1.5, -0.5, 0.0, 0.0], (1, 4, 1))
+        nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
         with pytest.raises(ValueError, match="not a distribution"):
             success_no_cpost(game, nu0)
 
     def test_unknown_answer_is_error(self):
         game = discrimination_game(STANDARD, 1.0)
-        nu0 = PostProcessing({(NO_INFO, z): {"nope": 1.0} for z in game.outcomes})
+        nu0 = PostProcessing((NO_INFO,), game.outcomes, ("nope",), np.ones((1, 4, 1)))
         with pytest.raises(ValueError, match="unknown answers"):
             success_no_cpost(game, nu0)
 
@@ -190,15 +211,16 @@ class TestBayesOptimalPost:
                     alpha = exclusion_info_map(game, k)
                     nu = bayes_optimal_post(game, alpha)
                     expected = priority_post(kind, k)
-                    for key, dist in nu.rules.items():
-                        assert dist == expected.rules[key], (theta, kind, k, key)
+                    assert nu.sets == expected.sets, (theta, kind, k)
+                    assert np.array_equal(nu.guess, expected.guess), (theta, kind, k)
 
     def test_no_info_column_argmax(self):
         for kind in (STANDARD, ANTICIPATIVE):
             game = discrimination_game(kind, 1.0)
             nu = bayes_optimal_post(game, no_exclusion_map(game))
             expected = priority_post(kind, 0)
-            assert nu.rules == expected.rules
+            assert nu.sets == expected.sets
+            assert np.array_equal(nu.guess, expected.guess)
 
     def test_beats_random_strategies(self):
         rng = np.random.default_rng(19)
@@ -206,19 +228,12 @@ class TestBayesOptimalPost:
         game = discrimination_game(ANTICIPATIVE, theta)
         alpha = exclusion_info_map(game, 1)
         best = success_with_cpost(game, alpha, bayes_optimal_post(game, alpha))
-        keys = [
-            (s, z)
-            for x in game.inputs
-            for s in alpha.weights[x]
-            for z in game.outcomes
-        ]
-        keys = sorted(set(keys))
+        sets = alpha.sets
         for _ in range(100):
-            rules = {}
-            for key in keys:
-                probs = rng.dirichlet(np.ones(len(INPUT_LABELS)))
-                rules[key] = dict(zip(INPUT_LABELS, probs))
-            rival = success_with_cpost(game, alpha, PostProcessing(rules))
+            guess = rng.dirichlet(np.ones(len(INPUT_LABELS)), size=(len(sets), 4))
+            rival = success_with_cpost(
+                game, alpha, PostProcessing(sets, game.outcomes, game.answers, guess)
+            )
             assert rival <= best + 1e-12
 
     def test_ties_break_to_first_answer(self):
@@ -228,7 +243,8 @@ class TestBayesOptimalPost:
         )
         game = GameSpec(INPUT_LABELS, INPUT_LABELS, equality, table)
         nu = bayes_optimal_post(game, no_exclusion_map(game))
-        assert nu.rules[(NO_INFO, "z")] == {"+a": 1.0}
+        assert nu.sets == (NO_INFO,) and nu.outcomes == ("z",)
+        assert np.array_equal(nu.guess[0, 0], [1.0, 0.0, 0.0, 0.0])
 
 
 class TestInputIndependentLeak:
@@ -246,9 +262,7 @@ class TestInputIndependentLeak:
             )
             sets = (("y3", "y4"), ("y4", "y5"), ("y3", "y5"))
             w = rng.dirichlet(np.ones(len(sets)))
-            alpha = PartialInfoMap(
-                {x: dict(zip(sets, w)) for x in inputs}
-            )
+            alpha = PartialInfoMap(sets, [w, w])
             alpha.validate(game)
             with_info = success_with_cpost(
                 game, alpha, bayes_optimal_post(game, alpha)

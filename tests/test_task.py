@@ -229,7 +229,8 @@ class TestPipeline:
         game = discrimination_game(STANDARD, 1.0)
         assert game.inputs == INPUT_LABELS
         assert game.answers == INPUT_LABELS
-        assert game.wrong_answers("+a") == ("-a", "+b", "-b")
+        row = game.correct[INPUT_LABELS.index("+a")]
+        assert tuple(y for y, c in zip(game.answers, row) if not c) == ("-a", "+b", "-b")
         assert game.joint.total() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -251,11 +252,15 @@ class TestPriorities:
             priority_table("other")
 
     def test_post_structure(self):
+        def rule(nu, s, z):
+            row = nu.guess[nu.sets.index(s), nu.outcomes.index(z)]
+            return {y: q for y, q in zip(nu.answers, row) if q}
+
         nu = priority_post(ANTICIPATIVE, 0)
-        assert nu.rule(NO_INFO, "+n") == {"+a": 1.0}
+        assert rule(nu, NO_INFO, "+n") == {"+a": 1.0}
         nu = priority_post(ANTICIPATIVE, 1)
-        assert nu.rule(("+a",), "+n") == {"+b": 1.0}
+        assert rule(nu, ("+a",), "+n") == {"+b": 1.0}
         nu = priority_post(STANDARD, 2)
-        assert nu.rule(("+a", "+b"), "+a") == {"-b": 1.0}
+        assert rule(nu, ("+a", "+b"), "+a") == {"-b": 1.0}
         with pytest.raises(ValueError):
             priority_post(STANDARD, 3)

@@ -1,15 +1,20 @@
 """Qubit operators in the Bloch parametrization.
 
-A Hermitian 2x2 operator is stored as a pair ``(scalar, bloch)`` and means
-``scalar * I + bloch . sigma`` with ``sigma`` the vector of Pauli matrices.
-Traces, eigenvalues, positivity and Born-rule tables are all closed-form in
-this parametrization, so no complex matrices are needed anywhere in this
-module.
+A Hermitian 2x2 operator means ``scalar * I + bloch . sigma`` with ``sigma``
+the vector of Pauli matrices; one such operator is a :class:`HermitianOp`.
+Ensembles and measurements are families of operators stored as arrays:
+labels ``(l_0, ..., l_{n-1})`` with ``scalars[n]`` and ``blochs[n, 3]``, row
+``i`` holding the operator of label ``l_i``.  Looking a label up returns its
+row as one :class:`HermitianOp`.  Traces, eigenvalues, positivity and the
+Born-rule table are all closed-form in this parametrization: the table of an
+ensemble against a measurement is the single contraction
+``p = 2 (s_x s_z^T + B_x B_z^T)``, so no complex matrices are needed anywhere
+in this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Hashable, Iterator, Mapping
 
 import numpy as np
@@ -61,17 +66,6 @@ class HermitianOp:
         """Whether the smallest eigenvalue is >= -tol."""
         return self.scalar - self.bloch_norm >= -tol
 
-    def __add__(self, other: "HermitianOp") -> "HermitianOp":
-        return HermitianOp(self.scalar + other.scalar, self.bloch + other.bloch)
-
-    def __sub__(self, other: "HermitianOp") -> "HermitianOp":
-        return HermitianOp(self.scalar - other.scalar, self.bloch - other.bloch)
-
-    def __mul__(self, factor: float) -> "HermitianOp":
-        return HermitianOp(self.scalar * factor, self.bloch * factor)
-
-    __rmul__ = __mul__
-
     def allclose(self, other: "HermitianOp", tol: float = DEFAULT_TOL) -> bool:
         return (
             abs(self.scalar - other.scalar) <= tol
@@ -81,10 +75,6 @@ class HermitianOp:
     def __repr__(self) -> str:
         x, y, z = self.bloch
         return f"HermitianOp({self.scalar:.6g}, [{x:.6g}, {y:.6g}, {z:.6g}])"
-
-
-IDENTITY = HermitianOp(1.0, np.zeros(3))
-ZERO = HermitianOp(0.0, np.zeros(3))
 
 
 def trace_product(a: HermitianOp, b: HermitianOp) -> float:
@@ -144,35 +134,82 @@ class ValidityReport:
         return self.valid
 
 
-@dataclass(frozen=True, eq=False)
-class Measurement:
-    """POVM as an ordered mapping from outcome labels to effects."""
+def _position(labels: tuple[Label, ...], label: Label) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise KeyError(label) from None
 
-    effects: Mapping[Label, HermitianOp]
 
-    def __post_init__(self) -> None:
-        if not self.effects:
-            raise ValueError("measurement needs at least one effect")
-        object.__setattr__(self, "effects", dict(self.effects))
+class _Operators:
+    """Labelled operators ``scalars[i] * I + blochs[i] . sigma``.
 
-    @property
-    def outcomes(self) -> tuple[Label, ...]:
-        return tuple(self.effects)
+    Subclasses name their labels and call :meth:`_freeze` once built.
+    """
+
+    labels: tuple[Label, ...]
+    scalars: np.ndarray
+    blochs: np.ndarray
+
+    def _freeze(self, labels_field: str, empty: str) -> None:
+        labels = tuple(getattr(self, labels_field))
+        if not labels:
+            raise ValueError(empty)
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate labels in {labels!r}")
+        n = len(labels)
+        scalars = np.array(self.scalars, dtype=float)
+        blochs = np.array(self.blochs, dtype=float)
+        if scalars.shape != (n,) or blochs.shape != (n, 3):
+            raise ValueError(
+                f"{n} labels need scalars of shape ({n},) and blochs of shape "
+                f"({n}, 3), got {scalars.shape} and {blochs.shape}"
+            )
+        scalars.setflags(write=False)
+        blochs.setflags(write=False)
+        object.__setattr__(self, labels_field, labels)
+        object.__setattr__(self, "scalars", scalars)
+        object.__setattr__(self, "blochs", blochs)
+
+    def index(self, label: Label) -> int:
+        """Row of ``label`` in the arrays; KeyError if there is none."""
+        return _position(self.labels, label)
 
     def __getitem__(self, label: Label) -> HermitianOp:
-        return self.effects[label]
+        i = self.index(label)
+        return HermitianOp(self.scalars[i], self.blochs[i])
 
     def __iter__(self) -> Iterator[Label]:
-        return iter(self.effects)
+        return iter(self.labels)
 
     def __len__(self) -> int:
-        return len(self.effects)
+        return len(self.labels)
 
-    def effect_sum(self) -> HermitianOp:
-        total = ZERO
-        for op in self.effects.values():
-            total = total + op
-        return total
+    def _eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
+        """Smallest and largest eigenvalue of every row."""
+        r = np.sqrt(np.add.reduce(self.blochs * self.blochs, axis=1))
+        return self.scalars - r, self.scalars + r
+
+
+@dataclass(frozen=True, eq=False)
+class Measurement(_Operators):
+    """POVM as outcome labels plus one effect per row.
+
+    Effect ``outcomes[i]`` is ``scalars[i] * I + blochs[i] . sigma``;
+    ``m[z]`` returns it as a :class:`HermitianOp`.  The arrays are
+    read-only and the outcome order is the order of ``outcomes``.
+    """
+
+    outcomes: tuple[Label, ...]
+    scalars: np.ndarray
+    blochs: np.ndarray
+
+    def __post_init__(self) -> None:
+        self._freeze("outcomes", "measurement needs at least one effect")
+
+    @property
+    def labels(self) -> tuple[Label, ...]:
+        return self.outcomes
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidityReport:
         return validate_measurement(self, tol)
@@ -185,15 +222,20 @@ def validate_measurement(m: Measurement, tol: float = DEFAULT_TOL) -> ValidityRe
     per failing label plus the largest componentwise deviation of the
     effect sum from the identity.
     """
-    failures: dict[Label, str] = {}
-    for label, op in m.effects.items():
-        lo, hi = op.eigenvalues()
-        if lo < -tol:
-            failures[label] = f"not positive (min eigenvalue {lo:.3e})"
-        elif hi > 1.0 + tol:
-            failures[label] = f"exceeds effect bound (max eigenvalue {hi:.3e})"
-    diff = m.effect_sum() - IDENTITY
-    deviation = max(abs(diff.scalar), float(np.max(np.abs(diff.bloch))))
+    lo, hi = m._eigenvalues()
+    # Tested as "not within bounds", so a NaN entry fails its row.
+    positive = lo >= -tol
+    bad = ~(positive & (hi <= 1.0 + tol))
+    failures = {
+        m.outcomes[i]: f"exceeds effect bound (max eigenvalue {hi[i]:.3e})"
+        if positive[i]
+        else f"not positive (min eigenvalue {lo[i]:.3e})"
+        for i in bad.nonzero()[0]
+    }
+    # np.add.reduce: the ndarray methods add a Python layer per call, which
+    # on these few-row arrays costs more than the arithmetic.
+    sum_s = float(np.add.reduce(m.scalars))
+    deviation = max(abs(sum_s - 1.0), *np.abs(np.add.reduce(m.blochs)).tolist())
     return ValidityReport(
         valid=not failures and deviation <= tol,
         failures=failures,
@@ -202,40 +244,36 @@ def validate_measurement(m: Measurement, tol: float = DEFAULT_TOL) -> ValidityRe
 
 
 @dataclass(frozen=True, eq=False)
-class StateEnsemble:
+class StateEnsemble(_Operators):
     """Sub-normalized states, one per input label, with unit total trace.
 
-    Each member absorbs its prior, so ``trace(states[x])`` is the prior
-    probability of input ``x`` and the traces sum to one.
+    State ``inputs[i]`` is ``scalars[i] * I + blochs[i] . sigma``;
+    ``ensemble[x]`` returns it as a :class:`HermitianOp`.  Each state
+    absorbs its prior, so its trace ``2 * scalars[i]`` is the prior
+    probability of its input and the traces sum to one.
     """
 
-    states: Mapping[Label, HermitianOp]
+    inputs: tuple[Label, ...]
+    scalars: np.ndarray
+    blochs: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.states:
-            raise ValueError("ensemble needs at least one state")
-        object.__setattr__(self, "states", dict(self.states))
+        self._freeze("inputs", "ensemble needs at least one state")
 
     @property
-    def inputs(self) -> tuple[Label, ...]:
-        return tuple(self.states)
-
-    def __getitem__(self, label: Label) -> HermitianOp:
-        return self.states[label]
-
-    def __len__(self) -> int:
-        return len(self.states)
+    def labels(self) -> tuple[Label, ...]:
+        return self.inputs
 
     def total_trace(self) -> float:
-        return sum(op.trace for op in self.states.values())
+        return 2.0 * float(np.add.reduce(self.scalars))
 
     def validate(self, tol: float = DEFAULT_TOL) -> ValidityReport:
-        failures: dict[Label, str] = {}
-        for label, op in self.states.items():
-            if not op.is_positive(tol):
-                failures[label] = (
-                    f"not positive (min eigenvalue {op.eigenvalues()[0]:.3e})"
-                )
+        lo, _ = self._eigenvalues()
+        bad = ~(lo >= -tol)
+        failures = {
+            self.inputs[i]: f"not positive (min eigenvalue {lo[i]:.3e})"
+            for i in bad.nonzero()[0]
+        }
         deviation = abs(self.total_trace() - 1.0)
         return ValidityReport(
             valid=not failures and deviation <= tol,
@@ -267,15 +305,10 @@ class JointTable:
             )
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
-        object.__setattr__(
-            self, "_row", {x: i for i, x in enumerate(self.inputs)}
-        )
-        object.__setattr__(
-            self, "_col", {z: j for j, z in enumerate(self.outcomes)}
-        )
 
     def prob(self, x: Label, z: Label) -> float:
-        return float(self.probs[self._row[x], self._col[z]])
+        i = _position(self.inputs, x)
+        return float(self.probs[i, _position(self.outcomes, z)])
 
     def total(self) -> float:
         return float(self.probs.sum())
@@ -286,9 +319,12 @@ def joint_table(
 ) -> JointTable:
     """Born-rule table ``p(x, z) = tr[state(x) effect(z)]``.
 
-    Both arguments are validated first.  Tiny negative entries in
-    ``(-tol, 0)`` produced by rounding are clamped to zero; the rows must
-    marginalize to the state traces and the table must sum to one.
+    Computed in one contraction of the arrays,
+    ``probs = 2 (s_x s_z^T + B_x B_z^T)``: rows follow ``ensemble.inputs``
+    and columns ``m.outcomes``.  Both arguments are validated first.  Tiny
+    negative entries in ``(-tol, 0)`` produced by rounding are clamped to
+    zero; the rows must marginalize to the state traces and the table must
+    sum to one.
     """
     ens_report = ensemble.validate(tol)
     if not ens_report:
@@ -302,20 +338,26 @@ def joint_table(
             f"invalid measurement: failures={dict(m_report.failures)!r}, "
             f"sum deviation {m_report.deviation:.3e}"
         )
-    inputs = ensemble.inputs
-    outcomes = m.outcomes
-    probs = np.empty((len(inputs), len(outcomes)))
-    for i, x in enumerate(inputs):
-        for j, z in enumerate(outcomes):
-            p = trace_product(ensemble[x], m[z])
-            if p < -tol:
-                raise ValueError(f"negative probability p({x!r}, {z!r}) = {p!r}")
-            probs[i, j] = max(p, 0.0)
-        row_sum = probs[i].sum()
-        if abs(row_sum - ensemble[x].trace) > tol:
-            raise ValueError(
-                f"row {x!r} sums to {row_sum!r}, expected {ensemble[x].trace!r}"
-            )
-    if abs(probs.sum() - 1.0) > tol:
-        raise ValueError(f"table sums to {probs.sum()!r}, expected 1")
-    return JointTable(inputs, outcomes, probs)
+    s_x, b_x = ensemble.scalars, ensemble.blochs
+    raw = 2.0 * (s_x[:, None] * m.scalars + b_x @ m.blochs.T)
+    # Validated arguments are finite, so the minimum decides.
+    if np.minimum.reduce(raw, axis=None) < -tol:
+        i, j = np.argwhere(raw < -tol)[0]
+        raise ValueError(
+            f"negative probability p({ensemble.inputs[i]!r}, {m.outcomes[j]!r}) "
+            f"= {float(raw[i, j])!r}"
+        )
+    probs = np.maximum(raw, 0.0)
+    rows = np.add.reduce(probs, axis=1)
+    traces = 2.0 * s_x
+    off = np.abs(rows - traces) > tol
+    if np.count_nonzero(off):
+        i = int(off.argmax())
+        raise ValueError(
+            f"row {ensemble.inputs[i]!r} sums to {float(rows[i])!r}, "
+            f"expected {float(traces[i])!r}"
+        )
+    total = float(np.add.reduce(probs, axis=None))
+    if abs(total - 1.0) > tol:
+        raise ValueError(f"table sums to {total!r}, expected 1")
+    return JointTable(ensemble.inputs, m.outcomes, probs)

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -31,6 +32,7 @@ ExclusionSet = tuple[Label, ...]
 NO_INFO: ExclusionSet = ()
 
 
+@lru_cache(maxsize=64)
 def all_exclusion_sets(answers: tuple[Label, ...], k: int) -> tuple[ExclusionSet, ...]:
     """All size-``k`` subsets of ``answers`` in lexicographic index order.
 
@@ -46,6 +48,11 @@ def _frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+# The checks below reduce with ``np.add.reduce`` and test with
+# ``np.count_nonzero``: on these few-entry arrays the ndarray methods'
+# Python layer costs more than the arithmetic.
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,11 +81,12 @@ class GameSpec:
                 f"game inputs {self.inputs!r}"
             )
         correct = _frozen(
-            [[self.correctness(x, y) for y in self.answers] for x in self.inputs]
-        )
-        for x, row in zip(self.inputs, correct):
-            if not row.any():
-                raise ValueError(f"input {x!r} has no correct answer")
+            [self.correctness(x, y) for x in self.inputs for y in self.answers]
+        ).reshape(len(self.inputs), len(self.answers))
+        wins = np.add.reduce(correct, axis=1)
+        if np.count_nonzero(wins) < len(wins):
+            x = self.inputs[int(wins.argmin())]
+            raise ValueError(f"input {x!r} has no correct answer")
         object.__setattr__(self, "correct", correct)
 
     @property
@@ -86,10 +94,17 @@ class GameSpec:
         return self.joint.outcomes
 
 
+@lru_cache(maxsize=64)
+def _membership(
+    answers: tuple[Label, ...], sets: tuple[ExclusionSet, ...]
+) -> np.ndarray:
+    """``[y, s]``: 1.0 when ``sets[s]`` contains ``answers[y]``; read-only."""
+    return _frozen([[y in s for s in sets] for y in answers])
+
+
 def _holds_correct(game: GameSpec, sets: tuple[ExclusionSet, ...]) -> np.ndarray:
     """``[x, s]``: whether ``sets[s]`` contains a correct answer for input ``x``."""
-    members = np.array([[y in s for y in game.answers] for s in sets], dtype=float)
-    return game.correct @ members.T > 0
+    return game.correct @ _membership(game.answers, sets) > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,21 +133,22 @@ class PartialInfoMap:
                 f"info map weights have shape {w.shape}, expected "
                 f"{len(game.inputs)} game inputs x {len(self.sets)} sets"
             )
-        if (w < -tol).any():
-            i, j = np.argwhere(w < -tol)[0]
+        negative = w < -tol
+        leaks_correct = (w > tol) & _holds_correct(game, self.sets)
+        if np.count_nonzero(negative):
+            i, j = np.argwhere(negative)[0]
             raise ValueError(
                 f"negative weight alpha({self.sets[j]!r} | {game.inputs[i]!r}) "
                 f"= {w[i, j]}"
             )
-        leaks_correct = (w > tol) & _holds_correct(game, self.sets)
-        if leaks_correct.any():
+        if np.count_nonzero(leaks_correct):
             i, j = np.argwhere(leaks_correct)[0]
             x = game.inputs[i]
             raise ValueError(
                 f"alpha({self.sets[j]!r} | {x!r}) > 0 but the set contains a "
                 f"correct answer for {x!r}"
             )
-        for x, total in zip(game.inputs, w.sum(axis=1)):
+        for x, total in zip(game.inputs, np.add.reduce(w, axis=1).tolist()):
             if abs(total - 1.0) > tol:
                 raise ValueError(f"alpha(. | {x!r}) sums to {total}, expected 1")
 
@@ -178,10 +194,11 @@ class PostProcessing:
                 f"post-processing guesses unknown answers {self.answers!r}; "
                 f"the game's are {game.answers!r}"
             )
-        totals = self.guess.sum(axis=2)
-        bad = (self.guess < -tol).any(axis=2) | (abs(totals - 1.0) > tol)
-        if bad.any():
-            j, o = np.argwhere(bad)[0]
+        totals = np.add.reduce(self.guess, axis=2)
+        negative = self.guess < -tol
+        bad = np.abs(totals - 1.0) > tol
+        if np.count_nonzero(negative) or np.count_nonzero(bad):
+            j, o = np.argwhere(bad | negative.any(axis=2))[0]
             raise ValueError(
                 f"rule for ({self.sets[j]!r}, {self.outcomes[o]!r}) is not a "
                 f"distribution (sum {totals[j, o]})"
@@ -196,13 +213,14 @@ def exclusion_info_map(game: GameSpec, k: int) -> PartialInfoMap:
     small enough that every input has such a subset.  The sets are those
     of :func:`all_exclusion_sets` that some input can leak, in its order.
     """
-    max_k = len(game.answers) - int(game.correct.sum(axis=1).max())
+    max_k = len(game.answers) - int(np.add.reduce(game.correct, axis=1).max())
     if not 1 <= k <= max_k:
         raise ValueError(f"k must be in [1, {max_k}], got {k}")
     sets = all_exclusion_sets(game.answers, k)
     allowed = ~_holds_correct(game, sets)
-    used = np.flatnonzero(allowed.any(axis=0))
-    weights = allowed[:, used] / allowed[:, used].sum(axis=1, keepdims=True)
+    used = np.flatnonzero(np.logical_or.reduce(allowed, axis=0))
+    allowed = allowed[:, used]
+    weights = allowed / np.add.reduce(allowed, axis=1)[:, None]
     return PartialInfoMap(tuple(sets[j] for j in used), weights)
 
 
@@ -241,7 +259,8 @@ def success_with_cpost(
     inputs, outcomes, leaked sets and answers: the joint table weighted by
     :func:`win_weights`.
     """
-    return float(np.sum(game.joint.probs * win_weights(game, alpha, nu, tol)))
+    weighted = game.joint.probs * win_weights(game, alpha, nu, tol)
+    return float(np.add.reduce(weighted, axis=None))
 
 
 def success_no_cpost(

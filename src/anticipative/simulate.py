@@ -183,20 +183,25 @@ def state_vector(theta: float, state: str) -> np.ndarray:
     return {"+a": a, "-a": -a, "+b": b, "-b": -b}[state]
 
 
+def _basis_pair(theta: float, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Unit vectors of the ``+`` outcomes of a kind's bases, in ``KIND_BASES`` order."""
+    if kind == STANDARD:
+        return basis_vectors(theta)
+    if kind == ANTICIPATIVE:
+        return anticipative_directions(theta)
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def _basis_index(kind: str, basis: str) -> int:
+    bases = KIND_BASES[kind]
+    if basis not in bases:
+        raise ValueError(f"kind {kind!r} has bases {bases}, got {basis!r}")
+    return bases.index(basis)
+
+
 def basis_direction(theta: float, kind: str, basis: str) -> np.ndarray:
     """Unit vector of the ``+`` outcome of a projective basis."""
-    if kind == STANDARD:
-        a, b = basis_vectors(theta)
-        pair = {"a": a, "b": b}
-    elif kind == ANTICIPATIVE:
-        m, n = anticipative_directions(theta)
-        pair = {"m": m, "n": n}
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    try:
-        return pair[basis]
-    except KeyError:
-        raise ValueError(f"kind {kind!r} has bases {tuple(pair)}, got {basis!r}") from None
+    return _basis_pair(theta, kind)[_basis_index(kind, basis)]
 
 
 @dataclass(frozen=True)
@@ -263,13 +268,26 @@ def angle_schedule(
     )
 
 
-def _born_probability(
-    theta: float, state: str, kind: str, basis: str, depolarizing: float
-) -> float:
-    """Probability of the ``+`` outcome before the readout flip."""
-    u = basis_direction(theta, kind, basis)
-    x = state_vector(theta, state)
-    return 0.5 * (1.0 + (1.0 - depolarizing) * float(x @ u))
+@lru_cache(maxsize=256)
+def _plus_probabilities(theta: float, kind: str, depolarizing: float) -> np.ndarray:
+    """Probability of the ``+`` outcome before the readout flip, per cell.
+
+    ``table[x, i]`` is for state ``INPUT_LABELS[x]`` measured in basis
+    ``KIND_BASES[kind][i]``; read-only, built once per ``(theta, kind,
+    depolarizing)``.  Each entry is ``(1 + (1 - p) x . u) / 2`` from the
+    state's and the basis's Bloch vectors, one cell at a time.
+    """
+    directions = _basis_pair(theta, kind)
+    a, b = basis_vectors(theta)
+    states = (a, -a, b, -b)  # INPUT_LABELS order, as state_vector gives them
+    table = np.array(
+        [
+            [0.5 * (1.0 + (1.0 - depolarizing) * float(x @ u)) for u in directions]
+            for x in states
+        ]
+    )
+    table.setflags(write=False)
+    return table
 
 
 def outcome_probability(
@@ -280,7 +298,8 @@ def outcome_probability(
     Depolarizing noise contracts the state's Bloch vector before the Born
     rule; the readout flip then mixes the recorded bit.
     """
-    p_true = _born_probability(theta, state, kind, basis, noise.depolarizing)
+    table = _plus_probabilities(theta, kind, noise.depolarizing)
+    p_true = float(table[INPUT_LABELS.index(state), _basis_index(kind, basis)])
     eps = noise.readout_flip
     return p_true * (1.0 - 2.0 * eps) + eps
 
@@ -309,11 +328,22 @@ class RunResult:
         The four columns follow the outcome order of the kind's
         discrimination game (``+a, -a, +b, -b`` or ``+m, -m, +n, -n``).
         A fixed-basis run fills the two columns of its basis from one
-        ``count_nonzero``; a per-shot-basis run bins every shot.
+        ``count_nonzero``; a per-shot-basis run from three, on the bases,
+        the outcomes and both at once.
         """
-        if self.bases is not None:
-            return np.bincount(2 * self.bases + self.outcomes, minlength=4)
         counts = np.zeros(4, dtype=np.int64)
+        if self.bases is not None:
+            second = np.count_nonzero(self.bases)
+            minus = np.count_nonzero(self.outcomes)
+            second_minus = np.count_nonzero(self.bases & self.outcomes)
+            first_minus = minus - second_minus
+            counts[:] = (
+                len(self.outcomes) - second - first_minus,
+                first_minus,
+                second - second_minus,
+                second_minus,
+            )
+            return counts
         column = 2 * KIND_BASES[self.run.kind].index(self.run.basis)
         minus = np.count_nonzero(self.outcomes)
         counts[column : column + 2] = (len(self.outcomes) - minus, minus)
@@ -340,16 +370,13 @@ def sample_run(
     if rng is None:
         rng = run.rng()
     n = run.shots
-    depol = noise.depolarizing
+    table = _plus_probabilities(run.theta, run.kind, noise.depolarizing)
+    p_pair = table[INPUT_LABELS.index(run.state)]
     if run.basis == RANDOM_BASIS:
         bases = rng.integers(0, 2, size=n).astype(np.uint8)
-        pair = KIND_BASES[run.kind]
-        p_pair = np.array(
-            [_born_probability(run.theta, run.state, run.kind, b, depol) for b in pair]
-        )
     else:
         bases = None
-        p_plus = _born_probability(run.theta, run.state, run.kind, run.basis, depol)
+        p_plus = p_pair[_basis_index(run.kind, run.basis)]
     buf = np.empty(min(n, CHUNK))
     outcomes = np.empty(n, dtype=bool)
     for lo in range(0, n, CHUNK):

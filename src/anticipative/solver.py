@@ -27,13 +27,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bloch import (
-    DEFAULT_TOL,
-    HermitianOp,
-    Measurement,
-    operator_product,
-    projector,
-)
+from .bloch import DEFAULT_TOL, HermitianOp, Measurement, operator_product
 from .game import ExclusionSet, PostProcessing, all_exclusion_sets
 from .task import (
     ANTICIPATIVE,
@@ -347,7 +341,7 @@ def paired_measurement(
     axis = axis / np.linalg.norm(axis)
     plus = fallback_function(k, +1, order, flip_a)
     minus = fallback_function(k, -1, order, flip_a)
-    return Measurement({plus: projector(axis), minus: projector(-axis)})
+    return Measurement((plus, minus), np.full(2, 0.5), 0.5 * np.array((axis, -axis)))
 
 
 def certificate_residual(aux: AuxiliaryEnsemble, m: Measurement) -> float:
@@ -359,7 +353,8 @@ def certificate_residual(aux: AuxiliaryEnsemble, m: Measurement) -> float:
     """
     lam = aux.lambda_max
     worst = 0.0
-    for phi, effect in m.effects.items():
+    for phi in m:
+        effect = m[phi]
         try:
             member = aux.members[phi]
         except KeyError:
@@ -401,14 +396,14 @@ def convex_combination(
     weights = list(weights)
     if len(weights) != len(measurements) or abs(sum(weights) - 1.0) > DEFAULT_TOL:
         raise ValueError("weights must match the measurements and sum to 1")
-    mixed: dict = {}
+    labels = tuple(dict.fromkeys(z for m in measurements for z in m))
+    scalars = np.zeros(len(labels))
+    blochs = np.zeros((len(labels), 3))
     for w, m in zip(weights, measurements):
-        for label, effect in m.effects.items():
-            if label in mixed:
-                mixed[label] = mixed[label] + w * effect
-            else:
-                mixed[label] = w * effect
-    return Measurement(mixed)
+        rows = [labels.index(z) for z in m]
+        scalars[rows] += w * m.scalars
+        blochs[rows] += w * m.blochs
+    return Measurement(labels, scalars, blochs)
 
 
 def reduce_to_povm(
@@ -435,19 +430,22 @@ def reduce_to_povm(
         "-m": (m_ba, fallback_function(k, -1, "ba")),
     }
     outcomes = KIND_OUTCOMES[ANTICIPATIVE]
-    effects: dict[str, HermitianOp] = {}
-    for label in outcomes:
+    scalars = np.empty(len(outcomes))
+    blochs = np.empty((len(outcomes), 3))
+    for j, label in enumerate(outcomes):
         m, phi = layout[label]
         try:
-            effects[label] = 0.5 * m.effects[phi]
+            i = m.index(phi)
         except KeyError:
             raise ValueError(
                 f"expected outcome function {phi!r} among {label!r} effects"
             ) from None
+        scalars[j], blochs[j] = m.scalars[i], m.blochs[i]
     sets = exclusion_sets(k)
     picks = [[INPUT_LABELS.index(layout[z][1](s)) for z in outcomes] for s in sets]
     guess = np.eye(len(INPUT_LABELS))[picks]
-    return Measurement(effects), PostProcessing(sets, outcomes, INPUT_LABELS, guess)
+    povm = Measurement(outcomes, 0.5 * scalars, 0.5 * blochs)
+    return povm, PostProcessing(sets, outcomes, INPUT_LABELS, guess)
 
 
 def anticipative_success(aux: AuxiliaryEnsemble) -> float:

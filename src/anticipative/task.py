@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import HermitianOp, Measurement, StateEnsemble, joint_table
+from .bloch import Measurement, StateEnsemble, joint_table
 from .game import (
     GameSpec,
     PostProcessing,
@@ -122,14 +122,16 @@ def basis_vectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
 def make_ensemble(theta: float) -> StateEnsemble:
     """The four equiprobable pure states ``(I +- a.sigma)/8, (I +- b.sigma)/8``."""
     a, b = basis_vectors(theta)
-    vecs = zip(INPUT_LABELS, (a, -a, b, -b))
-    return StateEnsemble({x: HermitianOp(0.125, 0.125 * v) for x, v in vecs})
+    return StateEnsemble(
+        INPUT_LABELS, np.full(4, 0.125), 0.125 * np.array((a, -a, b, -b))
+    )
 
 
 def _two_basis_measurement(kind: str, u: np.ndarray, v: np.ndarray) -> Measurement:
     """Even mixture of the projective measurements along ``u`` and ``v``."""
-    vecs = zip(KIND_OUTCOMES[kind], (u, -u, v, -v))
-    return Measurement({z: HermitianOp(0.25, 0.25 * w) for z, w in vecs})
+    return Measurement(
+        KIND_OUTCOMES[kind], np.full(4, 0.25), 0.25 * np.array((u, -u, v, -v))
+    )
 
 
 def standard_measurement(theta: float) -> Measurement:

@@ -72,7 +72,7 @@ def _planted_lambda(
         for y in ("+a", "-a")
     )
     planted = replace(aux, lambda_max=aux.members[plus].eigenvalues()[1])
-    m = bloch.Measurement({plus: bloch.projector(a), minus: bloch.projector(-a)})
+    m = bloch.Measurement((plus, minus), np.full(2, 0.5), 0.5 * np.array((a, -a)))
     return planted, m
 
 
@@ -220,9 +220,11 @@ def _check_reduction(tol: float, thetas: np.ndarray) -> CheckResult:
             reference = task.anticipative_measurement(theta)
             ok = ok and povm.outcomes == reference.outcomes
             for label in reference.outcomes:
-                diff = povm[label] - reference[label]
+                got, want = povm[label], reference[label]
                 worst = max(
-                    worst, abs(diff.scalar), float(np.max(np.abs(diff.bloch)))
+                    worst,
+                    abs(got.scalar - want.scalar),
+                    float(np.max(np.abs(got.bloch - want.bloch))),
                 )
             m_dir, n_dir = task.anticipative_directions(theta)
             worst = max(

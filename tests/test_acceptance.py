@@ -153,8 +153,12 @@ def test_criterion_4_reduction_consistency():
             )
             reference = anticipative_measurement(theta)
             for z in reference.outcomes:
-                diff = povm[z] - reference[z]
-                worst = max(worst, abs(diff.scalar), float(np.max(np.abs(diff.bloch))))
+                got, want = povm[z], reference[z]
+                worst = max(
+                    worst,
+                    abs(got.scalar - want.scalar),
+                    float(np.max(np.abs(got.bloch - want.bloch))),
+                )
             m_dir, n_dir = anticipative_directions(theta)
             worst = max(worst, float(np.max(np.abs(povm["+m"].bloch - 0.25 * m_dir))))
             worst = max(worst, float(np.max(np.abs(povm["+n"].bloch - 0.25 * n_dir))))

@@ -10,8 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anticipative.bloch import (
-    IDENTITY,
-    ZERO,
     HermitianOp,
     Measurement,
     StateEnsemble,
@@ -21,8 +19,16 @@ from anticipative.bloch import (
     trace_product,
     validate_measurement,
 )
+from anticipative.task import KINDS, make_ensemble, measurement_for, theta_grid
 
 from matrix_oracle import to_matrix, trace_pair
+
+IDENTITY = HermitianOp(1.0, [0.0, 0.0, 0.0])
+#: Bloch parts of the projectors onto +z and -z (scalar 1/2 each).
+Z_UP = [0.0, 0.0, 0.5]
+Z_DOWN = [0.0, 0.0, -0.5]
+#: Two states of prior 1/2 along +z and -z.
+Z_PAIR = ([0.25, 0.25], [[0.0, 0.0, 0.25], [0.0, 0.0, -0.25]])
 
 finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 vectors = st.tuples(finite, finite, finite)
@@ -50,26 +56,20 @@ class TestHermitianOp:
         assert HermitianOp(0.5, [0.5 + 1e-14, 0.0, 0.0]).is_positive()
 
     def test_effect_bound(self):
-        half = HermitianOp(0.5, [0.0, 0.5, 0.0])
-        assert validate_measurement(Measurement({"1": IDENTITY, "0": ZERO})).valid
-        assert validate_measurement(Measurement({"+": half, "-": IDENTITY - half})).valid
+        y_half = [[0.0, 0.5, 0.0], [0.0, -0.5, 0.0]]
+        trivial = Measurement(("1", "0"), [1.0, 0.0], np.zeros((2, 3)))
+        assert validate_measurement(trivial).valid
+        assert validate_measurement(Measurement(("+", "-"), [0.5, 0.5], y_half)).valid
         # eigenvalue 1.3 exceeds the bound even though the op is positive
         op = HermitianOp(0.8, [0.0, 0.5, 0.0])
         assert op.is_positive()
-        report = validate_measurement(Measurement({"big": op, "rest": IDENTITY - op}))
+        report = validate_measurement(Measurement(("big", "rest"), [0.8, 0.2], y_half))
         assert not report.valid
         assert report.failures["big"].startswith("exceeds effect bound")
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
             HermitianOp(1.0, [1.0, 0.0])
-
-    def test_arithmetic(self):
-        a = HermitianOp(1.0, [1.0, 0.0, 0.0])
-        b = HermitianOp(0.5, [0.0, 1.0, 0.0])
-        assert (a + b).scalar == 1.5
-        assert np.allclose((a - b).bloch, [1.0, -1.0, 0.0])
-        assert (2.0 * a).trace == 4.0
 
     def test_immutability(self):
         op = HermitianOp(1.0, [0.0, 0.0, 1.0])
@@ -100,7 +100,8 @@ class TestTraceProduct:
     @given(finite, vectors, finite, vectors, finite, vectors, finite)
     def test_bilinearity(self, s1, v1, s2, v2, s3, v3, scale):
         a, b, c = HermitianOp(s1, v1), HermitianOp(s2, v2), HermitianOp(s3, v3)
-        left = trace_product(a + scale * b, c)
+        mix = HermitianOp(s1 + s2 * scale, np.add(v1, np.multiply(v2, scale)))
+        left = trace_product(mix, c)
         right = trace_product(a, c) + scale * trace_product(b, c)
         assert left == pytest.approx(right, abs=1e-9)
 
@@ -143,80 +144,122 @@ class TestProjector:
             projector([1.0, 0.0])
 
 
+
+
 class TestMeasurement:
     def test_valid_two_outcome(self):
-        m = Measurement({"+": projector([0, 0, 1]), "-": projector([0, 0, -1])})
+        m = Measurement(("+", "-"), [0.5, 0.5], [Z_UP, Z_DOWN])
         report = validate_measurement(m)
         assert report.valid
         assert report.deviation <= 1e-15
         assert not report.failures
 
     def test_zero_effect_allowed(self):
-        m = Measurement({"+": IDENTITY, "null": ZERO})
+        m = Measurement(("+", "null"), [1.0, 0.0], np.zeros((2, 3)))
         assert validate_measurement(m).valid
 
     def test_incomplete_sum_flagged(self):
-        m = Measurement({"+": projector([0, 0, 1])})
+        m = Measurement(("+",), [0.5], [Z_UP])
         report = validate_measurement(m)
         assert not report.valid
         assert report.deviation == pytest.approx(0.5)
 
     def test_negative_effect_flagged(self):
         m = Measurement(
-            {"bad": HermitianOp(0.1, [0.0, 0.0, 0.4]), "rest": HermitianOp(0.9, [0.0, 0.0, -0.4])}
+            ("bad", "rest"), [0.1, 0.9], [[0.0, 0.0, 0.4], [0.0, 0.0, -0.4]]
         )
         report = validate_measurement(m)
         assert not report.valid
         assert "bad" in report.failures
         assert "not positive" in report.failures["bad"]
 
+    def test_nan_effect_flagged(self):
+        nan = float("nan")
+        for scalars, blochs in (([1.0], [[nan, 0.0, 0.0]]), ([nan], [[0.0, 0.0, 0.0]])):
+            report = validate_measurement(Measurement(("e",), scalars, blochs))
+            assert not report.valid
+            assert report.failures["e"] == "not positive (min eigenvalue nan)"
+
     def test_outcome_order_preserved(self):
-        m = Measurement({"z": IDENTITY * 0.5, "a": IDENTITY * 0.5})
+        m = Measurement(("z", "a"), [0.5, 0.5], np.zeros((2, 3)))
         assert m.outcomes == ("z", "a")
 
     def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one effect"):
+            Measurement((), [], np.zeros((0, 3)))
+
+    def test_lookup_returns_the_row_as_an_operator(self):
+        m = Measurement(("+", "-"), [0.5, 0.5], [Z_UP, Z_DOWN])
+        assert isinstance(m["-"], HermitianOp)
+        assert m["-"].scalar == 0.5
+        assert np.array_equal(m["-"].bloch, Z_DOWN)
+        assert m.index("-") == 1
+        assert list(m) == ["+", "-"] and len(m) == 2
+        with pytest.raises(KeyError):
+            m["?"]
+
+    def test_arrays_read_only_and_copied(self):
+        blochs = np.array([Z_UP, Z_DOWN])
+        m = Measurement(("+", "-"), [0.5, 0.5], blochs)
+        blochs[0, 2] = 9.0
+        assert m.blochs[0, 2] == 0.5
         with pytest.raises(ValueError):
-            Measurement({})
+            m.scalars[0] = 1.0
+        with pytest.raises(ValueError):
+            m.blochs[0, 0] = 1.0
+
+    def test_bad_layout_rejected(self):
+        with pytest.raises(ValueError, match="duplicate labels"):
+            Measurement(("+", "+"), [0.5, 0.5], [Z_UP, Z_DOWN])
+        with pytest.raises(ValueError, match="shape"):
+            Measurement(("+", "-"), [1.0], [Z_UP, Z_DOWN])
+        with pytest.raises(ValueError, match="shape"):
+            Measurement(("+", "-"), [0.5, 0.5], [[0.0, 0.5], [0.0, -0.5]])
 
 
 class TestStateEnsemble:
     def test_valid(self):
-        ens = StateEnsemble(
-            {
-                "0": HermitianOp(0.25, [0.0, 0.0, 0.25]),
-                "1": HermitianOp(0.25, [0.0, 0.0, -0.25]),
-            }
-        )
+        ens = StateEnsemble(("0", "1"), *Z_PAIR)
         assert ens.validate().valid
         assert ens.total_trace() == pytest.approx(1.0)
 
     def test_trace_deviation_flagged(self):
-        ens = StateEnsemble({"0": HermitianOp(0.25, [0, 0, 0])})
+        ens = StateEnsemble(("0",), [0.25], [[0.0, 0.0, 0.0]])
         report = ens.validate()
         assert not report.valid
         assert report.deviation == pytest.approx(0.5)
 
     def test_negative_state_flagged(self):
         ens = StateEnsemble(
-            {
-                "0": HermitianOp(0.25, [0.0, 0.3, 0.0]),
-                "1": HermitianOp(0.25, [0.0, 0.0, 0.0]),
-            }
+            ("0", "1"), [0.25, 0.25], [[0.0, 0.3, 0.0], [0.0, 0.0, 0.0]]
         )
         report = ens.validate()
         assert not report.valid
         assert "0" in report.failures
 
+    def test_nan_state_flagged(self):
+        ens = StateEnsemble(("0",), [0.5], [[0.0, float("nan"), 0.0]])
+        report = ens.validate()
+        assert not report.valid
+        assert "0" in report.failures
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one state"):
+            StateEnsemble((), [], np.zeros((0, 3)))
+
+    def test_lookup_returns_the_row_as_an_operator(self):
+        ens = make_ensemble(1.0)
+        assert ens.inputs == ("+a", "-a", "+b", "-b")
+        state = ens["-b"]
+        assert isinstance(state, HermitianOp)
+        assert state.scalar == 0.125
+        assert np.array_equal(state.bloch, ens.blochs[3])
+
 
 class TestJointTable:
     def _qubit_pair(self):
-        ens = StateEnsemble(
-            {
-                "0": HermitianOp(0.25, [0.0, 0.0, 0.25]),
-                "1": HermitianOp(0.25, [0.0, 0.0, -0.25]),
-            }
-        )
-        m = Measurement({"+": projector([0, 0, 1]), "-": projector([0, 0, -1])})
+        ens = StateEnsemble(("0", "1"), *Z_PAIR)
+        m = Measurement(("+", "-"), [0.5, 0.5], [Z_UP, Z_DOWN])
         return ens, m
 
     def test_deterministic_discrimination(self):
@@ -235,29 +278,70 @@ class TestJointTable:
                     trace_pair(ens[x], m[z]), abs=1e-14
                 )
 
+    def test_matches_trace_product_loop(self):
+        # the one contraction against the pairwise Born rule, bit for bit
+        for theta in theta_grid(25):
+            ens = make_ensemble(theta)
+            for kind in KINDS:
+                m = measurement_for(kind, theta)
+                loop = [[max(trace_product(ens[x], m[z]), 0.0) for z in m] for x in ens]
+                assert np.array_equal(joint_table(ens, m).probs, loop)
+
+    def test_unknown_label_raises_key_error(self):
+        table = joint_table(*self._qubit_pair())
+        with pytest.raises(KeyError):
+            table.prob("0", "?")
+
     def test_rounding_negatives_clamped(self):
         # eigenvalue of each state dips to ~ -2.5e-14, inside the tolerance
         stretch = 1.0 + 1e-13
         up = np.array([0.0, 0.0, 1.0])
         ens = StateEnsemble(
-            {
-                "0": HermitianOp(0.25, 0.25 * stretch * up),
-                "1": HermitianOp(0.25, -0.25 * stretch * up),
-            }
+            ("0", "1"), [0.25, 0.25], [0.25 * stretch * up, -0.25 * stretch * up]
         )
-        m = Measurement({"+": projector(up), "-": projector(-up)})
+        m = Measurement(("+", "-"), [0.5, 0.5], [0.5 * up, -0.5 * up])
         table = joint_table(ens, m)
         assert table.prob("0", "-") == 0.0
         assert table.prob("1", "+") == 0.0
 
     def test_invalid_measurement_rejected(self):
         ens, _ = self._qubit_pair()
-        broken = Measurement({"+": projector([0, 0, 1]), "-": projector([0, 0, 1])})
+        broken = Measurement(("+", "-"), [0.5, 0.5], [Z_UP, Z_UP])
         with pytest.raises(ValueError, match="invalid measurement"):
             joint_table(ens, broken)
 
     def test_invalid_ensemble_rejected(self):
         _, m = self._qubit_pair()
-        bad = StateEnsemble({"0": HermitianOp(0.5, [0.0, 0.0, 0.6])})
+        bad = StateEnsemble(("0",), [0.5], [[0.0, 0.0, 0.6]])
         with pytest.raises(ValueError, match="invalid ensemble"):
             joint_table(bad, m)
+
+    # Each argument below passes validation at tol = 1e-3, by 0.9 tol at most,
+    # yet the errors add up to more than tol in the table.
+
+    def test_negative_entry_beyond_tolerance_rejected(self):
+        tol, d = 1e-3, 0.9e-3
+        ens = StateEnsemble(("0",), [0.5], [[0.0, 0.0, 0.5 + d]])
+        m = Measurement(
+            ("E", "F"),
+            [(1 - d) / 2, (1 + d) / 2],
+            [[0.0, 0.0, -(1 + d) / 2], [0.0, 0.0, (1 + d) / 2]],
+        )
+        with pytest.raises(ValueError, match=r"negative probability p\('0', 'E'\)"):
+            joint_table(ens, m, tol)
+
+    def test_row_off_its_trace_rejected(self):
+        tol, d = 1e-3, 0.9e-3
+        ens = StateEnsemble(("0",), [0.5], [Z_UP])
+        m = Measurement(("up", "down"), [0.5 + d, 0.5], [Z_UP, [0.0, 0.0, -0.5 + d]])
+        with pytest.raises(ValueError, match=r"row '0' sums to 1.00\d+, expected 1.0$"):
+            joint_table(ens, m, tol)
+
+    def test_total_off_one_rejected(self):
+        tol, eps = 1e-3, 0.2e-3
+        ens = StateEnsemble(
+            ("0", "1"), [0.25 + eps, 0.25 + eps], [[0.0, 0.0, 0.25], [0.0, 0.0, -0.25]]
+        )
+        m = Measurement(("all",), [1.0 + 0.9e-3], [[0.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"table sums to 1.00\d+, expected 1$"):
+            joint_table(ens, m, tol)

@@ -142,6 +142,25 @@ class TestSimulate:
         k2 = [r for r in rows if r["k"] == "2"]
         assert all(float(r["empirical"]) < float(r["analytic"]) for r in k2)
 
+    def test_single_shot_rows_pinned(self, capsys):
+        # One shot per run still pools 8 per (theta, kind): 4 states x 2 bases.
+        code, out, err = run_cli(
+            ["simulate", "--shots", "1", "--points", "1"]
+            + ["--theta-min", "1.0", "--seed", "3"],
+            capsys,
+        )
+        assert code == 0
+        assert err == ""
+        assert out == (
+            "theta,kind,k,analytic,empirical,stderr,shots,seed\n"
+            "1,standard,0,0.5,0.5,0.176776695297,1,3\n"
+            "1,standard,1,0.628358525489,0.625,0.17116329922,1,3\n"
+            "1,standard,2,0.795025192156,0.791666666667,0.143583841168,1,3\n"
+            "1,anticipative,0,0.493224107066,0.5,0.176776695297,1,3\n"
+            "1,anticipative,1,0.636577526225,0.666666666667,0.166666666667,1,3\n"
+            "1,anticipative,2,0.803244192891,0.833333333333,0.131761569174,1,3\n"
+        )
+
     def test_bad_noise_exits_2(self, capsys):
         code, _, err = run_cli(["simulate", "--noise-depol", "1.5"], capsys)
         assert code == 2

@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anticipative import solver
-from anticipative.bloch import IDENTITY, HermitianOp, Measurement, projector
+from anticipative.bloch import HermitianOp, Measurement
 from anticipative.game import exclusion_info_map, success_with_cpost
 from anticipative.solver import (
     GAMMA_TOL,
@@ -54,6 +54,11 @@ from matrix_oracle import to_matrix
 
 def constant_function(k: int, label: str) -> OutcomeFunction:
     return OutcomeFunction(tuple((s, label) for s in exclusion_sets(k)))
+
+
+def _identity(label, weight: float = 1.0) -> Measurement:
+    """One-outcome measurement whose effect is ``weight`` times the identity."""
+    return Measurement((label,), [weight], [[0.0, 0.0, 0.0]])
 
 
 class TestEnumeration:
@@ -205,7 +210,7 @@ class TestBuildAuxiliary:
         aux = build_auxiliary(0.9, 1)
         phi = fallback_function(1, +1, "ab")
         with pytest.raises(TypeError):
-            aux.members[phi] = IDENTITY
+            aux.members[phi] = HermitianOp(1.0, [0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             aux.scalars[0] = 1.0
         with pytest.raises(ValueError):
@@ -308,7 +313,7 @@ class TestTheoremMeasurement:
             m = paired_measurement(1.2, k, "ab")
             assert m.validate().valid
             assert len(m) == 2
-            for effect in m.effects.values():
+            for effect in (m[phi] for phi in m):
                 assert effect.eigenvalues() == pytest.approx((0.0, 1.0), abs=1e-15)
 
     def test_directions(self):
@@ -352,18 +357,18 @@ class TestCertificates:
     def test_non_maximizing_support_fails(self):
         # all mass on a constant function, which never maximizes
         aux = build_auxiliary(0.5, 1)
-        lazy = Measurement({constant_function(1, "+a"): IDENTITY})
+        lazy = _identity(constant_function(1, "+a"))
         assert not certify_optimal(aux, lazy)
 
     def test_invalid_measurement_fails(self):
         aux = build_auxiliary(0.5, 1)
         phi = fallback_function(1, +1, "ab")
-        assert not certify_optimal(aux, Measurement({phi: IDENTITY * 0.5}))
+        assert not certify_optimal(aux, _identity(phi, 0.5))
 
     def test_unknown_outcome_label_rejected(self):
         aux = build_auxiliary(0.5, 1)
         with pytest.raises(ValueError, match="not an outcome function"):
-            certificate_residual(aux, Measurement({"stray": IDENTITY}))
+            certificate_residual(aux, _identity("stray"))
 
     def test_tampered_ensemble_fails(self):
         aux = _tampered(build_auxiliary(0.5, 1))
@@ -379,13 +384,30 @@ class TestCertificates:
         a, _ = basis_vectors(theta)
         plus, minus = constant_function(k, "+a"), constant_function(k, "-a")
         planted = replace(aux, lambda_max=aux.members[plus].eigenvalues()[1])
-        m = Measurement({plus: projector(a), minus: projector(-a)})
+        m = Measurement((plus, minus), [0.5, 0.5], [0.5 * a, -0.5 * a])
         assert anticipative_success(planted) == pytest.approx(0.5, abs=1e-15)
         assert anticipative_success(aux) > 0.647
         assert certificate_residual(planted, m) <= 1e-15
         assert not certify_optimal(planted, m)
         assert planted.dual_gap > 1e-4
         assert aux.dual_gap <= 1e-15
+
+
+class TestConvexCombination:
+    def test_mixes_rows_by_label_in_first_seen_order(self):
+        up, down, side = [0.0, 0.0, 0.5], [0.0, 0.0, -0.5], [0.5, 0.0, 0.0]
+        first = Measurement(("x", "y"), [0.5, 0.5], [up, down])
+        second = Measurement(("y", "z"), [0.5, 0.5], [side, [-0.5, 0.0, 0.0]])
+        mix = convex_combination([first, second], [0.25, 0.75])
+        assert mix.outcomes == ("x", "y", "z")
+        assert np.array_equal(mix.scalars, [0.125, 0.125 + 0.375, 0.375])
+        assert np.array_equal(mix["y"].bloch, [0.375, 0.0, -0.125])
+        assert mix.validate().valid
+
+    def test_bad_weights_rejected(self):
+        m = paired_measurement(1.0, 1, "ab")
+        with pytest.raises(ValueError, match="sum to 1"):
+            convex_combination([m, m], [0.5, 0.6])
 
 
 class TestReduction:

@@ -27,8 +27,6 @@ from .game import (
 )
 from .solver import (
     AuxiliaryEnsemble,
-    CountVector,
-    OutcomeFunction,
     anticipative_success,
     build_auxiliary,
     certify_optimal,

@@ -4,26 +4,26 @@ Fixing the best guessing strategy (guess the drawn input unless it is
 excluded, then fall back along a known order) turns the search for the
 best measurement into minimum-error discrimination of an auxiliary
 ensemble indexed by outcome functions ``phi``: maps sending each possible
-exclusion set to a guess.  Every member of that ensemble is a mix of task
-states that depends on ``phi`` only through its count vector, so the
-256 (``k = 1``) or 4096 (``k = 2``) functions fall into 66 or 144 count
-classes.  The ensemble is stored as one operator per class plus the
-class multiplicities; the best discrimination success ``Lambda`` is a
-maximum over the classes, and the operator of a single ``phi`` is built
-only when looked up.  Measurements are optimal iff they satisfy the
-exact Holevo / Yuen-Kennedy-Lax certificate: every used effect is an
-eigen-projection of its member at ``Lambda``, and no member has an
-eigenvalue above ``Lambda``.  The two-effect measurements built here
-pass it and average to the four-outcome anticipative measurement.
+exclusion set to a guess.  An outcome function is a plain ``int``, the
+index of a row of :func:`enumerate_functions`, whose entries are the
+guesses as indices into ``INPUT_LABELS``.  Every member of the ensemble
+is a mix of task states that depends on ``phi`` only through its count
+vector, so the 256 (``k = 1``) or 4096 (``k = 2``) functions fall into 66
+or 144 count classes.  The ensemble is stored as one operator per class
+plus the class multiplicities; the best discrimination success
+``Lambda`` is a maximum over the classes, and the operator of a single
+``phi`` is built only when asked for.  Measurements are optimal iff they
+satisfy the exact Holevo / Yuen-Kennedy-Lax certificate: every used
+effect is an eigen-projection of its member at ``Lambda``, and no member
+has an eigenvalue above ``Lambda``.  The two-effect measurements built
+here pass it and average to the four-outcome anticipative measurement.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 
 import numpy as np
 
@@ -53,89 +53,63 @@ def exclusion_sets(k: int) -> tuple[ExclusionSet, ...]:
     return all_exclusion_sets(INPUT_LABELS, k)
 
 
-@dataclass(frozen=True)
-class OutcomeFunction:
-    """A guess ``phi(S)`` for every possible exclusion set ``S``.
-
-    Stored as an ordered tuple of ``(S, guess)`` pairs so instances are
-    hashable and can label measurement outcomes.
-    """
-
-    items: tuple[tuple[ExclusionSet, str], ...]
-
-    def __call__(self, s: ExclusionSet) -> str:
-        for key, guess in self.items:
-            if key == s:
-                return guess
-        raise KeyError(f"no exclusion set {s!r} in domain")
-
-    @property
-    def sets(self) -> tuple[ExclusionSet, ...]:
-        return tuple(key for key, _ in self.items)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{''.join(s)}->{x}" for s, x in self.items)
-        return f"OutcomeFunction({body})"
-
-
-def _function_from_choices(
-    sets: tuple[ExclusionSet, ...], choices: Iterable[str]
-) -> OutcomeFunction:
-    return OutcomeFunction(tuple(zip(sets, choices)))
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @lru_cache(maxsize=None)
-def enumerate_functions(k: int) -> tuple[OutcomeFunction, ...]:
-    """All ``4^|T|`` outcome functions, in lexicographic label order.
+def enumerate_functions(k: int) -> np.ndarray:
+    """All ``4^|T|`` outcome functions as a read-only ``[4^|T|, |T|]`` array.
 
-    ``|T| = 4`` for ``k = 1`` and ``6`` for ``k = 2``, so the counts are
-    256 and 4096.
+    Entry ``[phi, t]`` is the guess of function ``phi`` on
+    ``exclusion_sets(k)[t]``, as an index into ``INPUT_LABELS``; rows run
+    in ``itertools.product`` order.  ``|T| = 4`` for ``k = 1`` and ``6``
+    for ``k = 2``, so there are 256 and 4096 rows.
     """
-    sets = exclusion_sets(k)
-    return tuple(
-        _function_from_choices(sets, choices)
-        for choices in itertools.product(INPUT_LABELS, repeat=len(sets))
+    n = len(exclusion_sets(k))
+    return _readonly(np.indices((len(INPUT_LABELS),) * n).reshape(n, -1).T)
+
+
+def _function_index(guesses: Iterable[str]) -> int:
+    """Row of :func:`enumerate_functions` guessing ``guesses``, set by set."""
+    phi = 0
+    for y in guesses:
+        phi = len(INPUT_LABELS) * phi + INPUT_LABELS.index(y)
+    return phi
+
+
+def constant_function(k: int, label: str) -> int:
+    """The outcome function that guesses ``label`` on every exclusion set."""
+    return _function_index([label] * len(exclusion_sets(k)))
+
+
+@lru_cache(maxsize=None)
+def _allowed(k: int) -> np.ndarray:
+    """``[t, y]``: 1 where answer ``y`` is not in ``exclusion_sets(k)[t]``."""
+    return _readonly(
+        np.array([[y not in s for y in INPUT_LABELS] for s in exclusion_sets(k)], int)
     )
 
 
-@dataclass(frozen=True)
-class CountVector:
-    """How often ``phi`` guesses each state while that guess is allowed.
+def counts(phi: np.ndarray, k: int) -> np.ndarray:
+    """Count vectors ``(alpha_plus, alpha_minus, beta_plus, beta_minus)``.
 
+    ``phi`` holds guesses as in the rows of :func:`enumerate_functions`,
+    with shape ``[..., |T|]``; the result has shape ``[..., 4]``.
     ``alpha_plus`` counts sets ``S`` with ``phi(S) = +a`` and ``+a`` not in
     ``S``, and so on.  Guesses of an excluded answer never score and are
     not counted.
     """
-
-    alpha_plus: int
-    alpha_minus: int
-    beta_plus: int
-    beta_minus: int
-
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.alpha_plus, self.alpha_minus, self.beta_plus, self.beta_minus)
-
-    @property
-    def total(self) -> int:
-        return sum(self.as_tuple())
-
-
-_COUNT_SLOT = {"+a": 0, "-a": 1, "+b": 2, "-b": 3}
-
-
-def counts(phi: OutcomeFunction, k: int) -> CountVector:
-    """Count vector of ``phi`` (the domain must match ``exclusion_sets(k)``)."""
-    if phi.sets != exclusion_sets(k):
+    allowed = _allowed(k)
+    phi = np.asarray(phi)
+    if phi.shape[-1:] != allowed.shape[:1]:
         raise ValueError(f"outcome function domain does not match k = {k}")
-    slots = [0, 0, 0, 0]
-    for s, guess in phi.items:
-        if guess not in s:
-            slots[_COUNT_SLOT[guess]] += 1
-    return CountVector(*slots)
+    return (np.eye(len(INPUT_LABELS), dtype=int)[phi] * allowed).sum(axis=-2)
 
 
-def gamma(c: CountVector, inner_product: float) -> float:
-    """Unnormalized discrimination score of a count vector.
+def gamma(c: Sequence[int], inner_product: float) -> float:
+    """Unnormalized discrimination score of a count vector ``(ap, am, bp, bm)``.
 
     ``total + sqrt(da^2 + db^2 + 2 da db (a.b))`` with ``da, db`` the
     signed count differences along the two axes.  Monotone in each count,
@@ -145,40 +119,30 @@ def gamma(c: CountVector, inner_product: float) -> float:
     """
     if not -1.0 <= inner_product <= 1.0:
         raise ValueError(f"inner product must lie in [-1, 1], got {inner_product!r}")
-    da = c.alpha_plus - c.alpha_minus
-    db = c.beta_plus - c.beta_minus
+    ap, am, bp, bm = map(int, c)
+    da = ap - am
+    db = bp - bm
     if da * db < 0:
         radicand = (da + db) ** 2 - 2.0 * da * db * (1.0 - inner_product)
     else:
         radicand = (da - db) ** 2 + 2.0 * da * db * (1.0 + inner_product)
-    return c.total + float(np.sqrt(max(radicand, 0.0)))
+    return ap + am + bp + bm + float(np.sqrt(max(radicand, 0.0)))
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
+@dataclass(frozen=True, eq=False)
 class CountClasses:
     """The outcome functions of one ``k``, grouped by count vector.
 
     ``slots[i]`` is the count vector of class ``i`` as
     ``(alpha_plus, alpha_minus, beta_plus, beta_minus)`` and
-    ``multiplicity[i]`` is how many functions share it.  ``class_of[j]``
-    is the class of ``enumerate_functions(k)[j]`` and ``index`` maps each
-    function to its class.
+    ``multiplicity[i]`` is how many functions share it.  ``class_of[phi]``
+    is the class of outcome function ``phi``.  Classes are numbered in the
+    order their first function appears.
     """
 
-    def __init__(self, k: int) -> None:
-        functions = enumerate_functions(k)
-        ids: dict[CountVector, int] = {}
-        class_of = np.array(
-            [ids.setdefault(counts(phi, k), len(ids)) for phi in functions]
-        )
-        self.slots = _readonly(np.array([c.as_tuple() for c in ids]))
-        self.multiplicity = _readonly(np.bincount(class_of))
-        self.class_of = _readonly(class_of)
-        self.index = MappingProxyType(dict(zip(functions, class_of.tolist())))
+    slots: np.ndarray
+    multiplicity: np.ndarray
+    class_of: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +151,17 @@ def count_classes(k: int) -> CountClasses:
 
     66 classes for ``k = 1`` and 144 for ``k = 2``.
     """
-    return CountClasses(k)
+    all_counts = counts(enumerate_functions(k), k)
+    slots, first, inverse = np.unique(
+        all_counts, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    class_of = np.argsort(order)[inverse.reshape(-1)]
+    return CountClasses(
+        slots=_readonly(slots[order]),
+        multiplicity=_readonly(np.bincount(class_of)),
+        class_of=_readonly(class_of),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,13 +171,12 @@ class AuxiliaryEnsemble:
     Every member is proportional to a count-weighted mix of task states
     and depends on ``phi`` only through its count class: ``e(phi)`` is
     ``scalars[i] * I + blochs[i] . sigma`` with ``i`` the class of ``phi``
-    in :func:`count_classes`.  ``members`` is a read-only mapping over all
-    outcome functions that builds one operator per lookup.
-    ``normalization`` is the constant ``C`` that makes the traces sum to
-    one; ``lambda_max`` is the best single-member score
-    ``max_phi (scalar + |bloch|)``.  ``dual_gap`` is the largest member
-    eigenvalue minus ``lambda_max``, positive when ``lambda_max`` is not
-    the maximum; it is taken from each class's own operator,
+    in :func:`count_classes`.  ``member(phi)`` builds that operator for
+    one outcome function.  ``normalization`` is the constant ``C`` that
+    makes the traces sum to one; ``lambda_max`` is the best single-member
+    score ``max_phi (scalar + |bloch|)``.  ``dual_gap`` is the largest
+    member eigenvalue minus ``lambda_max``, positive when ``lambda_max`` is
+    not the maximum; it is taken from each class's own operator,
     independently of the scores behind ``lambda_max``, and computed once
     per instance.
     """
@@ -215,9 +188,13 @@ class AuxiliaryEnsemble:
     lambda_max: float
     inner_product: float
 
-    @property
-    def members(self) -> Mapping[OutcomeFunction, HermitianOp]:
-        return _Members(self)
+    def member(self, phi: int) -> HermitianOp:
+        """The operator ``e(phi)``; ``phi`` must be an outcome function of ``k``."""
+        class_of = count_classes(self.k).class_of
+        if not (isinstance(phi, (int, np.integer)) and 0 <= phi < len(class_of)):
+            raise ValueError(f"{phi!r} is not an outcome function for k = {self.k}")
+        i = class_of[phi]
+        return HermitianOp(self.scalars[i], self.blochs[i])
 
     @cached_property
     def dual_gap(self) -> float:
@@ -226,24 +203,6 @@ class AuxiliaryEnsemble:
 
     def total_trace(self) -> float:
         return 2.0 * float(count_classes(self.k).multiplicity @ self.scalars)
-
-
-class _Members(Mapping):
-    """``phi -> e(phi)`` over every outcome function of the ensemble's ``k``."""
-
-    def __init__(self, aux: AuxiliaryEnsemble) -> None:
-        self._aux = aux
-        self._index = count_classes(aux.k).index
-
-    def __getitem__(self, phi: OutcomeFunction) -> HermitianOp:
-        i = self._index[phi]
-        return HermitianOp(self._aux.scalars[i], self._aux.blochs[i])
-
-    def __iter__(self) -> Iterator[OutcomeFunction]:
-        return iter(self._index)
-
-    def __len__(self) -> int:
-        return len(self._index)
 
 
 def _scores(scalars: np.ndarray, blochs: np.ndarray) -> np.ndarray:
@@ -284,7 +243,7 @@ def build_auxiliary(theta: float, k: int) -> AuxiliaryEnsemble:
 
 def lambda_argmax(
     aux: AuxiliaryEnsemble, tol: float = GAMMA_TOL
-) -> tuple[float, frozenset[OutcomeFunction]]:
+) -> tuple[float, frozenset[int]]:
     """Best member score and the set of members attaining it.
 
     Each count class is scored once and only the winning classes expand
@@ -297,12 +256,11 @@ def lambda_argmax(
     scores = _scores(aux.scalars, aux.blochs)
     best = float(scores.max())
     wins = scores * scale >= best * scale - tol
-    functions = enumerate_functions(aux.k)
     chosen = np.flatnonzero(wins[count_classes(aux.k).class_of])
-    return best, frozenset(functions[j] for j in chosen)
+    return best, frozenset(chosen.tolist())
 
 
-def fallback_function(k: int, sign: int, order: str, flip_a: bool = False) -> OutcomeFunction:
+def fallback_function(k: int, sign: int, order: str, flip_a: bool = False) -> int:
     """The outcome function attached to one effect of the paired measurement.
 
     It guesses the primary state, falls back to the secondary, then to
@@ -317,9 +275,9 @@ def fallback_function(k: int, sign: int, order: str, flip_a: bool = False) -> Ou
     b_label = signed_label("b", sign)
     primary, secondary = (a_label, b_label) if order == "ab" else (b_label, a_label)
     chain = (primary, secondary, negate_label(secondary))
-    sets = exclusion_sets(k)
-    choices = (next(y for y in chain if y not in s) for s in sets)
-    return _function_from_choices(sets, choices)
+    return _function_index(
+        next(y for y in chain if y not in s) for s in exclusion_sets(k)
+    )
 
 
 def paired_measurement(
@@ -355,14 +313,7 @@ def certificate_residual(aux: AuxiliaryEnsemble, m: Measurement) -> float:
     worst = 0.0
     for phi in m:
         effect = m[phi]
-        try:
-            member = aux.members[phi]
-        except KeyError:
-            raise ValueError(
-                f"measurement outcome {phi!r} is not an outcome function "
-                f"for k = {aux.k}"
-            ) from None
-        s, v = operator_product(member, effect)
+        s, v = operator_product(aux.member(phi), effect)
         s -= lam * effect.scalar
         v = v - lam * effect.bloch
         worst = max(worst, abs(s), float(np.max(np.abs(v))))
@@ -441,11 +392,10 @@ def reduce_to_povm(
                 f"expected outcome function {phi!r} among {label!r} effects"
             ) from None
         scalars[j], blochs[j] = m.scalars[i], m.blochs[i]
-    sets = exclusion_sets(k)
-    picks = [[INPUT_LABELS.index(layout[z][1](s)) for z in outcomes] for s in sets]
-    guess = np.eye(len(INPUT_LABELS))[picks]
+    picks = enumerate_functions(k)[[layout[z][1] for z in outcomes]]
+    guess = np.eye(len(INPUT_LABELS))[picks.T]
     povm = Measurement(outcomes, 0.5 * scalars, 0.5 * blochs)
-    return povm, PostProcessing(sets, outcomes, INPUT_LABELS, guess)
+    return povm, PostProcessing(exclusion_sets(k), outcomes, INPUT_LABELS, guess)
 
 
 def anticipative_success(aux: AuxiliaryEnsemble) -> float:

@@ -67,11 +67,8 @@ def _planted_lambda(
     Only the dual half of the certificate rejects the pair.
     """
     a, _ = task.basis_vectors(theta)
-    plus, minus = (
-        solver.OutcomeFunction(tuple((s, y) for s in solver.exclusion_sets(aux.k)))
-        for y in ("+a", "-a")
-    )
-    planted = replace(aux, lambda_max=aux.members[plus].eigenvalues()[1])
+    plus, minus = (solver.constant_function(aux.k, y) for y in ("+a", "-a"))
+    planted = replace(aux, lambda_max=aux.member(plus).eigenvalues()[1])
     m = bloch.Measurement((plus, minus), np.full(2, 0.5), 0.5 * np.array((a, -a)))
     return planted, m
 
@@ -142,7 +139,7 @@ def _check_enumeration(tol: float, thetas: np.ndarray) -> CheckResult:
         functions = solver.enumerate_functions(k)
         ok = ok and len(functions) == sizes[k]
         # The brute-force maximum only needs each distinct count vector once.
-        found = {solver.counts(phi, k) for phi in functions}
+        found = np.unique(solver.counts(functions, k), axis=0).tolist()
         for theta in thetas:
             aux = solver.build_auxiliary(theta, k)
             ok = ok and abs(aux.normalization - norms[k]) <= tol

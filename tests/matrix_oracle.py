@@ -2,11 +2,14 @@
 
 The package itself never touches complex matrices outside the native-gate
 check; these helpers rebuild states, effects and traces from the Pauli
-matrices so tests can compare the two routes.
+matrices so tests can compare the two routes.  The outcome-function
+helpers at the bottom count guesses one function at a time, with plain
+loops and no numpy, as a brute-force check on the solver's array counts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -54,3 +57,25 @@ def state_matrix(theta: float, label: str) -> np.ndarray:
 
 def effect_matrix(theta: float, label: str) -> np.ndarray:
     return matrix(0.25, 0.25 * signed_direction(theta, label))
+
+
+LABELS = ("+a", "-a", "+b", "-b")
+
+
+def oracle_sets(k: int) -> list[tuple[str, ...]]:
+    """The size-``k`` exclusion sets, in lexicographic order of ``LABELS``."""
+    return list(itertools.combinations(LABELS, k))
+
+
+def oracle_functions(k: int) -> list[tuple[str, ...]]:
+    """Every outcome function as one guess per set, in ``itertools.product`` order."""
+    return list(itertools.product(LABELS, repeat=len(oracle_sets(k))))
+
+
+def oracle_counts(guesses: tuple[str, ...], k: int) -> tuple[int, int, int, int]:
+    """How often each label is guessed while it is not excluded."""
+    slots = [0, 0, 0, 0]
+    for s, y in zip(oracle_sets(k), guesses):
+        if y not in s:
+            slots[LABELS.index(y)] += 1
+    return tuple(slots)

@@ -22,6 +22,103 @@ from anticipative.cli import (
 from anticipative.verify import FAULTS
 
 
+#: ``solve`` stdout, byte for byte, per (--theta, --k).
+SOLVE_PINS = {
+    ("0.8", "1"): (
+        "theta = 0.8\n"
+        "k = 1\n"
+        "C = 64\n"
+        "Lambda = 0.00505577212094\n"
+        "maximizers = 4\n"
+        "success = 0.64713883148\n"
+        "direction m = [0.978377794995, -0.206825748544, 0]\n"
+        "direction n = [0.978377794995, 0.206825748544, 0]\n"
+        "cos(omega) = 0.914446219478\n"
+    ),
+    ("1.0", "1"): (
+        "theta = 1\n"
+        "k = 1\n"
+        "C = 64\n"
+        "Lambda = 0.00497326192363\n"
+        "maximizers = 4\n"
+        "success = 0.636577526225\n"
+        "direction m = [0.964659925854, -0.263498059673, 0]\n"
+        "direction n = [0.964659925854, 0.263498059673, 0]\n"
+        "cos(omega) = 0.861137545097\n"
+    ),
+    ("1.5707963267948966", "1"): (
+        "theta = 1.57079632679\n"
+        "k = 1\n"
+        "C = 64\n"
+        "Lambda = 0.00466294118501\n"
+        "maximizers = 8\n"
+        "success = 0.596856471681\n"
+        "direction m = [0.894427191, -0.4472135955, 0]\n"
+        "direction n = [0.894427191, 0.4472135955, 0]\n"
+        "cos(omega) = 0.6\n"
+    ),
+    ("0.8", "2"): (
+        "theta = 0.8\n"
+        "k = 2\n"
+        "C = 1024\n"
+        "Lambda = 0.000397365965892\n"
+        "maximizers = 4\n"
+        "success = 0.813805498147\n"
+        "direction m = [0.978377794995, -0.206825748544, 0]\n"
+        "direction n = [0.978377794995, 0.206825748544, 0]\n"
+        "cos(omega) = 0.914446219478\n"
+    ),
+    ("1.0", "2"): (
+        "theta = 1\n"
+        "k = 2\n"
+        "C = 1024\n"
+        "Lambda = 0.00039220907856\n"
+        "maximizers = 4\n"
+        "success = 0.803244192891\n"
+        "direction m = [0.964659925854, -0.263498059673, 0]\n"
+        "direction n = [0.964659925854, 0.263498059673, 0]\n"
+        "cos(omega) = 0.861137545097\n"
+    ),
+    ("1.5707963267948966", "2"): (
+        "theta = 1.57079632679\n"
+        "k = 2\n"
+        "C = 1024\n"
+        "Lambda = 0.000372814032396\n"
+        "maximizers = 8\n"
+        "success = 0.763523138347\n"
+        "direction m = [0.894427191, -0.4472135955, 0]\n"
+        "direction n = [0.894427191, 0.4472135955, 0]\n"
+        "cos(omega) = 0.6\n"
+    ),
+}
+
+#: ``verify`` stdout at its defaults.
+VERIFY_PIN = (
+    "PASS  closed-form equivalence: max |pipeline - closed form| = 1.110e-16 over 25 angles x 6 scenarios\n"
+    "PASS  born tables: max table deviation = 2.776e-17\n"
+    "PASS  enumeration oracle: max |brute force - closed form| = 1.776e-15 over 25 angles, k in (1, 2)\n"
+    "PASS  optimality certificates: max certificate residual = 4.337e-19, max dual gap = 0.000e+00 at 5 angles, k in (1, 2)\n"
+    "PASS  povm reduction: max reduction deviation = 1.110e-16\n"
+    "PASS  ordering chain: smallest anticipative advantage on the grid = 4.109e-05\n"
+    "PASS  native decomposition: identity holds at 104 angles (100 random, seed 2026)\n"
+    "PASS  simulator consistency: max |exact path - closed form| = 1.110e-16, smoke test max deviation = 0.71 sigma (seed 2026)\n"
+    "PASS  overall (8/8 checks, tolerance 1e-12)\n"
+)
+
+#: ``verify --points 3 --inject-fault aux-lambda`` stdout.
+VERIFY_AUX_LAMBDA_PIN = (
+    "PASS  closed-form equivalence: max |pipeline - closed form| = 1.110e-16 over 3 angles x 6 scenarios\n"
+    "PASS  born tables: max table deviation = 2.776e-17\n"
+    "PASS  enumeration oracle: max |brute force - closed form| = 1.776e-15 over 3 angles, k in (1, 2)\n"
+    "FAIL  optimality certificates: max certificate residual = 0.000e+00, max dual gap = 1.301e-03 at 3 angles, k in (1, 2) (fault injected: aux-lambda)\n"
+    "PASS  povm reduction: max reduction deviation = 1.110e-16\n"
+    "PASS  ordering chain: smallest anticipative advantage on the grid = 4.109e-05\n"
+    "PASS  native decomposition: identity holds at 104 angles (100 random, seed 2026)\n"
+    "PASS  simulator consistency: max |exact path - closed form| = 1.110e-16, smoke test max deviation = 0.71 sigma (seed 2026)\n"
+    "FAIL  overall (7/8 checks, tolerance 1e-12)\n"
+)
+
+
 def run_cli(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
@@ -185,6 +282,12 @@ class TestSolve:
         assert "maximizers = 4" in lines
         assert "success = 0.803244192891" in lines
 
+    @pytest.mark.parametrize("theta, k", list(SOLVE_PINS))
+    def test_output_pinned(self, theta, k, capsys):
+        code, out, _ = run_cli(["solve", "--theta", theta, "--k", k], capsys)
+        assert code == 0
+        assert out == SOLVE_PINS[theta, k]
+
     def test_bad_theta_exits_2(self, capsys):
         code, _, err = run_cli(["solve", "--theta", "2.0"], capsys)
         assert code == 2
@@ -220,6 +323,25 @@ class TestVerify:
             line.startswith("FAIL  optimality certificates")
             for line in out.splitlines()
         )
+
+    def test_default_output_pinned(self, capsys):
+        code, out, _ = run_cli(["verify"], capsys)
+        assert code == 0
+        assert out == VERIFY_PIN
+
+    def test_aux_lambda_fault_output_pinned(self, capsys):
+        # Only the optimality certificates fail: the planted maximum is
+        # caught by the dual half of the certificate alone.
+        code, out, _ = run_cli(
+            ["verify", "--points", "3", "--inject-fault", "aux-lambda"], capsys
+        )
+        assert code == 1
+        assert out == VERIFY_AUX_LAMBDA_PIN
+        failed = [line.split(":")[0] for line in out.splitlines() if "FAIL" in line]
+        assert failed == [
+            "FAIL  optimality certificates",
+            "FAIL  overall (7/8 checks, tolerance 1e-12)",
+        ]
 
     def test_unknown_fault_rejected_by_parser(self):
         with pytest.raises(SystemExit):

@@ -19,12 +19,11 @@ from anticipative.bloch import HermitianOp, Measurement
 from anticipative.game import exclusion_info_map, success_with_cpost
 from anticipative.solver import (
     GAMMA_TOL,
-    CountVector,
-    OutcomeFunction,
     anticipative_success,
     build_auxiliary,
     certificate_residual,
     certify_optimal,
+    constant_function,
     convex_combination,
     count_classes,
     counts,
@@ -38,6 +37,7 @@ from anticipative.solver import (
 )
 from anticipative.task import (
     ANTICIPATIVE,
+    INPUT_LABELS,
     Scenario,
     anticipative_measurement,
     basis_vectors,
@@ -49,11 +49,12 @@ from anticipative.task import (
 
 from anticipative.verify import _tampered
 
-from matrix_oracle import to_matrix
+from matrix_oracle import oracle_counts, oracle_functions, oracle_sets, to_matrix
 
 
-def constant_function(k: int, label: str) -> OutcomeFunction:
-    return OutcomeFunction(tuple((s, label) for s in exclusion_sets(k)))
+def oracle_count_of(phi: int, k: int) -> tuple[int, int, int, int]:
+    """Brute-force count vector of the outcome function with index ``phi``."""
+    return oracle_counts(oracle_functions(k)[phi], k)
 
 
 def _identity(label, weight: float = 1.0) -> Measurement:
@@ -63,8 +64,8 @@ def _identity(label, weight: float = 1.0) -> Measurement:
 
 class TestEnumeration:
     def test_function_counts(self):
-        assert len(enumerate_functions(1)) == 256
-        assert len(enumerate_functions(2)) == 4096
+        assert enumerate_functions(1).shape == (256, 4)
+        assert enumerate_functions(2).shape == (4096, 6)
 
     def test_domain_sizes(self):
         assert len(exclusion_sets(1)) == 4
@@ -77,33 +78,55 @@ class TestEnumeration:
             exclusion_sets(0)
 
     def test_functions_unique_and_total(self):
+        for k in (1, 2):
+            assert exclusion_sets(k) == tuple(oracle_sets(k))
+            rows = [
+                tuple(INPUT_LABELS[i] for i in row) for row in enumerate_functions(k)
+            ]
+            assert rows == oracle_functions(k)
+        assert rows[0] == ("+a",) * 6
+
+    def test_functions_read_only(self):
         functions = enumerate_functions(1)
-        assert len(set(functions)) == 256
-        phi = functions[0]
-        assert tuple(guess for _, guess in phi.items) == ("+a", "+a", "+a", "+a")
-        with pytest.raises(KeyError):
-            phi(("+a", "-a"))
+        with pytest.raises(ValueError):
+            functions[0, 0] = 1
+
+    def test_constant_function(self):
+        for k in (1, 2):
+            for label in INPUT_LABELS:
+                phi = constant_function(k, label)
+                assert type(phi) is int
+                assert set(oracle_functions(k)[phi]) == {label}
+
+
+def checked_counts(phi: int, k: int) -> tuple[int, int, int, int]:
+    """Count vector of ``phi`` from the oracle, after matching the solver's."""
+    expected = oracle_count_of(phi, k)
+    assert tuple(counts(enumerate_functions(k)[phi], k).tolist()) == expected
+    return expected
 
 
 class TestCounts:
     def test_constant_function(self):
         # +a is excluded by one of the four singleton sets
-        assert counts(constant_function(1, "+a"), 1).as_tuple() == (3, 0, 0, 0)
+        assert checked_counts(constant_function(1, "+a"), 1) == (3, 0, 0, 0)
 
     def test_preferred_fallback_k1(self):
-        assert counts(fallback_function(1, +1, "ab"), 1).as_tuple() == (3, 0, 1, 0)
-        assert counts(fallback_function(1, -1, "ab"), 1).as_tuple() == (0, 3, 0, 1)
-        assert counts(fallback_function(1, +1, "ba"), 1).as_tuple() == (1, 0, 3, 0)
+        assert checked_counts(fallback_function(1, +1, "ab"), 1) == (3, 0, 1, 0)
+        assert checked_counts(fallback_function(1, -1, "ab"), 1) == (0, 3, 0, 1)
+        assert checked_counts(fallback_function(1, +1, "ba"), 1) == (1, 0, 3, 0)
 
     def test_preferred_fallback_k2(self):
-        assert counts(fallback_function(2, +1, "ab"), 2).as_tuple() == (3, 0, 2, 1)
-        assert counts(fallback_function(2, -1, "ab"), 2).as_tuple() == (0, 3, 1, 2)
-        assert counts(fallback_function(2, +1, "ba"), 2).as_tuple() == (2, 1, 3, 0)
-        assert counts(fallback_function(2, -1, "ba"), 2).as_tuple() == (1, 2, 0, 3)
+        assert checked_counts(fallback_function(2, +1, "ab"), 2) == (3, 0, 2, 1)
+        assert checked_counts(fallback_function(2, -1, "ab"), 2) == (0, 3, 1, 2)
+        assert checked_counts(fallback_function(2, +1, "ba"), 2) == (2, 1, 3, 0)
+        assert checked_counts(fallback_function(2, -1, "ba"), 2) == (1, 2, 0, 3)
 
     def test_domain_mismatch_rejected(self):
         with pytest.raises(ValueError, match="domain"):
-            counts(constant_function(1, "+a"), 2)
+            counts(enumerate_functions(1)[0], 2)
+        with pytest.raises(ValueError, match="domain"):
+            counts(constant_function(1, "+a"), 1)
 
 
 class TestCountClasses:
@@ -114,16 +137,22 @@ class TestCountClasses:
             assert len(np.unique(classes.slots, axis=0)) == n_classes
             assert classes.multiplicity.min() >= 1
             assert classes.multiplicity.sum() == n_functions
+            brute = {oracle_counts(g, k) for g in oracle_functions(k)}
+            assert len(brute) == n_classes
 
     def test_every_function_maps_to_its_count_vector(self):
         for k in (1, 2):
             classes = count_classes(k)
-            functions = enumerate_functions(k)
-            assert len(classes.index) == len(functions)
-            for j, phi in enumerate(functions):
-                i = classes.index[phi]
-                assert classes.class_of[j] == i
-                assert tuple(classes.slots[i]) == counts(phi, k).as_tuple()
+            assert len(classes.class_of) == len(oracle_functions(k))
+            for phi, guesses in enumerate(oracle_functions(k)):
+                slots = classes.slots[classes.class_of[phi]]
+                assert tuple(slots.tolist()) == oracle_counts(guesses, k)
+
+    def test_classes_numbered_in_first_seen_order(self):
+        for k in (1, 2):
+            class_of = count_classes(k).class_of.tolist()
+            first_seen = list(dict.fromkeys(class_of))
+            assert first_seen == list(range(len(first_seen)))
 
     def test_not_built_at_import(self):
         code = (
@@ -143,18 +172,18 @@ class TestCountClasses:
 
 class TestGamma:
     def test_frozen_examples(self):
-        assert gamma(CountVector(3, 0, 1, 0), 0.0) == pytest.approx(
+        assert gamma((3, 0, 1, 0), 0.0) == pytest.approx(
             7.16227766016838, abs=1e-12
         )
-        assert gamma(CountVector(3, 0, 2, 1), 0.0) == pytest.approx(
+        assert gamma(np.array([3, 0, 2, 1]), 0.0) == pytest.approx(
             9.16227766016838, abs=1e-12
         )
-        assert gamma(CountVector(3, 0, 0, 1), 0.5) == pytest.approx(
+        assert gamma((3, 0, 0, 1), 0.5) == pytest.approx(
             6.6457513110645907, abs=1e-12
         )
 
     def test_balanced_counts_have_no_bloch_gain(self):
-        assert gamma(CountVector(1, 1, 1, 1), 0.3) == pytest.approx(4.0, abs=1e-15)
+        assert gamma((1, 1, 1, 1), 0.3) == pytest.approx(4.0, abs=1e-15)
 
     @given(
         st.integers(0, 3),
@@ -172,14 +201,13 @@ class TestGamma:
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([ip, math.sqrt((1.0 - ip) * (1.0 + ip)), 0.0])
         assert a @ b == ip
-        c = CountVector(ap, am, bp, bm)
         vec = (ap - am) * a + (bp - bm) * b
-        expected = c.total + np.linalg.norm(vec)
-        assert gamma(c, ip) == pytest.approx(expected, abs=1e-9)
+        expected = ap + am + bp + bm + np.linalg.norm(vec)
+        assert gamma((ap, am, bp, bm), ip) == pytest.approx(expected, abs=1e-9)
 
     def test_bad_inner_product(self):
         with pytest.raises(ValueError):
-            gamma(CountVector(1, 0, 0, 0), 1.5)
+            gamma((1, 0, 0, 0), 1.5)
 
 
 class TestBuildAuxiliary:
@@ -198,34 +226,32 @@ class TestBuildAuxiliary:
         for k in (1, 2):
             aux = build_auxiliary(theta, k)
             scale = 1.0 / (24.0 * aux.normalization)
-            assert len(aux.members) == len(enumerate_functions(k))
-            for phi in enumerate_functions(k):
-                c = counts(phi, k)
-                da = c.alpha_plus - c.alpha_minus
-                db = c.beta_plus - c.beta_minus
-                expected = HermitianOp(c.total * scale, (da * a + db * b) * scale)
-                assert aux.members[phi].allclose(expected, tol=1e-15)
+            for phi, guesses in enumerate(oracle_functions(k)):
+                ap, am, bp, bm = oracle_counts(guesses, k)
+                da, db = ap - am, bp - bm
+                total = ap + am + bp + bm
+                expected = HermitianOp(total * scale, (da * a + db * b) * scale)
+                assert aux.member(phi).allclose(expected, tol=1e-15)
 
     def test_members_read_only(self):
         aux = build_auxiliary(0.9, 1)
-        phi = fallback_function(1, +1, "ab")
-        with pytest.raises(TypeError):
-            aux.members[phi] = HermitianOp(1.0, [0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             aux.scalars[0] = 1.0
         with pytest.raises(ValueError):
             aux.blochs[0, 0] = 1.0
+        classes = count_classes(1)
+        with pytest.raises(ValueError):
+            classes.class_of[0] = 1
 
     def test_members_positive(self):
         aux = build_auxiliary(1.3, 1)
-        assert all(op.is_positive() for op in aux.members.values())
+        assert all(aux.member(phi).is_positive() for phi in range(256))
 
     def test_member_scores_match_matrix_eigenvalues(self):
         aux = build_auxiliary(0.9, 1)
         rng = np.random.default_rng(3)
-        members = list(aux.members.values())
-        for idx in rng.integers(0, len(members), size=20):
-            op = members[idx]
+        for idx in rng.integers(0, 256, size=20):
+            op = aux.member(idx)
             top = np.linalg.eigvalsh(to_matrix(op))[-1]
             assert op.scalar + op.bloch_norm == pytest.approx(top, abs=1e-13)
 
@@ -245,8 +271,8 @@ class TestLambdaArgmax:
                 aux = build_auxiliary(theta, k)
                 best, winners = lambda_argmax(aux)
                 brute = max(
-                    gamma(counts(phi, k), aux.inner_product)
-                    for phi in enumerate_functions(k)
+                    gamma(oracle_counts(guesses, k), aux.inner_product)
+                    for guesses in oracle_functions(k)
                 )
                 assert 24.0 * aux.normalization * best == pytest.approx(
                     brute, abs=1e-12
@@ -255,15 +281,13 @@ class TestLambdaArgmax:
 
     def test_winner_sets_match_brute_force(self):
         for k in (1, 2):
-            functions = enumerate_functions(k)
+            found = [oracle_counts(guesses, k) for guesses in oracle_functions(k)]
             for theta in (*theta_grid(7), 1e-6, math.pi / 2):
                 aux = build_auxiliary(theta, k)
                 _, winners = lambda_argmax(aux)
-                scores = [gamma(counts(phi, k), aux.inner_product) for phi in functions]
+                scores = [gamma(c, aux.inner_product) for c in found]
                 best = max(scores)
-                brute = {
-                    phi for phi, s in zip(functions, scores) if s >= best - GAMMA_TOL
-                }
+                brute = {phi for phi, s in enumerate(scores) if s >= best - GAMMA_TOL}
                 assert winners == brute
             # the last angle, pi/2, doubles the maximizers
             assert len(winners) == 8
@@ -278,6 +302,7 @@ class TestLambdaArgmax:
                 for order in ("ab", "ba")
             }
             assert winners == expected
+            assert all(type(phi) is int for phi in winners)
 
     def test_orthogonal_axes_double_the_maximizers(self):
         for k in (1, 2):
@@ -365,10 +390,17 @@ class TestCertificates:
         phi = fallback_function(1, +1, "ab")
         assert not certify_optimal(aux, _identity(phi, 0.5))
 
-    def test_unknown_outcome_label_rejected(self):
-        aux = build_auxiliary(0.5, 1)
+    @pytest.mark.parametrize(
+        "label, k",
+        [("stray", 1), (-1, 1), (256, 1), (4096, 2)],
+        ids=["stray", "negative", "past-end-k1", "past-end-k2"],
+    )
+    def test_unknown_outcome_label_rejected(self, label, k):
+        aux = build_auxiliary(0.5, k)
         with pytest.raises(ValueError, match="not an outcome function"):
-            certificate_residual(aux, _identity("stray"))
+            certificate_residual(aux, _identity(label))
+        with pytest.raises(ValueError, match="not an outcome function"):
+            aux.member(label)
 
     def test_tampered_ensemble_fails(self):
         aux = _tampered(build_auxiliary(0.5, 1))
@@ -383,7 +415,7 @@ class TestCertificates:
         aux = build_auxiliary(theta, k)
         a, _ = basis_vectors(theta)
         plus, minus = constant_function(k, "+a"), constant_function(k, "-a")
-        planted = replace(aux, lambda_max=aux.members[plus].eigenvalues()[1])
+        planted = replace(aux, lambda_max=aux.member(plus).eigenvalues()[1])
         m = Measurement((plus, minus), [0.5, 0.5], [0.5 * a, -0.5 * a])
         assert anticipative_success(planted) == pytest.approx(0.5, abs=1e-15)
         assert anticipative_success(aux) > 0.647

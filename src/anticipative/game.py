@@ -12,6 +12,11 @@ outcome ``z``, averaged over the leaked sets.  The success functionals
 weight that array by the joint table, and the shot simulator uses it as
 its per-shot weights.  Strategies that see no leaked set are scored
 against the channel that always leaks the empty set.
+
+Only the joint table depends on the measured angle.  What a game's
+structure ``(inputs, answers, correctness)`` fixes is built and checked
+once and shared: the ``correct`` table, the leaks of each ``k`` and each
+leak's validation against that structure.
 """
 
 from __future__ import annotations
@@ -55,15 +60,38 @@ def _frozen(values) -> np.ndarray:
 # Python layer costs more than the arithmetic.
 
 
+@lru_cache(maxsize=64)
+def _correct_table(
+    inputs: tuple[Label, ...],
+    answers: tuple[Label, ...],
+    correctness: Callable[[Label, Label], bool],
+) -> np.ndarray:
+    """``[x, y]``: 1.0 when ``answers[y]`` wins on ``inputs[x]``; read-only.
+
+    Raises for an input without a correct answer; the check runs again on
+    every call that fails, since a raise is not cached.
+    """
+    correct = _frozen(
+        [correctness(x, y) for x in inputs for y in answers]
+    ).reshape(len(inputs), len(answers))
+    wins = np.add.reduce(correct, axis=1)
+    if np.count_nonzero(wins) < len(wins):
+        x = inputs[int(wins.argmin())]
+        raise ValueError(f"input {x!r} has no correct answer")
+    return correct
+
+
 @dataclass(frozen=True, eq=False)
 class GameSpec:
     """A guessing game.
 
     ``correctness(x, y)`` says whether answering ``y`` on input ``x`` wins;
-    it is evaluated once into ``correct[i, j]``, 1.0 when answer
-    ``answers[j]`` wins on input ``inputs[i]`` and 0.0 otherwise.  The
-    joint table fixes the input prior and the measurement statistics at
-    once; its rows must be indexed by ``inputs``.
+    it is evaluated into ``correct[i, j]``, 1.0 when answer ``answers[j]``
+    wins on input ``inputs[i]`` and 0.0 otherwise.  It must be a pure
+    function: the table is built once per ``(inputs, answers,
+    correctness)`` and shared, read-only, by every game with that
+    structure.  The joint table fixes the input prior and the measurement
+    statistics at once; its rows must be indexed by ``inputs``.
     """
 
     inputs: tuple[Label, ...]
@@ -80,13 +108,7 @@ class GameSpec:
                 f"joint table rows {self.joint.inputs!r} do not match "
                 f"game inputs {self.inputs!r}"
             )
-        correct = _frozen(
-            [self.correctness(x, y) for x in self.inputs for y in self.answers]
-        ).reshape(len(self.inputs), len(self.answers))
-        wins = np.add.reduce(correct, axis=1)
-        if np.count_nonzero(wins) < len(wins):
-            x = self.inputs[int(wins.argmin())]
-            raise ValueError(f"input {x!r} has no correct answer")
+        correct = _correct_table(self.inputs, self.answers, self.correctness)
         object.__setattr__(self, "correct", correct)
 
     @property
@@ -102,9 +124,11 @@ def _membership(
     return _frozen([[y in s for s in sets] for y in answers])
 
 
-def _holds_correct(game: GameSpec, sets: tuple[ExclusionSet, ...]) -> np.ndarray:
+def _holds_correct(
+    correct: np.ndarray, answers: tuple[Label, ...], sets: tuple[ExclusionSet, ...]
+) -> np.ndarray:
     """``[x, s]``: whether ``sets[s]`` contains a correct answer for input ``x``."""
-    return game.correct @ _membership(game.answers, sets) > 0
+    return correct @ _membership(answers, sets) > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,32 +149,47 @@ class PartialInfoMap:
         """Raise unless weights are a proper conditional distribution.
 
         For each input the weights must sum to one and put zero mass on any
-        set containing a correct answer for that input.
+        set containing a correct answer for that input.  A leak and its
+        arrays are immutable, so a pass is remembered per leak object, game
+        structure and ``tol``; a failure raises again on every call.
         """
-        w = self.weights
-        if w.shape != (len(game.inputs), len(self.sets)):
-            raise ValueError(
-                f"info map weights have shape {w.shape}, expected "
-                f"{len(game.inputs)} game inputs x {len(self.sets)} sets"
-            )
-        negative = w < -tol
-        leaks_correct = (w > tol) & _holds_correct(game, self.sets)
-        if np.count_nonzero(negative):
-            i, j = np.argwhere(negative)[0]
-            raise ValueError(
-                f"negative weight alpha({self.sets[j]!r} | {game.inputs[i]!r}) "
-                f"= {w[i, j]}"
-            )
-        if np.count_nonzero(leaks_correct):
-            i, j = np.argwhere(leaks_correct)[0]
-            x = game.inputs[i]
-            raise ValueError(
-                f"alpha({self.sets[j]!r} | {x!r}) > 0 but the set contains a "
-                f"correct answer for {x!r}"
-            )
-        for x, total in zip(game.inputs, np.add.reduce(w, axis=1).tolist()):
-            if abs(total - 1.0) > tol:
-                raise ValueError(f"alpha(. | {x!r}) sums to {total}, expected 1")
+        _check_leak(self, game.inputs, game.answers, game.correctness, tol)
+
+
+@lru_cache(maxsize=64)
+def _check_leak(
+    alpha: PartialInfoMap,
+    inputs: tuple[Label, ...],
+    answers: tuple[Label, ...],
+    correctness: Callable[[Label, Label], bool],
+    tol: float,
+) -> None:
+    """:meth:`PartialInfoMap.validate`, keyed on the leak object's identity."""
+    w = alpha.weights
+    if w.shape != (len(inputs), len(alpha.sets)):
+        raise ValueError(
+            f"info map weights have shape {w.shape}, expected "
+            f"{len(inputs)} game inputs x {len(alpha.sets)} sets"
+        )
+    correct = _correct_table(inputs, answers, correctness)
+    negative = w < -tol
+    leaks_correct = (w > tol) & _holds_correct(correct, answers, alpha.sets)
+    if np.count_nonzero(negative):
+        i, j = np.argwhere(negative)[0]
+        raise ValueError(
+            f"negative weight alpha({alpha.sets[j]!r} | {inputs[i]!r}) "
+            f"= {w[i, j]}"
+        )
+    if np.count_nonzero(leaks_correct):
+        i, j = np.argwhere(leaks_correct)[0]
+        x = inputs[i]
+        raise ValueError(
+            f"alpha({alpha.sets[j]!r} | {x!r}) > 0 but the set contains a "
+            f"correct answer for {x!r}"
+        )
+    for x, total in zip(inputs, np.add.reduce(w, axis=1).tolist()):
+        if abs(total - 1.0) > tol:
+            raise ValueError(f"alpha(. | {x!r}) sums to {total}, expected 1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,12 +251,24 @@ def exclusion_info_map(game: GameSpec, k: int) -> PartialInfoMap:
     subsets of the wrong answers for ``x``.  ``k`` must be at least 1 and
     small enough that every input has such a subset.  The sets are those
     of :func:`all_exclusion_sets` that some input can leak, in its order.
+    The leak is built once per game structure and ``k`` and shared.
     """
-    max_k = len(game.answers) - int(np.add.reduce(game.correct, axis=1).max())
+    return _exclusion_map(game.inputs, game.answers, game.correctness, k)
+
+
+@lru_cache(maxsize=64)
+def _exclusion_map(
+    inputs: tuple[Label, ...],
+    answers: tuple[Label, ...],
+    correctness: Callable[[Label, Label], bool],
+    k: int,
+) -> PartialInfoMap:
+    correct = _correct_table(inputs, answers, correctness)
+    max_k = len(answers) - int(np.add.reduce(correct, axis=1).max())
     if not 1 <= k <= max_k:
         raise ValueError(f"k must be in [1, {max_k}], got {k}")
-    sets = all_exclusion_sets(game.answers, k)
-    allowed = ~_holds_correct(game, sets)
+    sets = all_exclusion_sets(answers, k)
+    allowed = ~_holds_correct(correct, answers, sets)
     used = np.flatnonzero(np.logical_or.reduce(allowed, axis=0))
     allowed = allowed[:, used]
     weights = allowed / np.add.reduce(allowed, axis=1)[:, None]
@@ -225,8 +276,16 @@ def exclusion_info_map(game: GameSpec, k: int) -> PartialInfoMap:
 
 
 def no_exclusion_map(game: GameSpec) -> PartialInfoMap:
-    """Degenerate channel that always leaks the empty set (k = 0)."""
-    return PartialInfoMap((NO_INFO,), np.ones((len(game.inputs), 1)))
+    """Degenerate channel that always leaks the empty set (k = 0).
+
+    Built once per number of inputs and shared.
+    """
+    return _no_exclusion_map(len(game.inputs))
+
+
+@lru_cache(maxsize=64)
+def _no_exclusion_map(n_inputs: int) -> PartialInfoMap:
+    return PartialInfoMap((NO_INFO,), np.ones((n_inputs, 1)))
 
 
 def win_weights(

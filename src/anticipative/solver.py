@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, HermitianOp, Measurement, operator_product
+from .bloch import DEFAULT_TOL, HermitianOp, Measurement
 from .game import ExclusionSet, PostProcessing, all_exclusion_sets
 from .task import (
     ANTICIPATIVE,
@@ -176,9 +176,9 @@ class AuxiliaryEnsemble:
     makes the traces sum to one; ``lambda_max`` is the best single-member
     score ``max_phi (scalar + |bloch|)``.  ``dual_gap`` is the largest
     member eigenvalue minus ``lambda_max``, positive when ``lambda_max`` is
-    not the maximum; it is taken from each class's own operator,
-    independently of the scores behind ``lambda_max``, and computed once
-    per instance.
+    not the maximum; it is taken from the classes' top eigenvalues
+    ``scalar + sqrt(sum bloch^2)`` over the whole arrays, independently of
+    the scores behind ``lambda_max``, and computed once per instance.
     """
 
     k: int
@@ -188,18 +188,24 @@ class AuxiliaryEnsemble:
     lambda_max: float
     inner_product: float
 
+    def _classes(self, phis: Iterable[int]) -> np.ndarray:
+        """Count class of each outcome function in ``phis``, as an index array."""
+        class_of = count_classes(self.k).class_of
+        phis = list(phis)
+        for phi in phis:
+            if not (isinstance(phi, (int, np.integer)) and 0 <= phi < len(class_of)):
+                raise ValueError(f"{phi!r} is not an outcome function for k = {self.k}")
+        return class_of[phis]
+
     def member(self, phi: int) -> HermitianOp:
         """The operator ``e(phi)``; ``phi`` must be an outcome function of ``k``."""
-        class_of = count_classes(self.k).class_of
-        if not (isinstance(phi, (int, np.integer)) and 0 <= phi < len(class_of)):
-            raise ValueError(f"{phi!r} is not an outcome function for k = {self.k}")
-        i = class_of[phi]
+        (i,) = self._classes([phi])
         return HermitianOp(self.scalars[i], self.blochs[i])
 
     @cached_property
     def dual_gap(self) -> float:
-        ops = (HermitianOp(s, v) for s, v in zip(self.scalars, self.blochs))
-        return max(op.eigenvalues()[1] for op in ops) - self.lambda_max
+        radii = np.sqrt(np.add.reduce(self.blochs * self.blochs, axis=1))
+        return float(np.maximum.reduce(self.scalars + radii)) - self.lambda_max
 
     def total_trace(self) -> float:
         return 2.0 * float(count_classes(self.k).multiplicity @ self.scalars)
@@ -309,15 +315,16 @@ def certificate_residual(aux: AuxiliaryEnsemble, m: Measurement) -> float:
     its Hermitian part) vanish on every effect actually used, so the
     residual tracks real and imaginary Pauli components.
     """
+    rows = aux._classes(m.outcomes)
+    s_e, v_e = aux.scalars[rows], aux.blochs[rows]
+    s_m, v_m = m.scalars, m.blochs
     lam = aux.lambda_max
-    worst = 0.0
-    for phi in m:
-        effect = m[phi]
-        s, v = operator_product(aux.member(phi), effect)
-        s -= lam * effect.scalar
-        v = v - lam * effect.bloch
-        worst = max(worst, abs(s), float(np.max(np.abs(v))))
-    return worst
+    # Pauli components of e M - Lambda M: a scalar, and a vector whose real
+    # part is s_e v_m + s_m v_e - Lambda v_m and imaginary part v_e x v_m.
+    scalar = s_e * s_m + np.add.reduce(v_e * v_m, axis=1) - lam * s_m
+    real = s_e[:, None] * v_m + s_m[:, None] * v_e - lam * v_m
+    vector = np.hypot(real, np.cross(v_e, v_m))
+    return max(float(np.abs(scalar).max()), float(vector.max()))
 
 
 def certify_optimal(

@@ -12,6 +12,7 @@ probabilities of all six scenarios.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -119,19 +120,16 @@ def basis_vectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def make_ensemble(theta: float) -> StateEnsemble:
+def ensemble_from_axes(a: np.ndarray, b: np.ndarray) -> StateEnsemble:
     """The four equiprobable pure states ``(I +- a.sigma)/8, (I +- b.sigma)/8``."""
-    a, b = basis_vectors(theta)
     return StateEnsemble(
         INPUT_LABELS, np.full(4, 0.125), 0.125 * np.array((a, -a, b, -b))
     )
 
 
-def _two_basis_measurement(kind: str, u: np.ndarray, v: np.ndarray) -> Measurement:
-    """Even mixture of the projective measurements along ``u`` and ``v``."""
-    return Measurement(
-        KIND_OUTCOMES[kind], np.full(4, 0.25), 0.25 * np.array((u, -u, v, -v))
-    )
+def make_ensemble(theta: float) -> StateEnsemble:
+    """:func:`ensemble_from_axes` on the state axes at angle ``theta``."""
+    return ensemble_from_axes(*basis_vectors(theta))
 
 
 def standard_measurement(theta: float) -> Measurement:
@@ -140,32 +138,49 @@ def standard_measurement(theta: float) -> Measurement:
     Effects ``(I +- a.sigma)/4`` and ``(I +- b.sigma)/4`` with outcome
     labels matching the input labels.
     """
-    return _two_basis_measurement(STANDARD, *basis_vectors(theta))
+    return measurement_from_axes(STANDARD, *basis_vectors(theta))
 
 
-def anticipative_directions(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit axes of the anticipative measurement.
+def tilted_axes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit axes ``(m, n)`` of the anticipative measurement for state axes ``a, b``.
 
     ``m`` tilts toward ``b``, ``n`` toward ``a``:
     ``m = (a + 3b)/|a + 3b|`` and ``n = (3a + b)/|3a + b|``; both norms are
     ``sqrt(10 + 6 a.b)``.
     """
-    a, b = basis_vectors(theta)
     norm = math.sqrt(10.0 + 6.0 * float(a @ b))
     return (a + 3.0 * b) / norm, (3.0 * a + b) / norm
 
 
+def measurement_from_axes(kind: str, a: np.ndarray, b: np.ndarray) -> Measurement:
+    """The ``kind`` measurement for state axes ``a`` and ``b``.
+
+    An even mixture of two projective measurements: along ``a`` and ``b``
+    for the standard kind, along :func:`tilted_axes` for the anticipative.
+    """
+    if kind == STANDARD:
+        u, v = a, b
+    elif kind == ANTICIPATIVE:
+        u, v = tilted_axes(a, b)
+    else:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    return Measurement(
+        KIND_OUTCOMES[kind], np.full(4, 0.25), 0.25 * np.array((u, -u, v, -v))
+    )
+
+
+def anticipative_directions(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`tilted_axes` of the state axes at angle ``theta``."""
+    return tilted_axes(*basis_vectors(theta))
+
+
 def anticipative_measurement(theta: float) -> Measurement:
     """Even mixture of the projective measurements along ``m`` and ``n``."""
-    return _two_basis_measurement(ANTICIPATIVE, *anticipative_directions(theta))
+    return measurement_from_axes(ANTICIPATIVE, *basis_vectors(theta))
 
 
 def measurement_for(kind: str, theta: float) -> Measurement:
-    if kind == STANDARD:
-        return standard_measurement(theta)
-    if kind == ANTICIPATIVE:
-        return anticipative_measurement(theta)
-    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    return measurement_from_axes(kind, *basis_vectors(theta))
 
 
 class PQValues(NamedTuple):
@@ -245,13 +260,12 @@ def priority_table(kind: str) -> dict[str, tuple[str, str, str, str]]:
 
 def discrimination_game(kind: str, theta: float) -> GameSpec:
     """State discrimination as a guessing game: answer the input label."""
-    ensemble = make_ensemble(theta)
-    m = measurement_for(kind, theta)
+    a, b = basis_vectors(theta)
     return GameSpec(
         inputs=INPUT_LABELS,
         answers=INPUT_LABELS,
-        correctness=lambda x, y: x == y,
-        joint=joint_table(ensemble, m),
+        correctness=operator.eq,
+        joint=joint_table(ensemble_from_axes(a, b), measurement_from_axes(kind, a, b)),
     )
 
 

@@ -95,8 +95,7 @@ def _check_born_tables(tol: float, thetas: np.ndarray) -> CheckResult:
     ok = True
     for theta in thetas[:: max(len(thetas) // 5, 1)]:
         ensemble = task.make_ensemble(theta)
-        for kind in task.KINDS:
-            m = task.measurement_for(kind, theta)
+        for m in (task.standard_measurement(theta), task.anticipative_measurement(theta)):
             report = bloch.validate_measurement(m, tol)
             ok = ok and report.valid
             table = bloch.joint_table(ensemble, m, tol)
@@ -139,7 +138,10 @@ def _check_enumeration(tol: float, thetas: np.ndarray) -> CheckResult:
         functions = solver.enumerate_functions(k)
         ok = ok and len(functions) == sizes[k]
         # The brute-force maximum only needs each distinct count vector once.
-        found = np.unique(solver.counts(functions, k), axis=0).tolist()
+        # Counts are at most 6, so base-8 codes pack a vector into one int.
+        places = 8 ** np.arange(4)
+        codes = np.unique(solver.counts(functions, k) @ places)
+        found = (codes[:, None] // places % 8).tolist()
         for theta in thetas:
             aux = solver.build_auxiliary(theta, k)
             ok = ok and abs(aux.normalization - norms[k]) <= tol
@@ -366,8 +368,11 @@ PUBLIC_OPS = {
         "anticipative_success",
     ),
     "task": (
+        "ensemble_from_axes",
         "make_ensemble",
+        "measurement_from_axes",
         "standard_measurement",
+        "tilted_axes",
         "anticipative_directions",
         "anticipative_measurement",
         "pq_values",

@@ -32,6 +32,17 @@ def to_matrix(op) -> np.ndarray:
     return matrix(op.scalar, op.bloch)
 
 
+def top_eigenvalues(scalars, blochs) -> np.ndarray:
+    """Largest eigenvalue of each ``scalars[i] I + blochs[i] . sigma``, by ``eigvalsh``."""
+    stacked = np.array([matrix(s, v) for s, v in zip(scalars, blochs)])
+    return np.linalg.eigvalsh(stacked)[:, -1]
+
+
+def pauli_components(op: np.ndarray) -> np.ndarray:
+    """``(s, v_x, v_y, v_z)`` with ``op = s I + v . sigma``, complex in general."""
+    return np.array([np.trace(op @ p) / 2.0 for p in (I2, *PAULI)])
+
+
 def trace_pair(a, b) -> float:
     return float(np.trace(to_matrix(a) @ to_matrix(b)).real)
 

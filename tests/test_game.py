@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from anticipative import game as game_module
 from anticipative.bloch import JointTable
 from anticipative.game import (
     NO_INFO,
@@ -25,8 +26,10 @@ from anticipative.task import (
     INPUT_LABELS,
     STANDARD,
     Scenario,
+    SCENARIOS,
     closed_form,
     discrimination_game,
+    pipeline_success,
     priority_post,
     theta_grid,
 )
@@ -271,3 +274,75 @@ class TestInputIndependentLeak:
                 game, bayes_optimal_post(game, no_exclusion_map(game))
             )
             assert with_info == pytest.approx(without, abs=1e-12)
+
+
+#: The caches of what a game's structure fixes, none of them keyed on theta.
+STRUCTURE_CACHES = (
+    game_module._correct_table,
+    game_module._exclusion_map,
+    game_module._no_exclusion_map,
+    game_module._check_leak,
+)
+
+
+def _clear_structure_caches() -> None:
+    for cache in STRUCTURE_CACHES:
+        cache.cache_clear()
+
+
+class TestStructureCaches:
+    def test_correct_table_per_correctness(self):
+        table = JointTable(("x", "w"), ("z",), np.array([[0.5], [0.5]]))
+        same = GameSpec(("x", "w"), ("x", "w"), equality, table)
+        again = GameSpec(("x", "w"), ("x", "w"), equality, table)
+        other = GameSpec(("x", "w"), ("x", "w"), lambda x, y: x != y, table)
+        assert again.correct is same.correct
+        assert np.array_equal(same.correct, np.eye(2))
+        assert np.array_equal(other.correct, 1.0 - np.eye(2))
+
+    def test_invalid_leak_raises_same_message_every_call(self):
+        game = discrimination_game(STANDARD, 1.0)
+        bad = PartialInfoMap(tuple((x,) for x in INPUT_LABELS), np.eye(4))
+        messages = []
+        for check in (bad.validate, bad.validate, lambda g: bayes_optimal_post(g, bad)):
+            with pytest.raises(ValueError, match="correct answer") as err:
+                check(game)
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1
+
+    def test_leak_valid_for_one_game_is_checked_for_another(self):
+        four = discrimination_game(STANDARD, 1.0)
+        alpha = exclusion_info_map(four, 1)
+        alpha.validate(four)
+        table = JointTable(("x",), ("z",), np.array([[1.0]]))
+        one = GameSpec(("x",), INPUT_LABELS, lambda x, y: y == "+a", table)
+        with pytest.raises(ValueError, match="shape"):
+            alpha.validate(one)
+
+    def test_cached_tables_reject_writes(self):
+        game = discrimination_game(ANTICIPATIVE, 0.7)
+        arrays = [game.correct, no_exclusion_map(game).weights]
+        arrays += [exclusion_info_map(game, k).weights for k in (1, 2, 3)]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.5
+
+    def test_pipeline_bit_identical_warm_and_cleared(self):
+        grid = theta_grid(25)
+
+        def values():
+            return [pipeline_success(s, theta) for theta in grid for s in SCENARIOS]
+
+        warm = values()
+        _clear_structure_caches()
+        cold = values()
+        assert [v.hex() for v in cold] == [v.hex() for v in warm]
+        assert [v.hex() for v in values()] == [v.hex() for v in warm]
+
+    def test_caches_do_not_grow_with_theta(self):
+        _clear_structure_caches()
+        for theta in np.linspace(0.01, math.pi / 2, 300):
+            for s in SCENARIOS:
+                pipeline_success(s, theta)
+        sizes = [cache.cache_info().currsize for cache in STRUCTURE_CACHES]
+        assert max(sizes) <= 4, sizes

@@ -49,7 +49,14 @@ from anticipative.task import (
 
 from anticipative.verify import _tampered
 
-from matrix_oracle import oracle_counts, oracle_functions, oracle_sets, to_matrix
+from matrix_oracle import (
+    oracle_counts,
+    oracle_functions,
+    oracle_sets,
+    pauli_components,
+    to_matrix,
+    top_eigenvalues,
+)
 
 
 def oracle_count_of(phi: int, k: int) -> tuple[int, int, int, int]:
@@ -423,6 +430,36 @@ class TestCertificates:
         assert not certify_optimal(planted, m)
         assert planted.dual_gap > 1e-4
         assert aux.dual_gap <= 1e-15
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dual_gap_matches_matrix_eigenvalues(self, k):
+        for theta in theta_grid(25):
+            aux = build_auxiliary(theta, k)
+            constant = aux.member(constant_function(k, "+a"))
+            planted = replace(aux, lambda_max=constant.eigenvalues()[1])
+            for ens in (aux, _tampered(aux), planted):
+                top = top_eigenvalues(ens.scalars, ens.blochs).max()
+                assert ens.dual_gap == pytest.approx(top - ens.lambda_max, abs=1e-15)
+            assert aux.dual_gap == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_residual_matches_matrix_products(self, k):
+        # e(phi) M(phi) - Lambda M(phi) per effect as 2x2 matrices; the
+        # tampered ensemble makes every residual nonzero.
+        for theta in (0.1, 0.9, math.pi / 2):
+            aux = build_auxiliary(theta, k)
+            m = convex_combination(
+                [paired_measurement(theta, k, "ab"), paired_measurement(theta, k, "ba")]
+            )
+            for ens in (aux, _tampered(aux)):
+                worst = 0.0
+                for phi in m:
+                    effect = to_matrix(m[phi])
+                    member = to_matrix(ens.member(phi))
+                    diff = member @ effect - ens.lambda_max * effect
+                    worst = max(worst, float(np.abs(pauli_components(diff)).max()))
+                assert certificate_residual(ens, m) == pytest.approx(worst, abs=1e-15)
+            assert certificate_residual(_tampered(aux), m) > 1e-7
 
 
 class TestConvexCombination:

@@ -86,20 +86,23 @@ def trace_product(a: HermitianOp, b: HermitianOp) -> float:
     return 2.0 * (a.scalar * b.scalar + float(a.bloch @ b.bloch))
 
 
-def operator_product(a: HermitianOp, b: HermitianOp) -> tuple[complex, np.ndarray]:
-    """Full (generally non-Hermitian) product ``A B`` in Pauli components.
+def operator_product(
+    a_scalars: object, a_blochs: object, b_scalars: object, b_blochs: object
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full (generally non-Hermitian) products ``A B`` in Pauli components.
 
-    Returns ``(s, v)`` with ``A B = s * I + v . sigma`` where
-    ``s = a0 b0 + a . b`` and ``v = a0 b + b0 a + i (a x b)``.  The cross
-    term makes ``v`` complex whenever the Bloch parts are not parallel.
+    ``A = a0 I + a . sigma`` and ``B = b0 I + b . sigma`` are given row by
+    row, as scalars of shape ``(n,)`` and Bloch vectors of shape
+    ``(n, 3)``, or as one scalar and one 3-vector each.  Returns ``(s, v)``
+    with ``A B = s I + v . sigma`` where ``s = a0 b0 + a . b`` is real and
+    ``v = a0 b + b0 a + i (a x b)``.  The cross term makes ``v`` complex
+    whenever the Bloch parts are not parallel.
     """
-    s = complex(a.scalar * b.scalar + float(a.bloch @ b.bloch))
-    v = (
-        a.scalar * b.bloch
-        + b.scalar * a.bloch
-        + 1j * np.cross(a.bloch, b.bloch)
-    )
-    return s, v.astype(complex)
+    a0, a = np.asarray(a_scalars, dtype=float), np.asarray(a_blochs, dtype=float)
+    b0, b = np.asarray(b_scalars, dtype=float), np.asarray(b_blochs, dtype=float)
+    s = a0 * b0 + np.add.reduce(a * b, axis=-1)
+    v = a0[..., None] * b + b0[..., None] * a + 1j * np.cross(a, b)
+    return s, v
 
 
 def projector(direction: object, tol: float = DEFAULT_TOL) -> HermitianOp:

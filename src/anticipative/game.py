@@ -87,11 +87,13 @@ class GameSpec:
 
     ``correctness(x, y)`` says whether answering ``y`` on input ``x`` wins;
     it is evaluated into ``correct[i, j]``, 1.0 when answer ``answers[j]``
-    wins on input ``inputs[i]`` and 0.0 otherwise.  It must be a pure
-    function: the table is built once per ``(inputs, answers,
+    wins on input ``inputs[i]`` and 0.0 otherwise.  It must be a pure,
+    hashable function: the table is built once per ``(inputs, answers,
     correctness)`` and shared, read-only, by every game with that
-    structure.  The joint table fixes the input prior and the measurement
-    statistics at once; its rows must be indexed by ``inputs``.
+    structure, so an unhashable callable raises ``TypeError``.  Labels
+    that compare and hash equal, such as ``1``, ``1.0`` and ``True``, make
+    the same structure.  The joint table fixes the input prior and the
+    measurement statistics at once; its rows must be indexed by ``inputs``.
     """
 
     inputs: tuple[Label, ...]

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, HermitianOp, Measurement
+from .bloch import DEFAULT_TOL, HermitianOp, Measurement, operator_product
 from .game import ExclusionSet, PostProcessing, all_exclusion_sets
 from .task import (
     ANTICIPATIVE,
@@ -316,15 +316,11 @@ def certificate_residual(aux: AuxiliaryEnsemble, m: Measurement) -> float:
     residual tracks real and imaginary Pauli components.
     """
     rows = aux._classes(m.outcomes)
-    s_e, v_e = aux.scalars[rows], aux.blochs[rows]
-    s_m, v_m = m.scalars, m.blochs
+    s, v = operator_product(aux.scalars[rows], aux.blochs[rows], m.scalars, m.blochs)
     lam = aux.lambda_max
-    # Pauli components of e M - Lambda M: a scalar, and a vector whose real
-    # part is s_e v_m + s_m v_e - Lambda v_m and imaginary part v_e x v_m.
-    scalar = s_e * s_m + np.add.reduce(v_e * v_m, axis=1) - lam * s_m
-    real = s_e[:, None] * v_m + s_m[:, None] * v_e - lam * v_m
-    vector = np.hypot(real, np.cross(v_e, v_m))
-    return max(float(np.abs(scalar).max()), float(vector.max()))
+    scalar = np.abs(s - lam * m.scalars)
+    vector = np.abs(v - lam * m.blochs)
+    return max(float(scalar.max()), float(vector.max()))
 
 
 def certify_optimal(

@@ -120,16 +120,23 @@ def basis_vectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def ensemble_from_axes(a: np.ndarray, b: np.ndarray) -> StateEnsemble:
-    """The four equiprobable pure states ``(I +- a.sigma)/8, (I +- b.sigma)/8``."""
+def _ensemble(a: np.ndarray, b: np.ndarray) -> StateEnsemble:
+    """:func:`make_ensemble` given the state axes rather than the angle."""
     return StateEnsemble(
         INPUT_LABELS, np.full(4, 0.125), 0.125 * np.array((a, -a, b, -b))
     )
 
 
 def make_ensemble(theta: float) -> StateEnsemble:
-    """:func:`ensemble_from_axes` on the state axes at angle ``theta``."""
-    return ensemble_from_axes(*basis_vectors(theta))
+    """The four equiprobable pure states ``(I +- a.sigma)/8, (I +- b.sigma)/8``."""
+    return _ensemble(*basis_vectors(theta))
+
+
+def _two_basis_measurement(kind: str, u: np.ndarray, v: np.ndarray) -> Measurement:
+    """Even mixture of the projective measurements along ``u`` and ``v``."""
+    return Measurement(
+        KIND_OUTCOMES[kind], np.full(4, 0.25), 0.25 * np.array((u, -u, v, -v))
+    )
 
 
 def standard_measurement(theta: float) -> Measurement:
@@ -138,49 +145,44 @@ def standard_measurement(theta: float) -> Measurement:
     Effects ``(I +- a.sigma)/4`` and ``(I +- b.sigma)/4`` with outcome
     labels matching the input labels.
     """
-    return measurement_from_axes(STANDARD, *basis_vectors(theta))
+    return _two_basis_measurement(STANDARD, *basis_vectors(theta))
 
 
-def tilted_axes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit axes ``(m, n)`` of the anticipative measurement for state axes ``a, b``.
+def _tilted_axes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    norm = math.sqrt(10.0 + 6.0 * float(a @ b))
+    return (a + 3.0 * b) / norm, (3.0 * a + b) / norm
+
+
+def anticipative_directions(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Unit axes of the anticipative measurement.
 
     ``m`` tilts toward ``b``, ``n`` toward ``a``:
     ``m = (a + 3b)/|a + 3b|`` and ``n = (3a + b)/|3a + b|``; both norms are
     ``sqrt(10 + 6 a.b)``.
     """
-    norm = math.sqrt(10.0 + 6.0 * float(a @ b))
-    return (a + 3.0 * b) / norm, (3.0 * a + b) / norm
-
-
-def measurement_from_axes(kind: str, a: np.ndarray, b: np.ndarray) -> Measurement:
-    """The ``kind`` measurement for state axes ``a`` and ``b``.
-
-    An even mixture of two projective measurements: along ``a`` and ``b``
-    for the standard kind, along :func:`tilted_axes` for the anticipative.
-    """
-    if kind == STANDARD:
-        u, v = a, b
-    elif kind == ANTICIPATIVE:
-        u, v = tilted_axes(a, b)
-    else:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    return Measurement(
-        KIND_OUTCOMES[kind], np.full(4, 0.25), 0.25 * np.array((u, -u, v, -v))
-    )
-
-
-def anticipative_directions(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`tilted_axes` of the state axes at angle ``theta``."""
-    return tilted_axes(*basis_vectors(theta))
+    return _tilted_axes(*basis_vectors(theta))
 
 
 def anticipative_measurement(theta: float) -> Measurement:
     """Even mixture of the projective measurements along ``m`` and ``n``."""
-    return measurement_from_axes(ANTICIPATIVE, *basis_vectors(theta))
+    return _two_basis_measurement(ANTICIPATIVE, *anticipative_directions(theta))
 
 
 def measurement_for(kind: str, theta: float) -> Measurement:
-    return measurement_from_axes(kind, *basis_vectors(theta))
+    if kind == STANDARD:
+        return standard_measurement(theta)
+    if kind == ANTICIPATIVE:
+        return anticipative_measurement(theta)
+    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
+def _measurement(kind: str, a: np.ndarray, b: np.ndarray) -> Measurement:
+    """:func:`measurement_for` given the state axes rather than the angle."""
+    if kind == STANDARD:
+        return _two_basis_measurement(STANDARD, a, b)
+    if kind == ANTICIPATIVE:
+        return _two_basis_measurement(ANTICIPATIVE, *_tilted_axes(a, b))
+    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
 class PQValues(NamedTuple):
@@ -259,13 +261,17 @@ def priority_table(kind: str) -> dict[str, tuple[str, str, str, str]]:
 
 
 def discrimination_game(kind: str, theta: float) -> GameSpec:
-    """State discrimination as a guessing game: answer the input label."""
+    """State discrimination as a guessing game: answer the input label.
+
+    The state axes are computed once and shared by the ensemble and the
+    measurement.
+    """
     a, b = basis_vectors(theta)
     return GameSpec(
         inputs=INPUT_LABELS,
         answers=INPUT_LABELS,
         correctness=operator.eq,
-        joint=joint_table(ensemble_from_axes(a, b), measurement_from_axes(kind, a, b)),
+        joint=joint_table(_ensemble(a, b), _measurement(kind, a, b)),
     )
 
 

@@ -95,7 +95,8 @@ def _check_born_tables(tol: float, thetas: np.ndarray) -> CheckResult:
     ok = True
     for theta in thetas[:: max(len(thetas) // 5, 1)]:
         ensemble = task.make_ensemble(theta)
-        for m in (task.standard_measurement(theta), task.anticipative_measurement(theta)):
+        for kind in task.KINDS:
+            m = task.measurement_for(kind, theta)
             report = bloch.validate_measurement(m, tol)
             ok = ok and report.valid
             table = bloch.joint_table(ensemble, m, tol)
@@ -368,11 +369,8 @@ PUBLIC_OPS = {
         "anticipative_success",
     ),
     "task": (
-        "ensemble_from_axes",
         "make_ensemble",
-        "measurement_from_axes",
         "standard_measurement",
-        "tilted_axes",
         "anticipative_directions",
         "anticipative_measurement",
         "pq_values",

@@ -112,7 +112,7 @@ class TestOperatorProduct:
         for _ in range(50):
             a = HermitianOp(rng.normal(), rng.normal(size=3))
             b = HermitianOp(rng.normal(), rng.normal(size=3))
-            s, v = operator_product(a, b)
+            s, v = operator_product(a.scalar, a.bloch, b.scalar, b.bloch)
             rebuilt = s * np.eye(2) + sum(
                 comp * pauli
                 for comp, pauli in zip(
@@ -125,6 +125,16 @@ class TestOperatorProduct:
                 )
             )
             assert np.allclose(rebuilt, to_matrix(a) @ to_matrix(b), atol=1e-12)
+
+    def test_rows_match_single_products(self):
+        rng = np.random.default_rng(12)
+        a0, a = rng.normal(size=5), rng.normal(size=(5, 3))
+        b0, b = rng.normal(size=5), rng.normal(size=(5, 3))
+        s, v = operator_product(a0, a, b0, b)
+        assert s.shape == (5,) and v.shape == (5, 3)
+        for i in range(5):
+            s_i, v_i = operator_product(a0[i], a[i], b0[i], b[i])
+            assert s[i] == s_i and np.array_equal(v[i], v_i)
 
 
 class TestProjector:

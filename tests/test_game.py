@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -299,6 +300,16 @@ class TestStructureCaches:
         assert again.correct is same.correct
         assert np.array_equal(same.correct, np.eye(2))
         assert np.array_equal(other.correct, 1.0 - np.eye(2))
+
+    def test_unhashable_correctness_is_rejected(self):
+        @dataclass
+        class Judge:
+            def __call__(self, x, y):
+                return x == y
+
+        table = JointTable(("x", "w"), ("z",), np.array([[0.5], [0.5]]))
+        with pytest.raises(TypeError, match="unhashable"):
+            GameSpec(("x", "w"), ("x", "w"), Judge(), table)
 
     def test_invalid_leak_raises_same_message_every_call(self):
         game = discrimination_game(STANDARD, 1.0)

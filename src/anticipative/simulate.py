@@ -7,6 +7,16 @@ by a classical readout flip.  Runs draw their random streams from a
 per-run child of the master seed, so any subset of runs can be reproduced
 or executed in parallel without touching the others.
 
+The simulator derives no axes of its own: it reads the state axes and
+each kind's basis axes from the task (:func:`~anticipative.task.signed_axes`,
+:func:`~anticipative.task.kind_axes`).  The ``+`` probability of every
+(state, basis) cell is ``(1 + s x . u)/2`` from those axes, with noise
+entering only as the shrink factor ``s``: ``1 - p`` for the sampler,
+which draws its readout flips separately, and ``(1 - p)(1 - 2 eps)``
+(:attr:`NoiseModel.shrink`) for :func:`outcome_probability` and
+:func:`exact_success`, which fold the flip in.  A circuit's measurement
+angle is the polar angle of the same axis.
+
 Shots are counted per (state, outcome) cell, the outcome as column
 ``2 * i + bit`` for basis ``i`` of :data:`KIND_BASES` and bit 0 the ``+``
 outcome: the game layer's outcome order.  Each cell is scored with an
@@ -38,17 +48,16 @@ import numpy as np
 
 from .game import exclusion_info_map, no_exclusion_map, win_weights
 from .task import (
-    ANTICIPATIVE,
     INPUT_LABELS,
     K_VALUES,
     KIND_BASES,
     KINDS,
-    STANDARD,
-    anticipative_directions,
     basis_vectors,
     check_theta,
     discrimination_game,
+    kind_axes,
     priority_post,
+    signed_axes,
 )
 
 #: Marker basis for runs that draw a basis per shot.
@@ -80,6 +89,16 @@ class NoiseModel:
             raise ValueError(
                 f"readout flip must lie in [0, 0.5], got {self.readout_flip!r}"
             )
+
+    @property
+    def shrink(self) -> float:
+        """Factor on the Bloch overlap of the recorded bit, ``(1 - p)(1 - 2 eps)``.
+
+        Depolarizing shrinks the state's Bloch vector by ``1 - p``; a
+        readout flip with probability ``eps`` turns ``(1 + r)/2`` into
+        ``(1 + (1 - 2 eps) r)/2``.
+        """
+        return (1.0 - self.depolarizing) * (1.0 - 2.0 * self.readout_flip)
 
 
 NOISELESS = NoiseModel(0.0, 0.0)
@@ -178,30 +197,11 @@ def plan_experiment(
     )
 
 
-def state_vector(theta: float, state: str) -> np.ndarray:
-    a, b = basis_vectors(theta)
-    return {"+a": a, "-a": -a, "+b": b, "-b": -b}[state]
-
-
-def _basis_pair(theta: float, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """Unit vectors of the ``+`` outcomes of a kind's bases, in ``KIND_BASES`` order."""
-    if kind == STANDARD:
-        return basis_vectors(theta)
-    if kind == ANTICIPATIVE:
-        return anticipative_directions(theta)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
 def _basis_index(kind: str, basis: str) -> int:
     bases = KIND_BASES[kind]
     if basis not in bases:
         raise ValueError(f"kind {kind!r} has bases {bases}, got {basis!r}")
     return bases.index(basis)
-
-
-def basis_direction(theta: float, kind: str, basis: str) -> np.ndarray:
-    """Unit vector of the ``+`` outcome of a projective basis."""
-    return _basis_pair(theta, kind)[_basis_index(kind, basis)]
 
 
 @dataclass(frozen=True)
@@ -235,27 +235,14 @@ def tilt_angle(theta: float) -> float:
 
 
 def measurement_angle(theta: float, kind: str, basis: str) -> float:
-    """In-plane angle of the measured axis.
+    """In-plane angle of the measured axis: the polar angle of the kind's axis.
 
-    Standard runs rotate by ``+theta/2`` (basis ``a``) or ``-theta/2``
-    (basis ``b``); anticipative runs by ``+omega/2`` (basis ``n``) or
-    ``-omega/2`` (basis ``m``).
+    Standard runs measure at ``+theta/2`` (basis ``a``) or ``-theta/2``
+    (basis ``b``); anticipative runs at ``+omega/2`` (basis ``n``) or
+    ``-omega/2`` (basis ``m``), with ``omega`` the :func:`tilt_angle`.
     """
-    check_theta(theta)
-    if kind == STANDARD:
-        try:
-            return {"a": theta / 2.0, "b": -theta / 2.0}[basis]
-        except KeyError:
-            raise ValueError(f"standard bases are ('a', 'b'), got {basis!r}") from None
-    if kind == ANTICIPATIVE:
-        omega = tilt_angle(theta)
-        try:
-            return {"n": omega / 2.0, "m": -omega / 2.0}[basis]
-        except KeyError:
-            raise ValueError(
-                f"anticipative bases are ('m', 'n'), got {basis!r}"
-            ) from None
-    raise ValueError(f"unknown kind {kind!r}")
+    u = kind_axes(kind, *basis_vectors(theta))[_basis_index(kind, basis)]
+    return math.atan2(u[1], u[0])
 
 
 def angle_schedule(
@@ -269,23 +256,17 @@ def angle_schedule(
 
 
 @lru_cache(maxsize=256)
-def _plus_probabilities(theta: float, kind: str, depolarizing: float) -> np.ndarray:
-    """Probability of the ``+`` outcome before the readout flip, per cell.
+def _plus_probabilities(theta: float, kind: str, shrink: float) -> np.ndarray:
+    """Probability of the ``+`` outcome per cell, ``(1 + s X U^T) / 2``.
 
+    ``X`` holds the task's state axes and ``U`` the kind's basis axes, so
     ``table[x, i]`` is for state ``INPUT_LABELS[x]`` measured in basis
-    ``KIND_BASES[kind][i]``; read-only, built once per ``(theta, kind,
-    depolarizing)``.  Each entry is ``(1 + (1 - p) x . u) / 2`` from the
-    state's and the basis's Bloch vectors, one cell at a time.
+    ``KIND_BASES[kind][i]``; ``s`` is the noise's shrink factor.
+    Read-only, built once per ``(theta, kind, shrink)``.
     """
-    directions = _basis_pair(theta, kind)
     a, b = basis_vectors(theta)
-    states = (a, -a, b, -b)  # INPUT_LABELS order, as state_vector gives them
-    table = np.array(
-        [
-            [0.5 * (1.0 + (1.0 - depolarizing) * float(x @ u)) for u in directions]
-            for x in states
-        ]
-    )
+    overlaps = signed_axes(a, b) @ np.array(kind_axes(kind, a, b)).T
+    table = 0.5 * (1.0 + shrink * overlaps)
     table.setflags(write=False)
     return table
 
@@ -296,12 +277,11 @@ def outcome_probability(
     """Probability of recording the ``+`` outcome of the basis.
 
     Depolarizing noise contracts the state's Bloch vector before the Born
-    rule; the readout flip then mixes the recorded bit.
+    rule and the readout flip mixes the recorded bit; both enter as the
+    one factor :attr:`NoiseModel.shrink` on the overlap.
     """
-    table = _plus_probabilities(theta, kind, noise.depolarizing)
-    p_true = float(table[INPUT_LABELS.index(state), _basis_index(kind, basis)])
-    eps = noise.readout_flip
-    return p_true * (1.0 - 2.0 * eps) + eps
+    table = _plus_probabilities(theta, kind, noise.shrink)
+    return float(table[INPUT_LABELS.index(state), _basis_index(kind, basis)])
 
 
 class RunResult:
@@ -350,15 +330,14 @@ class RunResult:
         return counts
 
 
-def sample_run(
-    run: RunSpec, noise: NoiseModel = NOISELESS, rng: np.random.Generator | None = None
-) -> RunResult:
-    """Sample every shot of a run.
+def sample_run(run: RunSpec, noise: NoiseModel = NOISELESS) -> RunResult:
+    """Sample every shot of a run from its own stream, :meth:`RunSpec.rng`.
 
     The stream layout is fixed: per-shot basis draws (per-shot mode only),
     then one uniform per shot against the Born probability, then one
     uniform per shot for the readout flip.  The Born draw uses the
-    probability before readout, so the flip is applied exactly once.
+    probability before readout (the overlap shrunk by ``1 - p`` only), so
+    the flip is applied exactly once.
     Identical inputs give bit-identical outcomes.
 
     The uniforms are drawn :data:`CHUNK` at a time into one reused
@@ -367,10 +346,9 @@ def sample_run(
     the stream is consumed in the order above, and the run holds one
     chunk of floats besides its outcomes (and, per-shot, its bases).
     """
-    if rng is None:
-        rng = run.rng()
+    rng = run.rng()
     n = run.shots
-    table = _plus_probabilities(run.theta, run.kind, noise.depolarizing)
+    table = _plus_probabilities(run.theta, run.kind, 1.0 - noise.depolarizing)
     p_pair = table[INPUT_LABELS.index(run.state)]
     if run.basis == RANDOM_BASIS:
         bases = rng.integers(0, 2, size=n).astype(np.uint8)
@@ -480,23 +458,21 @@ def exact_success(
     With no noise this equals the closed-form success probability of the
     scenario, which pins the estimator to the analytic layer.
     """
-    cells = [(x, b) for x in INPUT_LABELS for b in KIND_BASES[kind]]
-    p_plus = np.array([outcome_probability(theta, x, kind, b, noise) for x, b in cells])
-    probs = np.column_stack((p_plus, 1.0 - p_plus)).reshape(len(INPUT_LABELS), 4)
+    plus = _plus_probabilities(theta, kind, noise.shrink)
+    probs = np.stack((plus, 1.0 - plus), axis=-1).reshape(len(INPUT_LABELS), 4)
     return 0.125 * float(np.sum(probs * success_weights(kind, k)))
 
 
 def simulate_curves(
-    plan: ExperimentPlan,
-    noise: NoiseModel = NOISELESS,
-    ks: tuple[int, ...] = K_VALUES,
+    plan: ExperimentPlan, noise: NoiseModel = NOISELESS
 ) -> dict[tuple[float, str, int], Estimate]:
     """Sample the whole plan and estimate every scenario on it.
 
-    Runs are sampled one at a time as the estimator asks for them, so
-    only one run's outcomes are alive at once.
+    Every ``k`` of :data:`K_VALUES` is estimated.  Runs are sampled one
+    at a time as the estimator asks for them, so only one run's outcomes
+    are alive at once.
     """
-    return empirical_success((sample_run(run, noise) for run in plan.runs), ks)
+    return empirical_success(sample_run(run, noise) for run in plan.runs)
 
 
 def _ry(angle: float) -> np.ndarray:

@@ -35,6 +35,7 @@ from .task import (
     KIND_OUTCOMES,
     basis_vectors,
     check_theta,
+    kind_axes,
     negate_label,
     signed_label,
 )
@@ -86,9 +87,9 @@ def constant_function(k: int, label: str) -> int:
 
 @lru_cache(maxsize=None)
 def _allowed(k: int) -> np.ndarray:
-    """``[t, y]``: 1 where answer ``y`` is not in ``exclusion_sets(k)[t]``."""
+    """``[t, y]``: true where answer ``y`` is not in ``exclusion_sets(k)[t]``."""
     return _readonly(
-        np.array([[y not in s for y in INPUT_LABELS] for s in exclusion_sets(k)], int)
+        np.array([[y not in s for y in INPUT_LABELS] for s in exclusion_sets(k)])
     )
 
 
@@ -99,13 +100,20 @@ def counts(phi: np.ndarray, k: int) -> np.ndarray:
     with shape ``[..., |T|]``; the result has shape ``[..., 4]``.
     ``alpha_plus`` counts sets ``S`` with ``phi(S) = +a`` and ``+a`` not in
     ``S``, and so on.  Guesses of an excluded answer never score and are
-    not counted.
+    not counted.  Each answer is counted straight from ``phi``, so no
+    one-hot array of the guesses is built.
     """
     allowed = _allowed(k)
     phi = np.asarray(phi)
     if phi.shape[-1:] != allowed.shape[:1]:
         raise ValueError(f"outcome function domain does not match k = {k}")
-    return (np.eye(len(INPUT_LABELS), dtype=int)[phi] * allowed).sum(axis=-2)
+    if phi.size and not 0 <= phi.min() <= phi.max() < len(INPUT_LABELS):
+        raise ValueError("guesses must be indices into INPUT_LABELS")
+    per_answer = [
+        np.count_nonzero((phi == y) & allowed[:, y], axis=-1)
+        for y in range(len(INPUT_LABELS))
+    ]
+    return np.stack(per_answer, axis=-1)
 
 
 def gamma(c: Sequence[int], inner_product: float) -> float:
@@ -291,18 +299,16 @@ def paired_measurement(
 ) -> Measurement:
     """Two-effect optimal measurement with outcome-function labels.
 
-    For ``order = "ab"`` the effects project onto ``+-(3a + b)/|3a + b|``
-    and are labelled by the fallback functions preferring ``+-a``; for
-    ``order = "ba"`` the direction is ``(a + 3b)/|a + 3b|`` preferring
-    ``+-b``.  All remaining outcome functions implicitly carry the zero
-    effect.
+    For ``order = "ab"`` the effects project onto ``+-n`` and are labelled
+    by the fallback functions preferring ``+-a``; for ``order = "ba"`` the
+    direction is ``m``, preferring ``+-b``.  ``m`` and ``n`` are the
+    task's tilted axes (:func:`~anticipative.task.kind_axes`), taken with
+    ``-a`` in place of ``a`` under ``flip_a``.  All remaining outcome
+    functions implicitly carry the zero effect.
     """
-    theta = check_theta(theta)
     a, b = basis_vectors(theta)
-    if flip_a:
-        a = -a
-    axis = 3.0 * a + b if order == "ab" else a + 3.0 * b
-    axis = axis / np.linalg.norm(axis)
+    m_axis, n_axis = kind_axes(ANTICIPATIVE, -a if flip_a else a, b)
+    axis = n_axis if order == "ab" else m_axis
     plus = fallback_function(k, +1, order, flip_a)
     minus = fallback_function(k, -1, order, flip_a)
     return Measurement((plus, minus), np.full(2, 0.5), 0.5 * np.array((axis, -axis)))

@@ -64,6 +64,11 @@ def check_theta(theta: float) -> float:
     return theta
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One of the six scenarios: measurement kind plus exclusion count."""
@@ -72,8 +77,7 @@ class Scenario:
     k: int
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        _check_kind(self.kind)
         if self.k not in K_VALUES:
             raise ValueError(f"k must be one of {K_VALUES}, got {self.k!r}")
 
@@ -120,11 +124,34 @@ def basis_vectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def signed_axes(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Rows ``u, -u, v, -v``: the ``+`` then ``-`` end of each axis in turn.
+
+    Over the state axes ``a, b`` these are the Bloch vectors of the states
+    in :data:`INPUT_LABELS` order; over a kind's :func:`kind_axes` they are
+    the directions of its outcomes in :data:`KIND_OUTCOMES` order.
+    """
+    return np.array((u, -u, v, -v))
+
+
+def kind_axes(kind: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit axes of a kind's two bases, in :data:`KIND_BASES` order.
+
+    The standard measurement uses the state axes ``a, b``.  The
+    anticipative one tilts ``m`` toward ``b`` and ``n`` toward ``a``:
+    ``m = (a + 3b)/|a + 3b|`` and ``n = (3a + b)/|3a + b|``; both norms are
+    ``sqrt(10 + 6 a.b)``.
+    """
+    _check_kind(kind)
+    if kind == STANDARD:
+        return a, b
+    norm = math.sqrt(10.0 + 6.0 * float(a @ b))
+    return (a + 3.0 * b) / norm, (3.0 * a + b) / norm
+
+
 def _ensemble(a: np.ndarray, b: np.ndarray) -> StateEnsemble:
     """:func:`make_ensemble` given the state axes rather than the angle."""
-    return StateEnsemble(
-        INPUT_LABELS, np.full(4, 0.125), 0.125 * np.array((a, -a, b, -b))
-    )
+    return StateEnsemble(INPUT_LABELS, np.full(4, 0.125), 0.125 * signed_axes(a, b))
 
 
 def make_ensemble(theta: float) -> StateEnsemble:
@@ -132,11 +159,10 @@ def make_ensemble(theta: float) -> StateEnsemble:
     return _ensemble(*basis_vectors(theta))
 
 
-def _two_basis_measurement(kind: str, u: np.ndarray, v: np.ndarray) -> Measurement:
-    """Even mixture of the projective measurements along ``u`` and ``v``."""
-    return Measurement(
-        KIND_OUTCOMES[kind], np.full(4, 0.25), 0.25 * np.array((u, -u, v, -v))
-    )
+def _measurement(kind: str, a: np.ndarray, b: np.ndarray) -> Measurement:
+    """Even mixture of the projective measurements along the kind's axes."""
+    blochs = 0.25 * signed_axes(*kind_axes(kind, a, b))
+    return Measurement(KIND_OUTCOMES[kind], np.full(4, 0.25), blochs)
 
 
 def standard_measurement(theta: float) -> Measurement:
@@ -145,44 +171,22 @@ def standard_measurement(theta: float) -> Measurement:
     Effects ``(I +- a.sigma)/4`` and ``(I +- b.sigma)/4`` with outcome
     labels matching the input labels.
     """
-    return _two_basis_measurement(STANDARD, *basis_vectors(theta))
-
-
-def _tilted_axes(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    norm = math.sqrt(10.0 + 6.0 * float(a @ b))
-    return (a + 3.0 * b) / norm, (3.0 * a + b) / norm
+    return _measurement(STANDARD, *basis_vectors(theta))
 
 
 def anticipative_directions(theta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Unit axes of the anticipative measurement.
-
-    ``m`` tilts toward ``b``, ``n`` toward ``a``:
-    ``m = (a + 3b)/|a + 3b|`` and ``n = (3a + b)/|3a + b|``; both norms are
-    ``sqrt(10 + 6 a.b)``.
-    """
-    return _tilted_axes(*basis_vectors(theta))
+    """Unit axes ``m, n`` of the anticipative measurement (:func:`kind_axes`)."""
+    return kind_axes(ANTICIPATIVE, *basis_vectors(theta))
 
 
 def anticipative_measurement(theta: float) -> Measurement:
     """Even mixture of the projective measurements along ``m`` and ``n``."""
-    return _two_basis_measurement(ANTICIPATIVE, *anticipative_directions(theta))
+    return _measurement(ANTICIPATIVE, *basis_vectors(theta))
 
 
 def measurement_for(kind: str, theta: float) -> Measurement:
-    if kind == STANDARD:
-        return standard_measurement(theta)
-    if kind == ANTICIPATIVE:
-        return anticipative_measurement(theta)
-    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-
-
-def _measurement(kind: str, a: np.ndarray, b: np.ndarray) -> Measurement:
-    """:func:`measurement_for` given the state axes rather than the angle."""
-    if kind == STANDARD:
-        return _two_basis_measurement(STANDARD, a, b)
-    if kind == ANTICIPATIVE:
-        return _two_basis_measurement(ANTICIPATIVE, *_tilted_axes(a, b))
-    raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    _check_kind(kind)
+    return _measurement(kind, *basis_vectors(theta))
 
 
 class PQValues(NamedTuple):
@@ -248,10 +252,9 @@ def priority_table(kind: str) -> dict[str, tuple[str, str, str, str]]:
     }
     if kind == STANDARD:
         first, second = "a", "b"
-    elif kind == ANTICIPATIVE:
-        first, second = "n", "m"
     else:
-        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        _check_kind(kind)
+        first, second = "n", "m"
     table = {}
     for sign in ("+", "-"):
         table[sign + first] = rows[sign]

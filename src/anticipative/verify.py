@@ -95,16 +95,14 @@ def _check_born_tables(tol: float, thetas: np.ndarray) -> CheckResult:
     ok = True
     for theta in thetas[:: max(len(thetas) // 5, 1)]:
         ensemble = task.make_ensemble(theta)
-        for kind in task.KINDS:
-            m = task.measurement_for(kind, theta)
+        anticipative = task.anticipative_measurement(theta)
+        for m in (task.standard_measurement(theta), anticipative):
             report = bloch.validate_measurement(m, tol)
             ok = ok and report.valid
             table = bloch.joint_table(ensemble, m, tol)
             worst = max(worst, abs(table.total() - 1.0))
         p_plus, p_minus, q_plus, q_minus = task.pq_values(theta)
-        table = bloch.joint_table(
-            ensemble, task.anticipative_measurement(theta), tol
-        )
+        table = bloch.joint_table(ensemble, anticipative, tol)
         expected = {
             ("+a", "+m"): p_plus,
             ("+a", "+n"): q_plus,
@@ -369,6 +367,8 @@ PUBLIC_OPS = {
         "anticipative_success",
     ),
     "task": (
+        "kind_axes",
+        "signed_axes",
         "make_ensemble",
         "standard_measurement",
         "anticipative_directions",

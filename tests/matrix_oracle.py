@@ -62,6 +62,20 @@ def signed_direction(theta: float, label: str) -> np.ndarray:
     return sign * plane_direction(theta, label[1])
 
 
+def plus_probability_cells(states, directions, depolarizing: float) -> np.ndarray:
+    """``(1 + (1 - p) x . u) / 2`` one cell at a time: ``[state, direction]``.
+
+    Each cell is one scalar dot product of a state's Bloch vector ``x``
+    and a basis axis ``u``, shrunk by the depolarizing factor ``1 - p``.
+    """
+    return np.array(
+        [
+            [0.5 * (1.0 + (1.0 - depolarizing) * float(x @ u)) for u in directions]
+            for x in states
+        ]
+    )
+
+
 def state_matrix(theta: float, label: str) -> np.ndarray:
     return matrix(0.125, 0.125 * signed_direction(theta, label))
 

@@ -258,6 +258,37 @@ class TestSimulate:
             "1,anticipative,2,0.803244192891,0.833333333333,0.131761569174,1,3\n"
         )
 
+    def test_noisy_rows_pinned(self, capsys):
+        # depolarizing and readout noise together, through the whole sampler
+        code, out, err = run_cli(
+            ["simulate", "--noise-depol", "0.1", "--noise-readout", "0.05"]
+            + ["--points", "3", "--shots", "2000", "--seed", "11"],
+            capsys,
+        )
+        assert code == 0
+        assert err == ""
+        assert out == (
+            "theta,kind,k,analytic,empirical,stderr,shots,seed\n"
+            "0.0628318530718,standard,0,0.5,0.4510625,0.00393386833389,2000,11\n"
+            "0.0628318530718,standard,1,0.666502227369,0.6015625,0.00387044133945,2000,11\n"
+            "0.0628318530718,standard,2,0.833168894036,0.768229166667,0.00333591361314,2000,11\n"
+            "0.0628318530718,anticipative,0,0.499969173342,0.454125,0.00393617425598,2000,11\n"
+            "0.0628318530718,anticipative,1,0.66654331437,0.6048125,0.00386502215262,2000,11\n"
+            "0.0628318530718,anticipative,2,0.833209981036,0.771479166667,0.00331944142577,2000,11\n"
+            "0.816814089933,standard,0,0.5,0.452625,0.00393506360634,2000,11\n"
+            "0.816814089933,standard,1,0.640378925494,0.581208333333,0.00390036221553,2000,11\n"
+            "0.816814089933,standard,2,0.807045592161,0.747875,0.00343291043044,2000,11\n"
+            "0.816814089933,anticipative,0,0.495246285457,0.446375,0.0039300473866,2000,11\n"
+            "0.816814089933,anticipative,1,0.646330522657,0.584833333333,0.00389553675342,2000,11\n"
+            "0.816814089933,anticipative,2,0.812997189324,0.7515,0.00341639201132,2000,11\n"
+            "1.57079632679,standard,0,0.5,0.453375,0.00393562343676,2000,11\n"
+            "1.57079632679,standard,1,0.583333333333,0.53725,0.00394186216702,2000,11\n"
+            "1.57079632679,standard,2,0.75,0.703916666667,0.00360917228267,2000,11\n"
+            "1.57079632679,anticipative,0,0.487170824513,0.4446875,0.00392858536359,2000,11\n"
+            "1.57079632679,anticipative,1,0.596856471681,0.549875,0.00393313237426,2000,11\n"
+            "1.57079632679,anticipative,2,0.763523138347,0.716541666667,0.00356291406889,2000,11\n"
+        )
+
     def test_bad_noise_exits_2(self, capsys):
         code, _, err = run_cli(["simulate", "--noise-depol", "1.5"], capsys)
         assert code == 2

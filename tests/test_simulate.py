@@ -17,7 +17,6 @@ from anticipative.simulate import (
     NoiseModel,
     RunSpec,
     angle_schedule,
-    basis_direction,
     empirical_success,
     exact_success,
     measurement_angle,
@@ -27,7 +26,6 @@ from anticipative.simulate import (
     sample_run,
     simulate_curves,
     state_angle,
-    state_vector,
     success_weights,
     tilt_angle,
 )
@@ -39,10 +37,16 @@ from anticipative.task import (
     SCENARIOS,
     STANDARD,
     Scenario,
+    anticipative_directions,
+    basis_vectors,
     closed_form,
     discrimination_game,
     theta_grid,
 )
+from matrix_oracle import plane_direction, plus_probability_cells, signed_direction
+
+#: Angles for the geometry checks, from near the theta -> 0 end up to pi/2.
+FINE_THETAS = np.concatenate((np.geomspace(1e-6, 0.02, 40), theta_grid(101)))
 
 
 class TestNoiseModel:
@@ -142,9 +146,37 @@ class TestProbabilities:
 
     def test_bad_basis(self):
         with pytest.raises(ValueError):
-            basis_direction(1.0, STANDARD, "n")
+            outcome_probability(1.0, "+a", STANDARD, "n")
         with pytest.raises(ValueError):
-            basis_direction(1.0, "sideways", "a")
+            outcome_probability(1.0, "+a", "sideways", "a")
+
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 1.0])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_table_matches_per_cell_oracle(self, kind, p):
+        # the array table equals the per-cell dot products exactly
+        noise = NoiseModel(p, 0.0)
+        for theta in FINE_THETAS:
+            a, b = basis_vectors(theta)
+            axes = (a, b) if kind == STANDARD else anticipative_directions(theta)
+            expected = plus_probability_cells((a, -a, b, -b), axes, p)
+            bases = KIND_BASES[kind]
+            got = [
+                [outcome_probability(theta, x, kind, u, noise) for u in bases]
+                for x in INPUT_LABELS
+            ]
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("noise", [NoiseModel(0.05, 0.023), NoiseModel(0.3, 0.1)])
+    def test_readout_folds_into_one_shrink(self, noise):
+        # with depolarizing too, the flip is P -> P (1 - 2 eps) + eps per cell
+        eps = noise.readout_flip
+        flipless = NoiseModel(noise.depolarizing, 0.0)
+        for theta in (1e-6, 0.4, math.pi / 2):
+            for kind, bases in KIND_BASES.items():
+                for x, basis in ((x, u) for x in INPUT_LABELS for u in bases):
+                    clean = outcome_probability(theta, x, kind, basis, flipless)
+                    got = outcome_probability(theta, x, kind, basis, noise)
+                    assert got == pytest.approx(clean * (1 - 2 * eps) + eps, abs=1e-15)
 
 
 class TestAngles:
@@ -168,6 +200,19 @@ class TestAngles:
         with pytest.raises(ValueError):
             measurement_angle(theta, STANDARD, "m")
 
+    def test_measurement_angles_match_tilt_on_fine_grid(self):
+        for theta in FINE_THETAS:
+            omega = tilt_angle(theta)
+            expected = {
+                (STANDARD, "a"): theta / 2,
+                (STANDARD, "b"): -theta / 2,
+                (ANTICIPATIVE, "n"): omega / 2,
+                (ANTICIPATIVE, "m"): -omega / 2,
+            }
+            for (kind, basis), angle in expected.items():
+                got = measurement_angle(theta, kind, basis)
+                assert got == pytest.approx(angle, abs=1e-10)
+
     def test_schedule_reproduces_born_overlap(self):
         # the in-plane angles carry the whole geometry: the rotation angle
         # between preparation and measurement matches the Bloch overlap
@@ -177,8 +222,8 @@ class TestAngles:
                     for basis in bases:
                         sched = angle_schedule(theta, kind, basis, state)
                         overlap = float(
-                            state_vector(theta, state)
-                            @ basis_direction(theta, kind, basis)
+                            signed_direction(theta, state)
+                            @ plane_direction(theta, basis)
                         )
                         rotated = math.cos(sched.preparation - sched.measurement)
                         assert rotated == pytest.approx(overlap, abs=1e-12)

@@ -39,6 +39,7 @@ from anticipative.task import (
     ANTICIPATIVE,
     INPUT_LABELS,
     Scenario,
+    anticipative_directions,
     anticipative_measurement,
     basis_vectors,
     closed_form,
@@ -132,6 +133,11 @@ class TestCounts:
     def test_domain_mismatch_rejected(self):
         with pytest.raises(ValueError, match="domain"):
             counts(enumerate_functions(1)[0], 2)
+
+    @pytest.mark.parametrize("guess", [-1, 4])
+    def test_guess_outside_the_alphabet_rejected(self, guess):
+        with pytest.raises(ValueError, match="indices into INPUT_LABELS"):
+            counts(np.array([0, 1, 2, guess]), 1)
         with pytest.raises(ValueError, match="domain"):
             counts(constant_function(1, "+a"), 1)
 
@@ -359,6 +365,18 @@ class TestTheoremMeasurement:
         axis = (a + 3 * b) / np.linalg.norm(a + 3 * b)
         plus = m_ba[fallback_function(1, +1, "ba")]
         assert np.allclose(plus.bloch, 0.5 * axis, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_axes_are_the_task_axes(self, k):
+        # n for "ab" and m for "ba"; the flipped axes are still unit vectors
+        for theta in np.concatenate((np.geomspace(1e-6, 0.02, 9), theta_grid(25))):
+            m_dir, n_dir = anticipative_directions(theta)
+            for order, axis in (("ab", n_dir), ("ba", m_dir)):
+                plus, minus = paired_measurement(theta, k, order).blochs
+                assert np.allclose(2 * plus, axis, rtol=0.0, atol=1e-15)
+                assert np.array_equal(minus, -plus)
+                flipped = paired_measurement(theta, k, order, flip_a=True).blochs[0]
+                assert np.linalg.norm(2 * flipped) == pytest.approx(1.0, abs=1e-15)
 
     def test_bad_order(self):
         with pytest.raises(ValueError):

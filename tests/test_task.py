@@ -15,6 +15,7 @@ from anticipative.task import (
     ANTICIPATIVE,
     INPUT_LABELS,
     K_VALUES,
+    KIND_OUTCOMES,
     SCENARIOS,
     STANDARD,
     Scenario,
@@ -24,6 +25,7 @@ from anticipative.task import (
     check_theta,
     closed_form,
     discrimination_game,
+    kind_axes,
     make_ensemble,
     measurement_for,
     negate_label,
@@ -31,10 +33,12 @@ from anticipative.task import (
     pq_values,
     priority_post,
     priority_table,
+    signed_axes,
     signed_label,
     standard_measurement,
     theta_grid,
 )
+from matrix_oracle import signed_direction
 
 angles = st.floats(min_value=0.01, max_value=math.pi / 2, allow_nan=False)
 
@@ -107,6 +111,24 @@ class TestSetups:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             measurement_for("daring", 1.0)
+
+    def test_kind_checked_before_theta(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            measurement_for("daring", 0.0)
+
+    @given(angles)
+    def test_axes_match_the_matrix_oracle(self, theta):
+        # states in INPUT_LABELS order, each kind's outcomes in KIND_OUTCOMES order
+        a, b = basis_vectors(theta)
+        rows = {"states": (INPUT_LABELS, signed_axes(a, b))}
+        for kind in (STANDARD, ANTICIPATIVE):
+            rows[kind] = (KIND_OUTCOMES[kind], signed_axes(*kind_axes(kind, a, b)))
+        for labels, vectors in rows.values():
+            for label, vector in zip(labels, vectors):
+                expected = signed_direction(theta, label)
+                assert np.allclose(vector, expected, rtol=0.0, atol=1e-15)
+        with pytest.raises(ValueError, match="kind must be one of"):
+            kind_axes("daring", a, b)
 
     @given(angles)
     def test_anticipative_directions(self, theta):

@@ -13,7 +13,6 @@ from .bloch import (
     joint_table,
     projector,
     trace_product,
-    validate_measurement,
 )
 from .game import (
     GameSpec,

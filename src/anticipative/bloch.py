@@ -9,13 +9,15 @@ row as one :class:`HermitianOp`.  Traces, eigenvalues, positivity and the
 Born-rule table are all closed-form in this parametrization: the table of an
 ensemble against a measurement is the single contraction
 ``p = 2 (s_x s_z^T + B_x B_z^T)``, so no complex matrices are needed anywhere
-in this module.
+in this module.  ``validate`` on an ensemble or a measurement returns nothing
+and raises ValueError naming the first bad row, or else the deviation of the
+completeness sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Iterator
 
 import numpy as np
 
@@ -119,24 +121,6 @@ def projector(direction: object, tol: float = DEFAULT_TOL) -> HermitianOp:
     return HermitianOp(0.5, 0.5 * u)
 
 
-@dataclass(frozen=True, eq=False)
-class ValidityReport:
-    """Outcome of validating a measurement or an ensemble.
-
-    ``failures`` maps a label to a human-readable description of what went
-    wrong for that element; ``deviation`` is the largest componentwise
-    distance of the completeness sum from its target (identity for
-    measurements, unit trace for ensembles).
-    """
-
-    valid: bool
-    failures: Mapping[Label, str]
-    deviation: float
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
 def _position(labels: tuple[Label, ...], label: Label) -> int:
     try:
         return labels.index(label)
@@ -201,6 +185,7 @@ class Measurement(_Operators):
     Effect ``outcomes[i]`` is ``scalars[i] * I + blochs[i] . sigma``;
     ``m[z]`` returns it as a :class:`HermitianOp`.  The arrays are
     read-only and the outcome order is the order of ``outcomes``.
+    :meth:`validate` raises ValueError naming the first bad effect.
     """
 
     outcomes: tuple[Label, ...]
@@ -214,36 +199,31 @@ class Measurement(_Operators):
     def labels(self) -> tuple[Label, ...]:
         return self.outcomes
 
-    def validate(self, tol: float = DEFAULT_TOL) -> ValidityReport:
-        return validate_measurement(self, tol)
+    def validate(self, tol: float = DEFAULT_TOL) -> None:
+        """Raise ValueError unless every row is an effect summing to identity.
 
-
-def validate_measurement(m: Measurement, tol: float = DEFAULT_TOL) -> ValidityReport:
-    """Check that every effect is a valid effect and the sum is identity.
-
-    Zero operators are allowed as effects.  The report carries one message
-    per failing label plus the largest componentwise deviation of the
-    effect sum from the identity.
-    """
-    lo, hi = m._eigenvalues()
-    # Tested as "not within bounds", so a NaN entry fails its row.
-    positive = lo >= -tol
-    bad = ~(positive & (hi <= 1.0 + tol))
-    failures = {
-        m.outcomes[i]: f"exceeds effect bound (max eigenvalue {hi[i]:.3e})"
-        if positive[i]
-        else f"not positive (min eigenvalue {lo[i]:.3e})"
-        for i in bad.nonzero()[0]
-    }
-    # np.add.reduce: the ndarray methods add a Python layer per call, which
-    # on these few-row arrays costs more than the arithmetic.
-    sum_s = float(np.add.reduce(m.scalars))
-    deviation = max(abs(sum_s - 1.0), *np.abs(np.add.reduce(m.blochs)).tolist())
-    return ValidityReport(
-        valid=not failures and deviation <= tol,
-        failures=failures,
-        deviation=deviation,
-    )
+        Zero operators are allowed as effects.  The message names the first
+        failing outcome, or else the largest componentwise deviation of the
+        effect sum from the identity.
+        """
+        lo, hi = self._eigenvalues()
+        # Tested as "not within bounds", so a NaN entry fails its row.
+        positive = lo >= -tol
+        bad = ~(positive & (hi <= 1.0 + tol))
+        if np.count_nonzero(bad):
+            i = int(bad.argmax())
+            problem = (
+                f"exceeds effect bound (max eigenvalue {hi[i]:.3e})"
+                if positive[i]
+                else f"not positive (min eigenvalue {lo[i]:.3e})"
+            )
+            raise ValueError(f"invalid measurement: {self.outcomes[i]!r} {problem}")
+        # np.add.reduce: the ndarray methods add a Python layer per call,
+        # which on these few-row arrays costs more than the arithmetic.
+        sum_s = float(np.add.reduce(self.scalars))
+        deviation = max(abs(sum_s - 1.0), *np.abs(np.add.reduce(self.blochs)).tolist())
+        if not deviation <= tol:
+            raise ValueError(f"invalid measurement: sum deviation {deviation:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +233,8 @@ class StateEnsemble(_Operators):
     State ``inputs[i]`` is ``scalars[i] * I + blochs[i] . sigma``;
     ``ensemble[x]`` returns it as a :class:`HermitianOp`.  Each state
     absorbs its prior, so its trace ``2 * scalars[i]`` is the prior
-    probability of its input and the traces sum to one.
+    probability of its input and the traces sum to one.  :meth:`validate`
+    raises ValueError naming the first state that is not positive.
     """
 
     inputs: tuple[Label, ...]
@@ -270,19 +251,23 @@ class StateEnsemble(_Operators):
     def total_trace(self) -> float:
         return 2.0 * float(np.add.reduce(self.scalars))
 
-    def validate(self, tol: float = DEFAULT_TOL) -> ValidityReport:
+    def validate(self, tol: float = DEFAULT_TOL) -> None:
+        """Raise ValueError unless every state is positive with unit total trace.
+
+        The message names the first non-positive input, or else the
+        deviation of the total trace from one.
+        """
         lo, _ = self._eigenvalues()
         bad = ~(lo >= -tol)
-        failures = {
-            self.inputs[i]: f"not positive (min eigenvalue {lo[i]:.3e})"
-            for i in bad.nonzero()[0]
-        }
+        if np.count_nonzero(bad):
+            i = int(bad.argmax())
+            raise ValueError(
+                f"invalid ensemble: {self.inputs[i]!r} "
+                f"not positive (min eigenvalue {lo[i]:.3e})"
+            )
         deviation = abs(self.total_trace() - 1.0)
-        return ValidityReport(
-            valid=not failures and deviation <= tol,
-            failures=failures,
-            deviation=deviation,
-        )
+        if not deviation <= tol:
+            raise ValueError(f"invalid ensemble: trace deviation {deviation:.3e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,18 +314,8 @@ def joint_table(
     zero; the rows must marginalize to the state traces and the table must
     sum to one.
     """
-    ens_report = ensemble.validate(tol)
-    if not ens_report:
-        raise ValueError(
-            f"invalid ensemble: failures={dict(ens_report.failures)!r}, "
-            f"trace deviation {ens_report.deviation:.3e}"
-        )
-    m_report = validate_measurement(m, tol)
-    if not m_report:
-        raise ValueError(
-            f"invalid measurement: failures={dict(m_report.failures)!r}, "
-            f"sum deviation {m_report.deviation:.3e}"
-        )
+    ensemble.validate(tol)
+    m.validate(tol)
     s_x, b_x = ensemble.scalars, ensemble.blochs
     raw = 2.0 * (s_x[:, None] * m.scalars + b_x @ m.blochs.T)
     # Validated arguments are finite, so the minimum decides.

@@ -116,25 +116,30 @@ def counts(phi: np.ndarray, k: int) -> np.ndarray:
     return np.stack(per_answer, axis=-1)
 
 
-def gamma(c: Sequence[int], inner_product: float) -> float:
+def gamma(c: Sequence[int] | np.ndarray, inner_product: float) -> float | np.ndarray:
     """Unnormalized discrimination score of a count vector ``(ap, am, bp, bm)``.
 
     ``total + sqrt(da^2 + db^2 + 2 da db (a.b))`` with ``da, db`` the
     signed count differences along the two axes.  Monotone in each count,
     which is what makes the constrained maxima easy to read off.  The
     radicand is regrouped around the exact integer square it approaches,
-    so it does not cancel as ``a.b`` nears ``+-1``.
+    so it does not cancel as ``a.b`` nears ``+-1``.  One count vector gives
+    a ``float``; an integer array of shape ``[..., 4]`` gives one score per
+    row, equal to the score of that row on its own.
     """
     if not -1.0 <= inner_product <= 1.0:
         raise ValueError(f"inner product must lie in [-1, 1], got {inner_product!r}")
-    ap, am, bp, bm = map(int, c)
+    ap, am, bp, bm = np.moveaxis(np.asarray(c, dtype=np.int64), -1, 0)
     da = ap - am
     db = bp - bm
-    if da * db < 0:
-        radicand = (da + db) ** 2 - 2.0 * da * db * (1.0 - inner_product)
-    else:
-        radicand = (da - db) ** 2 + 2.0 * da * db * (1.0 + inner_product)
-    return ap + am + bp + bm + float(np.sqrt(max(radicand, 0.0)))
+    cross = 2.0 * da * db
+    radicand = np.where(
+        da * db < 0,
+        (da + db) ** 2 - cross * (1.0 - inner_product),
+        (da - db) ** 2 + cross * (1.0 + inner_product),
+    )
+    score = ap + am + bp + bm + np.sqrt(np.maximum(radicand, 0.0))
+    return float(score) if score.ndim == 0 else score
 
 
 @dataclass(frozen=True, eq=False)
@@ -340,8 +345,9 @@ def certify_optimal(
     stationarity alone accepts any ``Lambda`` that a used member attains.
     Outcome functions without an entry in ``m`` carry the zero effect.
     """
-    report = m.validate(tol)
-    if not report:
+    try:
+        m.validate(tol)
+    except ValueError:
         return False
     return certificate_residual(aux, m) <= tol and aux.dual_gap <= tol
 

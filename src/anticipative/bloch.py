@@ -12,6 +12,13 @@ ensemble against a measurement is the single contraction
 in this module.  ``validate`` on an ensemble or a measurement returns nothing
 and raises ValueError naming the first bad row, or else the deviation of the
 completeness sum.
+
+The arrays may carry leading stack axes, ``scalars[..., n]`` and
+``blochs[..., n, 3]``: a stack of families sharing one label tuple, such
+as the same ensemble at many angles.  Every check then runs on the whole
+stack at once and its message ends with the stack index of the first
+failing entry; the Born table of two stacks is the stack of their tables,
+``probs[..., x, z]``, computed entry by entry exactly as for one pair.
 """
 
 from __future__ import annotations
@@ -121,6 +128,30 @@ def projector(direction: object, tol: float = DEFAULT_TOL) -> HermitianOp:
     return HermitianOp(0.5, 0.5 * u)
 
 
+# The checks below test a whole stack at once and look for the entry to name
+# only once a test has failed.  Each test of a row is written so that a NaN
+# fails it; a sum is tested only after its rows passed, so it is not NaN.
+# On one unstacked object the sums are numpy scalars, whose arithmetic is
+# cheaper than that of arrays.
+
+
+def first_true(bad: np.ndarray) -> tuple[int, ...]:
+    """Index of the first true entry of ``bad``, in C order."""
+    return tuple(int(i) for i in np.unravel_index(int(bad.argmax()), bad.shape))
+
+
+def stack_note(index: tuple[int, ...]) -> str:
+    """Message suffix naming the stack entry ``index``; empty when it is ``()``."""
+    if not index:
+        return ""
+    return f" at stack index {index[0] if len(index) == 1 else index}"
+
+
+def float_or_array(value: np.ndarray) -> float | np.ndarray:
+    """A Python float for an unstacked (0-d) numpy result, else the array itself."""
+    return float(value) if value.ndim == 0 else value
+
+
 def _position(labels: tuple[Label, ...], label: Label) -> int:
     try:
         return labels.index(label)
@@ -129,7 +160,7 @@ def _position(labels: tuple[Label, ...], label: Label) -> int:
 
 
 class _Operators:
-    """Labelled operators ``scalars[i] * I + blochs[i] . sigma``.
+    """Labelled operators ``scalars[..., i] * I + blochs[..., i, :] . sigma``.
 
     Subclasses name their labels and call :meth:`_freeze` once built.
     """
@@ -145,12 +176,13 @@ class _Operators:
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate labels in {labels!r}")
         n = len(labels)
-        scalars = np.array(self.scalars, dtype=float)
-        blochs = np.array(self.blochs, dtype=float)
-        if scalars.shape != (n,) or blochs.shape != (n, 3):
+        scalars = np.array(self.scalars, dtype=float, order="C")
+        blochs = np.array(self.blochs, dtype=float, order="C")
+        if scalars.shape[-1:] != (n,) or blochs.shape != scalars.shape + (3,):
             raise ValueError(
                 f"{n} labels need scalars of shape ({n},) and blochs of shape "
-                f"({n}, 3), got {scalars.shape} and {blochs.shape}"
+                f"({n}, 3), after the same stack axes, got {scalars.shape} and "
+                f"{blochs.shape}"
             )
         scalars.setflags(write=False)
         blochs.setflags(write=False)
@@ -158,12 +190,22 @@ class _Operators:
         object.__setattr__(self, "scalars", scalars)
         object.__setattr__(self, "blochs", blochs)
 
+    @property
+    def stack(self) -> tuple[int, ...]:
+        """Shape of the leading stack axes; ``()`` for a single family."""
+        return self.scalars.shape[:-1]
+
     def index(self, label: Label) -> int:
         """Row of ``label`` in the arrays; KeyError if there is none."""
         return _position(self.labels, label)
 
     def __getitem__(self, label: Label) -> HermitianOp:
         i = self.index(label)
+        if self.stack:
+            raise ValueError(
+                f"{label!r} names one operator per entry of a stack of shape "
+                f"{self.stack}; read scalars[..., {i}] and blochs[..., {i}, :] instead"
+            )
         return HermitianOp(self.scalars[i], self.blochs[i])
 
     def __iter__(self) -> Iterator[Label]:
@@ -172,10 +214,9 @@ class _Operators:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def _eigenvalues(self) -> tuple[np.ndarray, np.ndarray]:
-        """Smallest and largest eigenvalue of every row."""
-        r = np.sqrt(np.add.reduce(self.blochs * self.blochs, axis=1))
-        return self.scalars - r, self.scalars + r
+    def _radii(self) -> np.ndarray:
+        """``|bloch|`` of every row: the eigenvalues are ``scalar -+ |bloch|``."""
+        return np.sqrt(np.vecdot(self.blochs, self.blochs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,24 +247,34 @@ class Measurement(_Operators):
         failing outcome, or else the largest componentwise deviation of the
         effect sum from the identity.
         """
-        lo, hi = self._eigenvalues()
-        # Tested as "not within bounds", so a NaN entry fails its row.
-        positive = lo >= -tol
-        bad = ~(positive & (hi <= 1.0 + tol))
-        if np.count_nonzero(bad):
-            i = int(bad.argmax())
+        r = self._radii()
+        lo, hi = self.scalars - r, self.scalars + r
+        # np.add.reduce and friends: the ndarray methods add a Python layer
+        # per call, which on these few-row arrays costs more than the work.
+        if not (
+            np.minimum.reduce(lo, axis=None) >= -tol
+            and np.maximum.reduce(hi, axis=None) <= 1.0 + tol
+        ):
+            positive = lo >= -tol
+            *at, i = first_true(~(positive & (hi <= 1.0 + tol)))
             problem = (
-                f"exceeds effect bound (max eigenvalue {hi[i]:.3e})"
-                if positive[i]
-                else f"not positive (min eigenvalue {lo[i]:.3e})"
+                f"exceeds effect bound (max eigenvalue {hi[(*at, i)]:.3e})"
+                if positive[(*at, i)]
+                else f"not positive (min eigenvalue {lo[(*at, i)]:.3e})"
             )
-            raise ValueError(f"invalid measurement: {self.outcomes[i]!r} {problem}")
-        # np.add.reduce: the ndarray methods add a Python layer per call,
-        # which on these few-row arrays costs more than the arithmetic.
-        sum_s = float(np.add.reduce(self.scalars))
-        deviation = max(abs(sum_s - 1.0), *np.abs(np.add.reduce(self.blochs)).tolist())
-        if not deviation <= tol:
-            raise ValueError(f"invalid measurement: sum deviation {deviation:.3e}")
+            raise ValueError(
+                f"invalid measurement: {self.outcomes[i]!r} {problem}"
+                f"{stack_note(tuple(at))}"
+            )
+        off_s = abs(np.add.reduce(self.scalars, axis=-1) - 1.0)
+        off_b = abs(np.add.reduce(self.blochs, axis=-2))
+        if np.count_nonzero(off_s > tol) or np.count_nonzero(off_b > tol):
+            deviation = np.maximum(off_s, np.max(off_b, axis=-1))
+            at = first_true(deviation > tol)
+            raise ValueError(
+                f"invalid measurement: sum deviation {deviation[at]:.3e}"
+                f"{stack_note(at)}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +299,9 @@ class StateEnsemble(_Operators):
     def labels(self) -> tuple[Label, ...]:
         return self.inputs
 
-    def total_trace(self) -> float:
-        return 2.0 * float(np.add.reduce(self.scalars))
+    def total_trace(self) -> float | np.ndarray:
+        """Sum of the state traces; one per entry of a stack."""
+        return float_or_array(2.0 * np.add.reduce(self.scalars, axis=-1))
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         """Raise ValueError unless every state is positive with unit total trace.
@@ -257,25 +309,29 @@ class StateEnsemble(_Operators):
         The message names the first non-positive input, or else the
         deviation of the total trace from one.
         """
-        lo, _ = self._eigenvalues()
-        bad = ~(lo >= -tol)
-        if np.count_nonzero(bad):
-            i = int(bad.argmax())
+        lo = self.scalars - self._radii()
+        if not np.minimum.reduce(lo, axis=None) >= -tol:
+            *at, i = first_true(~(lo >= -tol))
             raise ValueError(
-                f"invalid ensemble: {self.inputs[i]!r} "
-                f"not positive (min eigenvalue {lo[i]:.3e})"
+                f"invalid ensemble: {self.inputs[i]!r} not positive "
+                f"(min eigenvalue {lo[(*at, i)]:.3e}){stack_note(tuple(at))}"
             )
-        deviation = abs(self.total_trace() - 1.0)
-        if not deviation <= tol:
-            raise ValueError(f"invalid ensemble: trace deviation {deviation:.3e}")
+        deviation = abs(2.0 * np.add.reduce(self.scalars, axis=-1) - 1.0)
+        if np.count_nonzero(deviation > tol):
+            at = first_true(deviation > tol)
+            raise ValueError(
+                f"invalid ensemble: trace deviation {deviation[at]:.3e}"
+                f"{stack_note(at)}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
 class JointTable:
     """Joint probability table ``p(x, z)`` over inputs and outcomes.
 
-    ``probs[i, j]`` is the probability of input ``inputs[i]`` together with
-    outcome ``outcomes[j]``.  Entries are non-negative and sum to one.
+    ``probs[..., i, j]`` is the probability of input ``inputs[i]`` together
+    with outcome ``outcomes[j]``, in each table of a stack.  Entries are
+    non-negative and each table sums to one.
     """
 
     inputs: tuple[Label, ...]
@@ -286,7 +342,7 @@ class JointTable:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outcomes", tuple(self.outcomes))
         arr = np.array(self.probs, dtype=float)
-        if arr.shape != (len(self.inputs), len(self.outcomes)):
+        if arr.shape[-2:] != (len(self.inputs), len(self.outcomes)):
             raise ValueError(
                 f"table shape {arr.shape} does not match "
                 f"{len(self.inputs)} inputs x {len(self.outcomes)} outcomes"
@@ -294,12 +350,14 @@ class JointTable:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
-    def prob(self, x: Label, z: Label) -> float:
+    def prob(self, x: Label, z: Label) -> float | np.ndarray:
+        """``p(x, z)``; one per entry of a stack."""
         i = _position(self.inputs, x)
-        return float(self.probs[i, _position(self.outcomes, z)])
+        return float_or_array(self.probs[..., i, _position(self.outcomes, z)])
 
-    def total(self) -> float:
-        return float(self.probs.sum())
+    def total(self) -> float | np.ndarray:
+        """Sum of the table; one per entry of a stack."""
+        return float_or_array(np.add.reduce(self.probs, axis=(-2, -1)))
 
 
 def joint_table(
@@ -309,33 +367,40 @@ def joint_table(
 
     Computed in one contraction of the arrays,
     ``probs = 2 (s_x s_z^T + B_x B_z^T)``: rows follow ``ensemble.inputs``
-    and columns ``m.outcomes``.  Both arguments are validated first.  Tiny
-    negative entries in ``(-tol, 0)`` produced by rounding are clamped to
-    zero; the rows must marginalize to the state traces and the table must
-    sum to one.
+    and columns ``m.outcomes``.  Stacked arguments give the stack of their
+    tables, their stack axes broadcast against each other; each table is
+    the same batched matmul as for one pair, so it matches that pair's
+    table bit for bit.  Both arguments are validated first.  Tiny negative
+    entries in ``(-tol, 0)`` produced by rounding are clamped to zero; the
+    rows must marginalize to the state traces and each table must sum to
+    one.
     """
     ensemble.validate(tol)
     m.validate(tol)
     s_x, b_x = ensemble.scalars, ensemble.blochs
-    raw = 2.0 * (s_x[:, None] * m.scalars + b_x @ m.blochs.T)
-    # Validated arguments are finite, so the minimum decides.
+    raw = 2.0 * (s_x[..., :, None] * m.scalars[..., None, :] + b_x @ m.blochs.mT)
+    # Validated arguments are finite, so the extremes decide.
     if np.minimum.reduce(raw, axis=None) < -tol:
-        i, j = np.argwhere(raw < -tol)[0]
+        *at, i, j = first_true(raw < -tol)
         raise ValueError(
             f"negative probability p({ensemble.inputs[i]!r}, {m.outcomes[j]!r}) "
-            f"= {float(raw[i, j])!r}"
+            f"= {float(raw[(*at, i, j)])!r}{stack_note(tuple(at))}"
         )
     probs = np.maximum(raw, 0.0)
-    rows = np.add.reduce(probs, axis=1)
+    rows = np.add.reduce(probs, axis=-1)
     traces = 2.0 * s_x
-    off = np.abs(rows - traces) > tol
-    if np.count_nonzero(off):
-        i = int(off.argmax())
+    off = np.abs(rows - traces)
+    if np.maximum.reduce(off, axis=None) > tol:
+        *at, i = bad = first_true(off > tol)
+        expected = np.broadcast_to(traces, rows.shape)[bad]
         raise ValueError(
-            f"row {ensemble.inputs[i]!r} sums to {float(rows[i])!r}, "
-            f"expected {float(traces[i])!r}"
+            f"row {ensemble.inputs[i]!r} sums to {float(rows[bad])!r}, "
+            f"expected {float(expected)!r}{stack_note(tuple(at))}"
         )
-    total = float(np.add.reduce(probs, axis=None))
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"table sums to {total!r}, expected 1")
+    total = np.add.reduce(probs, axis=(-2, -1))
+    if np.count_nonzero(abs(total - 1.0) > tol):
+        at = first_true(abs(total - 1.0) > tol)
+        raise ValueError(
+            f"table sums to {float(total[at])!r}, expected 1{stack_note(at)}"
+        )
     return JointTable(ensemble.inputs, m.outcomes, probs)

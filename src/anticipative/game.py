@@ -16,7 +16,10 @@ against the channel that always leaks the empty set.
 Only the joint table depends on the measured angle.  What a game's
 structure ``(inputs, answers, correctness)`` fixes is built and checked
 once and shared: the ``correct`` table, the leaks of each ``k`` and each
-leak's validation against that structure.
+leak's validation against that structure.  A game may hold a stack of
+joint tables, ``probs[..., x, z]`` (one per angle, say); strategies,
+weights and success values then carry the same leading axes, and each
+entry is computed exactly as for its table alone.
 """
 
 from __future__ import annotations
@@ -28,7 +31,14 @@ from typing import Callable
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, JointTable, Label
+from .bloch import (
+    DEFAULT_TOL,
+    JointTable,
+    Label,
+    first_true,
+    float_or_array,
+    stack_note,
+)
 
 #: An exclusion set, canonically ordered by answer index.
 ExclusionSet = tuple[Label, ...]
@@ -53,6 +63,12 @@ def _frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
+
+
+@lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """Read-only ``n x n`` identity: row ``y`` is the rule that guesses ``y``."""
+    return _frozen(np.eye(n))
 
 
 # The checks below reduce with ``np.add.reduce`` and test with
@@ -124,6 +140,25 @@ def _membership(
 ) -> np.ndarray:
     """``[y, s]``: 1.0 when ``sets[s]`` contains ``answers[y]``; read-only."""
     return _frozen([[y in s for s in sets] for y in answers])
+
+
+@lru_cache(maxsize=64)
+def _leak_correct(
+    alpha: "PartialInfoMap",
+    inputs: tuple[Label, ...],
+    answers: tuple[Label, ...],
+    correctness: Callable[[Label, Label], bool],
+) -> np.ndarray:
+    """``[s * len(answers) + y, x]``: ``alpha(sets[s] | x) correct[x, y]``; read-only.
+
+    The angle-independent factor of the Bayes scores and of the win
+    weights, so that each of them is one matmul with the joint tables or
+    the strategies.  Built once per validated leak and game structure.
+    With a 0/1 ``correct`` each entry is exactly a leak weight or zero.
+    """
+    correct = _correct_table(inputs, answers, correctness)
+    table = alpha.weights.T[:, None, :] * correct.T[None, :, :]
+    return _frozen(table.reshape(-1, len(inputs)))
 
 
 def _holds_correct(
@@ -198,11 +233,13 @@ def _check_leak(
 class PostProcessing:
     """Guessing strategy ``nu(y | z, S)``.
 
-    ``guess[j, o, a]`` is ``nu(answers[a] | outcomes[o], sets[j])``; each
-    ``guess[j, o]`` is a distribution over answers.  Strategies that ignore
-    the posterior information have the single set ``NO_INFO``.  The labels
-    travel with the array, so a strategy is only scored against a game and
-    leak with the same outcomes, answers and sets.
+    ``guess[..., j, o, a]`` is ``nu(answers[a] | outcomes[o], sets[j])``;
+    each ``guess[..., j, o]`` is a distribution over answers.  Leading axes
+    hold a stack of strategies, one per table of a stacked game.
+    Strategies that ignore the posterior information have the single set
+    ``NO_INFO``.  The labels travel with the array, so a strategy is only
+    scored against a game and leak with the same outcomes, answers and
+    sets.
     """
 
     sets: tuple[ExclusionSet, ...]
@@ -213,7 +250,7 @@ class PostProcessing:
     def __post_init__(self) -> None:
         guess = _frozen(self.guess)
         shape = (len(self.sets), len(self.outcomes), len(self.answers))
-        if guess.shape != shape:
+        if guess.shape[-3:] != shape:
             raise ValueError(f"guess has shape {guess.shape}, expected {shape}")
         object.__setattr__(self, "guess", guess)
 
@@ -235,14 +272,17 @@ class PostProcessing:
                 f"post-processing guesses unknown answers {self.answers!r}; "
                 f"the game's are {game.answers!r}"
             )
-        totals = np.add.reduce(self.guess, axis=2)
-        negative = self.guess < -tol
-        bad = np.abs(totals - 1.0) > tol
-        if np.count_nonzero(negative) or np.count_nonzero(bad):
-            j, o = np.argwhere(bad | negative.any(axis=2))[0]
+        totals = np.add.reduce(self.guess, axis=-1)
+        off = np.abs(totals - 1.0)
+        if not (
+            np.minimum.reduce(self.guess, axis=None) >= -tol
+            and np.maximum.reduce(off, axis=None) <= tol
+        ):
+            negative = np.logical_or.reduce(~(self.guess >= -tol), axis=-1)
+            *at, j, o = bad = first_true(~(off <= tol) | negative)
             raise ValueError(
                 f"rule for ({self.sets[j]!r}, {self.outcomes[o]!r}) is not a "
-                f"distribution (sum {totals[j, o]})"
+                f"distribution (sum {totals[bad]}){stack_note(tuple(at))}"
             )
 
 
@@ -298,14 +338,17 @@ def win_weights(
 ) -> np.ndarray:
     """Winning probability of ``nu`` per input and outcome.
 
-    Returns ``w[x, z] = sum_S alpha(S | x) sum_y correctness(x, y)
-    nu(y | z, S)``, indexed by ``game.inputs`` and ``game.outcomes``.
-    ``nu`` must have a rule for every outcome of the game, whatever its
-    probability, and exactly the leaked sets of ``alpha``, in its order.
+    Returns ``w[..., x, z] = sum_S alpha(S | x) sum_y correctness(x, y)
+    nu(y | z, S)``, indexed by ``game.inputs`` and ``game.outcomes``, with
+    the stack axes of ``nu``.  ``nu`` must have a rule for every outcome of
+    the game, whatever its probability, and exactly the leaked sets of
+    ``alpha``, in its order.
     """
     alpha.validate(game, tol)
     nu.validate(game, alpha.sets, tol)
-    return np.einsum("xs,szy,xy->xz", alpha.weights, nu.guess, game.correct)
+    table = _leak_correct(alpha, game.inputs, game.answers, game.correctness)
+    rules = nu.guess.mT  # [..., s, y, z]
+    return table.T @ rules.reshape(rules.shape[:-3] + (-1, rules.shape[-1]))
 
 
 def success_with_cpost(
@@ -313,20 +356,20 @@ def success_with_cpost(
     alpha: PartialInfoMap,
     nu: PostProcessing,
     tol: float = DEFAULT_TOL,
-) -> float:
+) -> float | np.ndarray:
     """Average winning probability when guesses may use the leaked set.
 
     Sums ``correctness(x, y) nu(y | z, S) alpha(S | x) p(x, z)`` over all
     inputs, outcomes, leaked sets and answers: the joint table weighted by
-    :func:`win_weights`.
+    :func:`win_weights`.  A float, or one value per entry of a stack.
     """
     weighted = game.joint.probs * win_weights(game, alpha, nu, tol)
-    return float(np.add.reduce(weighted, axis=None))
+    return float_or_array(np.add.reduce(weighted, axis=(-2, -1)))
 
 
 def success_no_cpost(
     game: GameSpec, nu0: PostProcessing, tol: float = DEFAULT_TOL
-) -> float:
+) -> float | np.ndarray:
     """Average winning probability of a strategy that sees only ``z``.
 
     The strategy's only set must be ``NO_INFO``.
@@ -342,9 +385,13 @@ def bayes_optimal_post(
     For each leaked set and outcome it scores every answer by
     ``sum_x correctness(x, y) alpha(S | x) p(x, z)`` and puts all mass on
     the best one.  Ties resolve to the earliest answer in the game's
-    answer order, which makes the output deterministic.
+    answer order, which makes the output deterministic.  A stacked game
+    gives the stack of each table's strategy.
     """
     alpha.validate(game, tol)
-    scores = np.einsum("xs,xz,xy->szy", alpha.weights, game.joint.probs, game.correct)
-    guess = np.eye(len(game.answers))[scores.argmax(axis=2)]
+    table = _leak_correct(alpha, game.inputs, game.answers, game.correctness)
+    scores = table @ game.joint.probs  # [..., s * len(answers) + y, z]
+    n_answers = len(game.answers)
+    scores = scores.reshape(scores.shape[:-2] + (len(alpha.sets), n_answers, -1))
+    guess = _identity(n_answers)[scores.argmax(axis=-2)]
     return PostProcessing(alpha.sets, game.outcomes, game.answers, guess)

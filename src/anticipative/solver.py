@@ -236,7 +236,8 @@ def build_auxiliary(theta: float, k: int) -> AuxiliaryEnsemble:
     the counts come from :func:`counts` and ``C`` is fixed by unit total
     trace: ``C = 64`` for ``k = 1`` and ``C = 1024`` for ``k = 2``.
     """
-    theta = check_theta(theta)
+    # One angle: float() rejects an array, which the task's checks accept.
+    theta = check_theta(float(theta))
     if k not in SOLVER_K:
         raise ValueError(f"k must be one of {SOLVER_K}, got {k!r}")
     a, b = basis_vectors(theta)
@@ -311,7 +312,7 @@ def paired_measurement(
     ``-a`` in place of ``a`` under ``flip_a``.  All remaining outcome
     functions implicitly carry the zero effect.
     """
-    a, b = basis_vectors(theta)
+    a, b = basis_vectors(float(theta))
     m_axis, n_axis = kind_axes(ANTICIPATIVE, -a if flip_a else a, b)
     axis = n_axis if order == "ab" else m_axis
     plus = fallback_function(k, +1, order, flip_a)

@@ -7,6 +7,12 @@ standard measurement) or along two tilted axes chosen in anticipation of
 the wrong answers leaked after the measurement (the anticipative
 measurement).  This module builds both setups and knows the exact success
 probabilities of all six scenarios.
+
+The geometry and the pipeline take one angle or a 1-D array of angles.
+An array runs through the same code with a leading stack axis: axes of
+shape ``[n, 3]``, ensembles and measurements stacked over the angles, one
+stacked Born table and one success value per angle, each equal to what
+that angle alone gives.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import Measurement, StateEnsemble, joint_table
+from .bloch import Measurement, StateEnsemble, first_true, joint_table
 from .game import (
     GameSpec,
     PostProcessing,
@@ -56,12 +62,31 @@ K_VALUES = (0, 1, 2)
 _THETA_SLACK = 1e-12
 
 
-def check_theta(theta: float) -> float:
-    """Validate the axis angle; the task needs ``0 < theta <= pi/2``."""
-    theta = float(theta)
-    if not 0.0 < theta <= math.pi / 2 + _THETA_SLACK:
-        raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
-    return theta
+def check_theta(theta: float | np.ndarray) -> float | np.ndarray:
+    """Validate the axis angle; the task needs ``0 < theta <= pi/2``.
+
+    A scalar comes back as a float.  A 1-D array of angles comes back as a
+    float array; it must not be empty, and the message names its first
+    angle out of range (NaN included).
+    """
+    # isinstance first: np.ndim costs more than the whole check of a float.
+    if isinstance(theta, float) or np.ndim(theta) == 0:
+        theta = float(theta)
+        if not 0.0 < theta <= math.pi / 2 + _THETA_SLACK:
+            raise ValueError(f"theta must lie in (0, pi/2], got {theta!r}")
+        return theta
+    thetas = np.array(theta, dtype=float)
+    if thetas.ndim != 1 or not thetas.size:
+        raise ValueError(
+            f"theta must be a float or a non-empty 1-D array, got shape {thetas.shape}"
+        )
+    bad = ~((thetas > 0.0) & (thetas <= math.pi / 2 + _THETA_SLACK))
+    if np.count_nonzero(bad):
+        bad = first_true(bad)
+        raise ValueError(
+            f"theta must lie in (0, pi/2], got {float(thetas[bad])!r} at index {bad[0]}"
+        )
+    return thetas
 
 
 def _check_kind(kind: str) -> None:
@@ -111,17 +136,21 @@ def signed_label(axis: str, sign: int) -> str:
     return ("+" if sign > 0 else "-") + axis
 
 
-def basis_vectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
+#: Reflection across the symmetry axis: it maps ``a`` to ``b``.
+_MIRROR = np.array([1.0, -1.0, 1.0])
+
+
+def basis_vectors(theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit Bloch vectors of the two state axes.
 
     Both lie in the xy-plane at angles ``+theta/2`` and ``-theta/2`` from
-    the symmetry axis, so ``a . b = cos(theta)``.
+    the symmetry axis, so ``a . b = cos(theta)``.  Each has shape ``(3,)``
+    for one angle and ``(n, 3)`` for an array of ``n`` angles.
     """
-    theta = check_theta(theta)
-    half = theta / 2.0
-    a = np.array([math.cos(half), math.sin(half), 0.0])
-    b = np.array([math.cos(half), -math.sin(half), 0.0])
-    return a, b
+    half = check_theta(theta) / 2.0
+    # Rows (x, y, z) are built along the first axis; the copy puts them last.
+    a = np.ascontiguousarray(np.array((np.cos(half), np.sin(half), 0.0 * half)).T)
+    return a, a * _MIRROR
 
 
 def signed_axes(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -129,9 +158,10 @@ def signed_axes(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Over the state axes ``a, b`` these are the Bloch vectors of the states
     in :data:`INPUT_LABELS` order; over a kind's :func:`kind_axes` they are
-    the directions of its outcomes in :data:`KIND_OUTCOMES` order.
+    the directions of its outcomes in :data:`KIND_OUTCOMES` order.  Axes
+    of shape ``(..., 3)`` give rows of shape ``(..., 4, 3)``.
     """
-    return np.array((u, -u, v, -v))
+    return np.array((u, -u, v, -v)).swapaxes(0, -2)
 
 
 def kind_axes(kind: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -140,18 +170,27 @@ def kind_axes(kind: str, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.n
     The standard measurement uses the state axes ``a, b``.  The
     anticipative one tilts ``m`` toward ``b`` and ``n`` toward ``a``:
     ``m = (a + 3b)/|a + 3b|`` and ``n = (3a + b)/|3a + b|``; both norms are
-    ``sqrt(10 + 6 a.b)``.
+    ``sqrt(10 + 6 a.b)``.  Stacked axes ``(..., 3)`` give stacked results.
     """
     _check_kind(kind)
     if kind == STANDARD:
         return a, b
-    norm = math.sqrt(10.0 + 6.0 * float(a @ b))
+    # vecdot runs the dot kernel of ``a @ b``; an einsum rounds differently.
+    norm = np.sqrt(10.0 + 6.0 * np.vecdot(a, b))[..., None]
     return (a + 3.0 * b) / norm, (3.0 * a + b) / norm
+
+
+def _filled(shape: tuple[int, ...], value: float) -> np.ndarray:
+    """``np.full(shape, value)`` without its Python layer, which costs more here."""
+    arr = np.empty(shape)
+    arr.fill(value)
+    return arr
 
 
 def _ensemble(a: np.ndarray, b: np.ndarray) -> StateEnsemble:
     """:func:`make_ensemble` given the state axes rather than the angle."""
-    return StateEnsemble(INPUT_LABELS, np.full(4, 0.125), 0.125 * signed_axes(a, b))
+    blochs = 0.125 * signed_axes(a, b)
+    return StateEnsemble(INPUT_LABELS, _filled(blochs.shape[:-1], 0.125), blochs)
 
 
 def make_ensemble(theta: float) -> StateEnsemble:
@@ -162,7 +201,7 @@ def make_ensemble(theta: float) -> StateEnsemble:
 def _measurement(kind: str, a: np.ndarray, b: np.ndarray) -> Measurement:
     """Even mixture of the projective measurements along the kind's axes."""
     blochs = 0.25 * signed_axes(*kind_axes(kind, a, b))
-    return Measurement(KIND_OUTCOMES[kind], np.full(4, 0.25), blochs)
+    return Measurement(KIND_OUTCOMES[kind], _filled(blochs.shape[:-1], 0.25), blochs)
 
 
 def standard_measurement(theta: float) -> Measurement:
@@ -263,11 +302,12 @@ def priority_table(kind: str) -> dict[str, tuple[str, str, str, str]]:
     return table
 
 
-def discrimination_game(kind: str, theta: float) -> GameSpec:
+def discrimination_game(kind: str, theta: float | np.ndarray) -> GameSpec:
     """State discrimination as a guessing game: answer the input label.
 
     The state axes are computed once and shared by the ensemble and the
-    measurement.
+    measurement.  An array of angles gives one game over the stack of their
+    joint tables.
     """
     a, b = basis_vectors(theta)
     return GameSpec(
@@ -278,12 +318,16 @@ def discrimination_game(kind: str, theta: float) -> GameSpec:
     )
 
 
-def pipeline_success(scenario: Scenario, theta: float) -> float:
+def pipeline_success(
+    scenario: Scenario, theta: float | np.ndarray
+) -> float | np.ndarray:
     """Success of the Bayes-optimal strategy, computed from first principles.
 
     Builds the Born table, the exclusion channel and the optimal
     post-processing, then evaluates the matching success functional.  Must
-    agree with :func:`closed_form` to numerical precision.
+    agree with :func:`closed_form` to numerical precision.  One angle gives
+    a float; a 1-D array of angles gives an array of the same length, each
+    entry equal to the float its angle gives alone.
     """
     game = discrimination_game(scenario.kind, theta)
     if scenario.k == 0:

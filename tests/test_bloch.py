@@ -385,3 +385,148 @@ class TestJointTable:
         m = Measurement(("all",), [1.0 + 0.9e-3], [[0.0, 0.0, 0.0]])
         with pytest.raises(ValueError, match=r"table sums to 1.00\d+, expected 1$"):
             joint_table(ens, m, tol)
+
+
+class TestStacks:
+    """Leading stack axes: every check names the stack entry it failed on."""
+
+    def _z_stack(self, n=3):
+        ens = StateEnsemble(("0", "1"), np.full((n, 2), 0.25), np.tile(Z_PAIR[1], (n, 1, 1)))
+        m = Measurement(("+", "-"), np.full((n, 2), 0.5), np.tile([Z_UP, Z_DOWN], (n, 1, 1)))
+        return ens, m
+
+    def test_stacked_table_is_the_stack_of_tables(self):
+        thetas = theta_grid(7)
+        ens = make_ensemble(thetas)
+        assert ens.stack == (7,) and ens.blochs.shape == (7, 4, 3)
+        for kind in KINDS:
+            table = joint_table(ens, measurement_for(kind, thetas))
+            assert table.probs.shape == (7, 4, 4)
+            for i, theta in enumerate(thetas):
+                single = joint_table(make_ensemble(theta), measurement_for(kind, theta))
+                assert table.probs[i].tolist() == single.probs.tolist()
+            assert table.total().shape == (7,)
+            assert table.prob("+a", table.outcomes[0]).shape == (7,)
+
+    def test_stack_axes_broadcast(self):
+        ens, m = self._z_stack()
+        single = Measurement(("+", "-"), [0.5, 0.5], [Z_UP, Z_DOWN])
+        assert joint_table(ens, single).probs.shape == (3, 2, 2)
+        assert joint_table(StateEnsemble(("0", "1"), *Z_PAIR), m).probs.shape == (3, 2, 2)
+
+    def test_unstacked_results_stay_floats(self):
+        ens, m = (StateEnsemble(("0", "1"), *Z_PAIR),
+                  Measurement(("+", "-"), [0.5, 0.5], [Z_UP, Z_DOWN]))
+        table = joint_table(ens, m)
+        assert type(table.total()) is float and type(table.prob("0", "+")) is float
+        assert type(ens.total_trace()) is float
+
+    def test_lookup_on_a_stack_is_a_clear_error(self):
+        ens, m = self._z_stack()
+        with pytest.raises(ValueError, match=r"^'1' names one operator per entry of a stack"):
+            ens["1"]
+        with pytest.raises(ValueError, match=r"stack of shape \(3,\); read scalars\[\.\.\., 0\]"):
+            m["+"]
+        with pytest.raises(KeyError):
+            m["?"]
+
+    def test_layout_must_share_stack_axes(self):
+        with pytest.raises(ValueError, match="after the same stack axes"):
+            Measurement(("+", "-"), [0.5, 0.5], np.tile([Z_UP, Z_DOWN], (3, 1, 1)))
+
+    def test_bad_ensemble_row_names_stack_index(self):
+        ens, _ = self._z_stack()
+        blochs = ens.blochs.copy()
+        blochs[2, 1] = [0.3, 0.0, 0.0]
+        bad = StateEnsemble(ens.inputs, ens.scalars, blochs)
+        message = (
+            r"^invalid ensemble: '1' not positive \(min eigenvalue -5.000e-02\) "
+            r"at stack index 2$"
+        )
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
+        with pytest.raises(ValueError, match=message):
+            joint_table(bad, self._z_stack()[1])
+
+    def test_ensemble_trace_names_stack_index(self):
+        ens, _ = self._z_stack()
+        scalars = ens.scalars.copy()
+        scalars[1] = [0.25, 0.5]
+        bad = StateEnsemble(ens.inputs, scalars, ens.blochs)
+        message = r"^invalid ensemble: trace deviation 5.000e-01 at stack index 1$"
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
+
+    def test_bad_effect_names_stack_index(self):
+        _, m = self._z_stack()
+        scalars, blochs = m.scalars.copy(), m.blochs.copy()
+        scalars[1, 0] = 0.7
+        bad = Measurement(m.outcomes, scalars, blochs)
+        message = (
+            r"^invalid measurement: '\+' exceeds effect bound "
+            r"\(max eigenvalue 1.200e\+00\) at stack index 1$"
+        )
+        with pytest.raises(ValueError, match=message):
+            bad.validate()
+        nan = blochs.copy()
+        nan[2, 1, 0] = float("nan")
+        message = r"^invalid measurement: '-' not positive \(min eigenvalue nan\) at stack index 2$"
+        with pytest.raises(ValueError, match=message):
+            Measurement(m.outcomes, m.scalars, nan).validate()
+
+    def test_effect_sum_names_stack_index(self):
+        _, m = self._z_stack(4)
+        scalars, blochs = m.scalars.copy(), m.blochs.copy()
+        scalars[3], blochs[3] = [0.5, 0.25], 0.0
+        message = r"^invalid measurement: sum deviation 2.500e-01 at stack index 3$"
+        with pytest.raises(ValueError, match=message):
+            Measurement(m.outcomes, scalars, blochs).validate()
+
+    def test_multi_axis_stack_index(self):
+        ens = StateEnsemble(
+            ("0", "1"), np.full((2, 3, 2), 0.25), np.tile(Z_PAIR[1], (2, 3, 1, 1))
+        )
+        scalars = ens.scalars.copy()
+        scalars[1, 2] = 0.3
+        message = r"trace deviation 2.000e-01 at stack index \(1, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            StateEnsemble(ens.inputs, scalars, ens.blochs).validate()
+
+    # As in TestJointTable, each argument passes validation at tol = 1e-3
+    # while the table does not; only stack entry 1 is bad.
+
+    def test_negative_entry_names_stack_index(self):
+        tol, d = 1e-3, 0.9e-3
+        ens = StateEnsemble(("0",), [[0.5], [0.5]], [[[0.0, 0.0, 0.5]], [[0.0, 0.0, 0.5 + d]]])
+        m = Measurement(
+            ("E", "F"),
+            [(1 - d) / 2, (1 + d) / 2],
+            [[0.0, 0.0, -(1 + d) / 2], [0.0, 0.0, (1 + d) / 2]],
+        )
+        message = r"^negative probability p\('0', 'E'\) = -\S+ at stack index 1$"
+        with pytest.raises(ValueError, match=message):
+            joint_table(ens, m, tol)
+
+    def test_row_off_its_trace_names_stack_index(self):
+        tol, d = 1e-3, 0.9e-3
+        ens = StateEnsemble(("0",), [0.5], [Z_UP])
+        m = Measurement(
+            ("up", "down"),
+            [[0.5, 0.5], [0.5 + d, 0.5]],
+            [[Z_UP, Z_DOWN], [Z_UP, [0.0, 0.0, -0.5 + d]]],
+        )
+        message = r"^row '0' sums to 1.00\d+, expected 1.0 at stack index 1$"
+        with pytest.raises(ValueError, match=message):
+            joint_table(ens, m, tol)
+
+    def test_total_off_one_names_stack_index(self):
+        tol, eps = 1e-3, 0.2e-3
+        ens = StateEnsemble(
+            ("0", "1"),
+            [[0.25, 0.25], [0.25 + eps, 0.25 + eps]],
+            [[[0.0, 0.0, 0.25], [0.0, 0.0, -0.25]]] * 2,
+        )
+        m = Measurement(("all",), [[1.0], [1.0 + 0.9e-3]], [[[0.0, 0.0, 0.0]]] * 2)
+        message = r"^table sums to 1.00\d+, expected 1 at stack index 1$"
+        with pytest.raises(ValueError, match=message):
+            joint_table(ens, m, tol)

@@ -21,6 +21,7 @@ from anticipative.game import (
     no_exclusion_map,
     success_no_cpost,
     success_with_cpost,
+    win_weights,
 )
 from anticipative.task import (
     ANTICIPATIVE,
@@ -38,6 +39,15 @@ from anticipative.task import (
 
 def equality(x, y):
     return x == y
+
+
+#: A game where some inputs have two correct answers and some answers win
+#: on two inputs, so Bayes scores and win weights sum several terms.
+GENERAL_WINS = frozenset({("x0", "y0"), ("x0", "y1"), ("x1", "y1"), ("x2", "y2"), ("x2", "y3")})
+
+
+def general_correctness(x, y):
+    return (x, y) in GENERAL_WINS
 
 
 class TestExclusionSets:
@@ -280,6 +290,7 @@ class TestInputIndependentLeak:
 #: The caches of what a game's structure fixes, none of them keyed on theta.
 STRUCTURE_CACHES = (
     game_module._correct_table,
+    game_module._leak_correct,
     game_module._exclusion_map,
     game_module._no_exclusion_map,
     game_module._check_leak,
@@ -357,3 +368,81 @@ class TestStructureCaches:
                 pipeline_success(s, theta)
         sizes = [cache.cache_info().currsize for cache in STRUCTURE_CACHES]
         assert max(sizes) <= 4, sizes
+
+
+class TestStackedGames:
+    def test_stacked_functionals_equal_each_table(self):
+        thetas = theta_grid(9)
+        for kind in (STANDARD, ANTICIPATIVE):
+            stacked = discrimination_game(kind, thetas)
+            singles = [discrimination_game(kind, theta) for theta in thetas]
+            for k in (1, 2):
+                alpha = exclusion_info_map(stacked, k)
+                nu = bayes_optimal_post(stacked, alpha)
+                assert nu.guess.shape == (9, len(alpha.sets), 4, 4)
+                weights = win_weights(stacked, alpha, nu)
+                values = success_with_cpost(stacked, alpha, nu)
+                for i, single in enumerate(singles):
+                    nu1 = bayes_optimal_post(single, alpha)
+                    assert np.array_equal(nu.guess[i], nu1.guess)
+                    assert weights[i].tolist() == win_weights(single, alpha, nu1).tolist()
+                    assert values[i] == success_with_cpost(single, alpha, nu1)
+            # one unstacked strategy scored against every table of the stack
+            nu0 = priority_post(kind, 0)
+            assert success_no_cpost(stacked, nu0).tolist() == [
+                success_no_cpost(single, nu0) for single in singles
+            ]
+
+    def test_contractions_match_a_loop_on_a_general_game(self):
+        rng = np.random.default_rng(5)
+        inputs, answers = ("x0", "x1", "x2"), ("y0", "y1", "y2", "y3")
+        outcomes = tuple(f"z{i}" for i in range(5))
+        probs = rng.random((4, 3, 5))
+        probs /= probs.sum(axis=(1, 2), keepdims=True)
+        game = GameSpec(inputs, answers, general_correctness, JointTable(inputs, outcomes, probs))
+        alpha = exclusion_info_map(game, 1)
+        nu = bayes_optimal_post(game, alpha)
+        weights = win_weights(game, alpha, nu)
+        values = success_with_cpost(game, alpha, nu)
+        c, w = game.correct, alpha.weights
+        for n in range(4):
+            for s in range(len(alpha.sets)):
+                for z in range(5):
+                    scores = [sum(w[x, s] * probs[n, x, z] * c[x, y] for x in range(3))
+                              for y in range(4)]
+                    assert nu.guess[n, s, z].tolist() == np.eye(4)[np.argmax(scores)].tolist()
+            loop = [[sum(w[x, s] * c[x, y] * nu.guess[n, s, z, y]
+                         for s in range(len(alpha.sets)) for y in range(4))
+                     for z in range(5)] for x in range(3)]
+            assert weights[n] == pytest.approx(np.array(loop), abs=1e-15)
+            assert values[n] == pytest.approx(float((probs[n] * np.array(loop)).sum()), abs=1e-15)
+
+    def test_bad_rule_names_stack_index(self):
+        game = discrimination_game(STANDARD, theta_grid(3))
+        guess = np.tile(np.eye(4), (3, 1, 1, 1))
+        guess[2, 0, 1] = [0.5, 0.0, 0.0, 0.0]
+        nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
+        message = r"^rule for \(\(\), '-a'\) is not a distribution \(sum 0.5\) at stack index 2$"
+        with pytest.raises(ValueError, match=message):
+            success_no_cpost(game, nu0)
+
+    def test_unstacked_rule_message_unchanged(self):
+        game = discrimination_game(STANDARD, 1.0)
+        guess = np.zeros((1, 4, 4))
+        guess[..., 0] = 0.7
+        nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
+        message = r"^rule for \(\(\), '\+a'\) is not a distribution \(sum 0.7\)$"
+        with pytest.raises(ValueError, match=message):
+            success_no_cpost(game, nu0)
+
+    def test_nan_rule_is_not_a_distribution(self):
+        game = discrimination_game(STANDARD, 1.0)
+        guess = np.eye(4)[None].copy()
+        guess[0, 3, 2] = float("nan")
+        nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
+        with pytest.raises(ValueError, match=r"'-b'\) is not a distribution \(sum nan\)$"):
+            success_no_cpost(game, nu0)
+
+    def test_stacked_strategy_shape_checked(self):
+        with pytest.raises(ValueError, match="guess has shape"):
+            PostProcessing((NO_INFO,), ("z",), ("y",), np.ones((3, 1, 2, 1)))

@@ -235,6 +235,13 @@ class TestGamma:
 
 
 class TestBuildAuxiliary:
+    def test_one_angle_only(self):
+        # the task layer stacks angles; the solver takes one at a time
+        with pytest.raises(TypeError):
+            build_auxiliary(np.array([0.3, 0.5]), 1)
+        with pytest.raises(TypeError):
+            paired_measurement(np.array([0.3, 0.5]), 1, "ab")
+
     def test_normalization_constants(self):
         assert build_auxiliary(1.0, 1).normalization == pytest.approx(64.0)
         assert build_auxiliary(1.0, 2).normalization == pytest.approx(1024.0)

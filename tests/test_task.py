@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -252,6 +253,100 @@ class TestPipeline:
         row = game.correct[INPUT_LABELS.index("+a")]
         assert tuple(y for y, c in zip(game.answers, row) if not c) == ("-a", "+b", "-b")
         assert game.joint.total() == pytest.approx(1.0, abs=1e-15)
+
+
+#: theta_grid(25), a geometric sweep down to 1e-6 and the tie at pi/2.
+STACK = np.concatenate(
+    (theta_grid(25), np.geomspace(1e-6, math.pi / 2, 2000), [math.pi / 2])
+)
+
+#: pipeline_success per angle, in SCENARIOS order, as computed before angles
+#: could be stacked: the stacked path must keep these bits.
+PINNED = (
+    (1e-6, ("0x1.0000000000000p-1", "0x1.55555555553dep-1", "0x1.aaaaaaaaaa933p-1",
+            "0x1.fffffffffff74p-2", "0x1.555555555543cp-1", "0x1.aaaaaaaaaa991p-1")),
+    (math.pi / 50, ("0x1.0000000000000p-1", "0x1.553fc7aa85b00p-1",
+                    "0x1.aa951cffdb055p-1", "0x1.fff7eb420b9e4p-2",
+                    "0x1.55452a512bc9ap-1", "0x1.aa9a7fa6811efp-1")),
+    (0.7, ("0x1.0000000000000p-1", "0x1.4b4cc86e2a277p-1", "0x1.a0a21dc37f7ccp-1",
+           "0x1.fc551ea808650p-2", "0x1.4da277d7bc75bp-1", "0x1.a2f7cd2d11cb0p-1")),
+    (math.pi / 2, ("0x1.0000000000000p-1", "0x1.2aaaaaaaaaaabp-1",
+                   "0x1.8000000000000p-1", "0x1.f2dce89b636cbp-2",
+                   "0x1.31972be48c91cp-1", "0x1.86ec8139e1e71p-1")),
+)
+
+
+class TestStackedAngles:
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=str)
+    def test_stack_equals_scalar_calls(self, scenario):
+        stacked = pipeline_success(scenario, STACK)
+        assert stacked.shape == STACK.shape
+        assert stacked.tolist() == [pipeline_success(scenario, t) for t in STACK]
+
+    def test_pinned_bits(self):
+        thetas = np.array([theta for theta, _ in PINNED])
+        for i, scenario in enumerate(SCENARIOS):
+            stacked = pipeline_success(scenario, thetas)
+            for j, (theta, bits) in enumerate(PINNED):
+                value = pipeline_success(scenario, theta)
+                assert type(value) is float
+                assert value.hex() == float(stacked[j]).hex() == bits[i], (scenario, theta)
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=str)
+    def test_degenerate_geometry_matches_closed_forms(self, scenario):
+        # theta -> 0, where the anticipative advantage vanishes, and the tie at pi/2
+        closed = np.array([closed_form(scenario, t) for t in STACK[25:]])
+        gap = np.abs(pipeline_success(scenario, STACK[25:]) - closed)
+        assert gap.max() <= 1e-15, STACK[25:][gap.argmax()]
+
+    def test_geometry_rows_equal_scalar_calls(self):
+        a, b = basis_vectors(STACK)
+        assert a.shape == b.shape == (len(STACK), 3)
+        for kind in (STANDARD, ANTICIPATIVE):
+            u, v = kind_axes(kind, a, b)
+            for i in (0, 24, 25, 1000, len(STACK) - 1):
+                a1, b1 = basis_vectors(STACK[i])
+                u1, v1 = kind_axes(kind, a1, b1)
+                for got, want in ((a[i], a1), (b[i], b1), (u[i], u1), (v[i], v1)):
+                    assert got.tolist() == want.tolist()
+
+    def test_one_angle_stack(self):
+        value = pipeline_success(SCENARIOS[4], np.array([0.7]))
+        assert value.shape == (1,)
+        assert value[0] == pipeline_success(SCENARIOS[4], 0.7)
+        assert discrimination_game(ANTICIPATIVE, [0.7]).joint.probs.shape == (1, 4, 4)
+
+    @pytest.mark.parametrize(
+        ("bad", "first"),
+        [
+            ([0.3, float("nan"), -1.0], "nan at index 1"),
+            ([0.3, 0.5, 0.0], "0.0 at index 2"),
+            ([-0.2, 2.0], "-0.2 at index 0"),
+            ([1.0, math.pi / 2 + 1e-9], f"{math.pi / 2 + 1e-9!r} at index 1"),
+        ],
+    )
+    def test_angle_array_names_first_bad_angle(self, bad, first):
+        message = rf"^theta must lie in \(0, pi/2\], got {re.escape(first)}$"
+        with pytest.raises(ValueError, match=message):
+            check_theta(np.array(bad))
+        with pytest.raises(ValueError, match=message):
+            pipeline_success(SCENARIOS[1], bad)
+
+    @pytest.mark.parametrize(
+        "bad", [np.array([]), [], np.full((2, 3), 0.5)], ids=["empty", "empty-list", "2-d"]
+    )
+    def test_empty_or_2d_angle_array_rejected(self, bad):
+        shape = re.escape(str(np.shape(bad)))
+        message = rf"^theta must be a float or a non-empty 1-D array, got shape {shape}$"
+        with pytest.raises(ValueError, match=message):
+            pipeline_success(SCENARIOS[0], bad)
+
+    def test_float_messages_unchanged(self):
+        for bad in (float("nan"), 0.0, -0.3, np.float64(2.0), np.array(3.0)):
+            message = rf"^theta must lie in \(0, pi/2\], got {re.escape(repr(float(bad)))}$"
+            with pytest.raises(ValueError, match=message):
+                pipeline_success(SCENARIOS[0], bad)
+        assert check_theta(np.array(0.5)) == 0.5 and type(check_theta(np.array(0.5))) is float
 
 
 class TestPriorities:

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from anticipative import task
 from anticipative.bloch import Measurement, StateEnsemble
 from anticipative.verify import (
     FAULTS,
@@ -64,6 +65,24 @@ def test_validators_are_exercised(monkeypatch):
         monkeypatch.setattr(cls, "validate", _recording(cls.validate, name, called))
     assert run_verification(points=5).passed
     assert called == {"Measurement.validate", "StateEnsemble.validate"}
+
+
+def test_closed_forms_take_one_pipeline_call_per_scenario(monkeypatch):
+    # Each scenario runs the whole angle grid as one stack, not angle by angle.
+    calls = []
+    original = task.pipeline_success
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "anticipative"]
+    for holder in modules:
+        for key, value in list(vars(holder).items()):
+            if value is original:
+                monkeypatch.setattr(holder, key, counting)
+    assert run_verification().passed
+    assert len(calls) == 6
 
 
 def test_report_lines(report):

@@ -14,8 +14,10 @@ each kind's basis axes from the task (:func:`~anticipative.task.signed_axes`,
 entering only as the shrink factor ``s``: ``1 - p`` for the sampler,
 which draws its readout flips separately, and ``(1 - p)(1 - 2 eps)``
 (:attr:`NoiseModel.shrink`) for :func:`outcome_probability` and
-:func:`exact_success`, which fold the flip in.  A circuit's measurement
-angle is the polar angle of the same axis.
+:func:`exact_success`, which fold the flip in.  The sampler draws flip
+uniforms only when ``eps > 0``, and always after all of a run's Born
+uniforms, so every noise model reads the same Born uniforms.  A
+circuit's measurement angle is the polar angle of the same axis.
 
 Shots are counted per (state, outcome) cell, the outcome as column
 ``2 * i + bit`` for basis ``i`` of :data:`KIND_BASES` and bit 0 the ``+``
@@ -67,6 +69,22 @@ BASIS_MODES = ("even", "per-shot")
 
 #: Uniforms drawn per call into a run's reused buffer (512 KB of floats).
 CHUNK = 1 << 16
+
+
+def _one_angle(theta: float) -> float:
+    """``float(theta)`` for the functions that take one angle.
+
+    :func:`~anticipative.task.check_theta` accepts an array of angles,
+    which these functions cannot use, so an array is rejected here with
+    one message; anything else converts (or fails to) as ``float`` does.
+    """
+    if isinstance(theta, float):
+        return theta
+    if np.ndim(theta):
+        raise ValueError(
+            f"theta must be one angle, got an array of shape {np.shape(theta)}"
+        )
+    return float(theta)
 
 
 @dataclass(frozen=True)
@@ -135,7 +153,7 @@ class ExperimentPlan:
     basis_mode: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
+        object.__setattr__(self, "thetas", tuple(_one_angle(t) for t in self.thetas))
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "states", tuple(self.states))
         if not self.thetas:
@@ -219,7 +237,7 @@ class AngleSchedule:
 
 def state_angle(theta: float, state: str) -> float:
     """In-plane angle of a state: ``+-theta/2`` plus ``pi`` for antipodes."""
-    check_theta(theta)
+    theta = check_theta(_one_angle(theta))
     base = {"a": theta / 2.0, "b": -theta / 2.0}[state[1]]
     return base if state[0] == "+" else base + math.pi
 
@@ -231,7 +249,7 @@ def tilt_angle(theta: float) -> float:
     as ``2 arcsin(sin(theta/2) sqrt(2 / (5 + 3 cos(theta))))``: the arccos
     form loses about half the digits as ``theta -> 0``.
     """
-    theta = check_theta(theta)
+    theta = check_theta(_one_angle(theta))
     scale = math.sqrt(2.0 / (5.0 + 3.0 * math.cos(theta)))
     return 2.0 * math.asin(math.sin(theta / 2.0) * scale)
 
@@ -243,7 +261,7 @@ def measurement_angle(theta: float, kind: str, basis: str) -> float:
     (basis ``b``); anticipative runs at ``+omega/2`` (basis ``n``) or
     ``-omega/2`` (basis ``m``), with ``omega`` the :func:`tilt_angle`.
     """
-    u = kind_axes(kind, *basis_vectors(theta))[_basis_index(kind, basis)]
+    u = kind_axes(kind, *basis_vectors(_one_angle(theta)))[_basis_index(kind, basis)]
     return math.atan2(u[1], u[0])
 
 
@@ -282,7 +300,7 @@ def outcome_probability(
     rule and the readout flip mixes the recorded bit; both enter as the
     one factor :attr:`NoiseModel.shrink` on the overlap.
     """
-    table = _plus_probabilities(theta, kind, noise.shrink)
+    table = _plus_probabilities(_one_angle(theta), kind, noise.shrink)
     return float(table[INPUT_LABELS.index(state), _basis_index(kind, basis)])
 
 
@@ -336,10 +354,13 @@ def sample_run(run: RunSpec, noise: NoiseModel = NOISELESS) -> RunResult:
     """Sample every shot of a run from its own stream, :meth:`RunSpec.rng`.
 
     The stream layout is fixed: per-shot basis draws (per-shot mode only),
-    then one uniform per shot against the Born probability, then one
-    uniform per shot for the readout flip.  The Born draw uses the
-    probability before readout (the overlap shrunk by ``1 - p`` only), so
-    the flip is applied exactly once.
+    then one uniform per shot against the Born probability, then, only
+    when the readout flip ``eps`` is above 0, one uniform per shot for the
+    flip.  At ``eps = 0`` every flip would be false, so none is drawn; the
+    outcomes are those the flip pass would leave, and a run's bases and
+    Born uniforms are the same prefix of its stream under every noise
+    model.  The Born draw uses the probability before readout (the
+    overlap shrunk by ``1 - p`` only), so the flip is applied exactly once.
     Identical inputs give bit-identical outcomes.
 
     The uniforms are drawn :data:`CHUNK` at a time into one reused
@@ -364,9 +385,10 @@ def sample_run(run: RunSpec, noise: NoiseModel = NOISELESS) -> RunResult:
         hi = lo + len(u)
         p = p_plus if bases is None else p_pair[bases[lo:hi]]
         np.greater_equal(u, p, out=outcomes[lo:hi])
-    for lo in range(0, n, CHUNK):
-        u = rng.random(out=buf[: n - lo])
-        outcomes[lo : lo + len(u)] ^= u < noise.readout_flip
+    if noise.readout_flip > 0.0:
+        for lo in range(0, n, CHUNK):
+            u = rng.random(out=buf[: n - lo])
+            outcomes[lo : lo + len(u)] ^= u < noise.readout_flip
     return RunResult(run, outcomes.view(np.uint8), bases)
 
 
@@ -460,7 +482,7 @@ def exact_success(
     With no noise this equals the closed-form success probability of the
     scenario, which pins the estimator to the analytic layer.
     """
-    plus = _plus_probabilities(theta, kind, noise.shrink)
+    plus = _plus_probabilities(_one_angle(theta), kind, noise.shrink)
     probs = np.stack((plus, 1.0 - plus), axis=-1).reshape(len(INPUT_LABELS), 4)
     return 0.125 * float(np.sum(probs * success_weights(kind, k)))
 

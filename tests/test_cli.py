@@ -239,6 +239,37 @@ class TestSimulate:
         k2 = [r for r in rows if r["k"] == "2"]
         assert all(float(r["empirical"]) < float(r["analytic"]) for r in k2)
 
+    def test_noiseless_readout_rows_pinned(self, capsys):
+        # the deep benchmark's noise: depolarizing only, so no flip is drawn
+        code, out, err = run_cli(
+            ["simulate", "--noise-depol", "0.05", "--noise-readout", "0"]
+            + ["--points", "3", "--shots", "2000", "--seed", "11"],
+            capsys,
+        )
+        assert code == 0
+        assert err == ""
+        assert out == (
+            "theta,kind,k,analytic,empirical,stderr,shots,seed\n"
+            "0.0628318530718,standard,0,0.5,0.486625,0.00395143256756,2000,11\n"
+            "0.0628318530718,standard,1,0.666502227369,0.6489375,0.00377340712332,2000,11\n"
+            "0.0628318530718,standard,2,0.833168894036,0.815604166667,0.00306588088874,2000,11\n"
+            "0.0628318530718,anticipative,0,0.499969173342,0.4871875,0.00395154906211,2000,11\n"
+            "0.0628318530718,anticipative,1,0.66654331437,0.649791666667,0.00377129335074,2000,11\n"
+            "0.0628318530718,anticipative,2,0.833209981036,0.816458333333,0.00306037296812,2000,11\n"
+            "0.816814089933,standard,0,0.5,0.485875,0.00395126945088,2000,11\n"
+            "0.816814089933,standard,1,0.640378925494,0.62325,0.0038308732482,2000,11\n"
+            "0.816814089933,standard,2,0.807045592161,0.789916666667,0.00322052331141,2000,11\n"
+            "0.816814089933,anticipative,0,0.495246285457,0.4815,0.00395014042472,2000,11\n"
+            "0.816814089933,anticipative,1,0.646330522657,0.629583333333,0.00381778862467,2000,11\n"
+            "0.816814089933,anticipative,2,0.812997189324,0.79625,0.00318429679737,2000,11\n"
+            "1.57079632679,standard,0,0.5,0.4881875,0.00395174379897,2000,11\n"
+            "1.57079632679,standard,1,0.583333333333,0.572354166667,0.00391124080828,2000,11\n"
+            "1.57079632679,standard,2,0.75,0.739020833333,0.00347193247012,2000,11\n"
+            "1.57079632679,anticipative,0,0.487170824513,0.4756875,0.00394817127244,2000,11\n"
+            "1.57079632679,anticipative,1,0.596856471681,0.584895833333,0.00389545165452,2000,11\n"
+            "1.57079632679,anticipative,2,0.763523138347,0.7515625,0.00341610440226,2000,11\n"
+        )
+
     def test_single_shot_rows_pinned(self, capsys):
         # One shot per run still pools 8 per (theta, kind): 4 states x 2 bases.
         code, out, err = run_cli(

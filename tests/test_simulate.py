@@ -229,6 +229,34 @@ class TestAngles:
                         assert rotated == pytest.approx(overlap, abs=1e-12)
 
 
+#: The functions of this module that take one angle, each called with ``theta``.
+ONE_ANGLE_CALLS = {
+    "state_angle": lambda theta: state_angle(theta, "+a"),
+    "tilt_angle": tilt_angle,
+    "measurement_angle": lambda theta: measurement_angle(theta, ANTICIPATIVE, "m"),
+    "angle_schedule": lambda theta: angle_schedule(theta, STANDARD, "b"),
+    "outcome_probability": lambda theta: outcome_probability(
+        theta, "+a", STANDARD, "a"
+    ),
+    "exact_success": lambda theta: exact_success(theta, ANTICIPATIVE, 1),
+    "plan_experiment": lambda theta: plan_experiment([theta]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_ANGLE_CALLS))
+class TestOneAngle:
+    def test_array_rejected(self, name):
+        message = r"^theta must be one angle, got an array of shape \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            ONE_ANGLE_CALLS[name](np.array([0.3, 0.5]))
+
+    def test_float_message_unchanged(self, name):
+        # a float still gets check_theta's message
+        message = r"^theta must lie in \(0, pi/2\], got 2.0$"
+        with pytest.raises(ValueError, match=message):
+            ONE_ANGLE_CALLS[name](2.0)
+
+
 class TestSampling:
     def test_deterministic_replay(self):
         plan = plan_experiment([1.0], shots=500, seed=5)
@@ -301,6 +329,45 @@ class TestSampling:
             assert res.bases is None
         else:
             assert np.array_equal(res.bases, bases)
+
+    @pytest.mark.parametrize("shots", [CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    @pytest.mark.parametrize("basis", ["m", RANDOM_BASIS])
+    @pytest.mark.parametrize("eps", [0.0, -0.0])
+    def test_stream_layout_across_chunks_without_readout_flip(self, shots, basis, eps):
+        # at eps = 0 the reference draws bases, then n Born uniforms, no flips
+        noise = NoiseModel(0.2, eps)
+        run = RunSpec(5, 0.7, ANTICIPATIVE, "+b", basis, shots, 2026)
+        rng = np.random.default_rng(run.seed_sequence())
+        bases = rng.integers(0, 2, shots) if basis == RANDOM_BASIS else None
+        born = rng.random(shots)
+        p_plus = np.array(
+            [outcome_probability(0.7, "+b", ANTICIPATIVE, b, noise) for b in "mn"]
+        )
+        expected = born >= p_plus[0 if bases is None else bases]
+        res = sample_run(run, noise)
+        assert np.array_equal(res.outcomes, expected.astype(np.uint8))
+        if bases is None:
+            assert res.bases is None
+        else:
+            assert np.array_equal(res.bases, bases)
+
+    @pytest.mark.parametrize("basis", ["n", RANDOM_BASIS])
+    @pytest.mark.parametrize("eps", [0.0, -0.0, 0.1])
+    def test_draws_only_the_uniforms_it_reads(self, monkeypatch, basis, eps):
+        # the run's generator ends where the documented layout leaves a
+        # reference: flip uniforms are drawn only when eps > 0
+        shots = CHUNK + 5
+        run = RunSpec(2, 0.9, ANTICIPATIVE, "-a", basis, shots, 77)
+        held = np.random.default_rng(run.seed_sequence())
+        monkeypatch.setattr(RunSpec, "rng", lambda self: held)
+        sample_run(run, NoiseModel(0.1, eps))
+        reference = np.random.default_rng(run.seed_sequence())
+        if basis == RANDOM_BASIS:
+            reference.integers(0, 2, shots)
+        reference.random(shots)
+        if eps > 0.0:
+            reference.random(shots)
+        assert held.bit_generator.state == reference.bit_generator.state
 
 
 #: Rows of a weight table (``INPUT_LABELS`` order) and its columns: the

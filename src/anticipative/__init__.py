@@ -6,13 +6,10 @@ four-state qubit task.
 """
 
 from .bloch import (
-    HermitianOp,
     JointTable,
     Measurement,
     StateEnsemble,
     joint_table,
-    projector,
-    trace_product,
 )
 from .game import (
     GameSpec,
@@ -38,13 +35,12 @@ from .task import (
     SCENARIOS,
     Scenario,
     anticipative_directions,
-    anticipative_measurement,
     closed_form,
     make_ensemble,
+    measurement_for,
     pipeline_success,
     pq_values,
     priority_table,
-    standard_measurement,
     theta_grid,
 )
 from .simulate import (

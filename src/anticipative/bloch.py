@@ -1,24 +1,26 @@
 """Qubit operators in the Bloch parametrization.
 
 A Hermitian 2x2 operator means ``scalar * I + bloch . sigma`` with ``sigma``
-the vector of Pauli matrices; one such operator is a :class:`HermitianOp`.
-Ensembles and measurements are families of operators stored as arrays:
-labels ``(l_0, ..., l_{n-1})`` with ``scalars[n]`` and ``blochs[n, 3]``, row
-``i`` holding the operator of label ``l_i``.  Looking a label up returns its
-row as one :class:`HermitianOp`.  Traces, eigenvalues, positivity and the
-Born-rule table are all closed-form in this parametrization: the table of an
-ensemble against a measurement is the single contraction
-``p = 2 (s_x s_z^T + B_x B_z^T)``, so no complex matrices are needed anywhere
-in this module.  ``validate`` on an ensemble or a measurement returns nothing
-and raises ValueError naming the first bad row, or else the deviation of the
-completeness sum.
+the vector of Pauli matrices; its eigenvalues are ``scalar -+ |bloch|`` and
+its trace is ``2 * scalar``.  Ensembles and measurements are families of
+operators stored as arrays: labels ``(l_0, ..., l_{n-1})`` with
+``scalars[n]`` and ``blochs[n, 3]``, row ``i`` holding the operator of label
+``l_i``.  Looking a label up returns its row as the read-only pair
+``(scalar, bloch)``.  Eigenvalues, positivity and the Born-rule table are
+all closed-form in this parametrization: the table of an ensemble against
+a measurement is the single contraction ``p = 2 (s_x s_z^T + B_x B_z^T)``,
+so no complex matrices are needed anywhere in this module.  ``validate``
+on an ensemble or a measurement returns nothing and raises ValueError
+naming the first bad row, or else the deviation of the completeness sum.
 
 The arrays may carry leading stack axes, ``scalars[..., n]`` and
 ``blochs[..., n, 3]``: a stack of families sharing one label tuple, such
 as the same ensemble at many angles.  Every check then runs on the whole
 stack at once and its message ends with the stack index of the first
-failing entry; the Born table of two stacks is the stack of their tables,
-``probs[..., x, z]``, computed entry by entry exactly as for one pair.
+failing entry; a label's pair is then ``scalars[..., i]`` and
+``blochs[..., i, :]``, one row per entry.  The Born table of two stacks is
+the stack of their tables, ``probs[..., x, z]``, computed entry by entry
+exactly as for one pair.
 """
 
 from __future__ import annotations
@@ -33,66 +35,6 @@ DEFAULT_TOL = 1e-12
 
 #: Outcome and state labels are arbitrary hashable values.
 Label = Hashable
-
-
-def _as_bloch(vec: object) -> np.ndarray:
-    arr = np.array(vec, dtype=float)
-    if arr.shape != (3,):
-        raise ValueError(f"Bloch vector must have shape (3,), got {arr.shape}")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianOp:
-    """Hermitian operator ``scalar * I + bloch . sigma``.
-
-    Immutable after construction.  The eigenvalues are
-    ``scalar -+ |bloch|``, the trace is ``2 * scalar``.
-    """
-
-    scalar: float
-    bloch: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scalar", float(self.scalar))
-        object.__setattr__(self, "bloch", _as_bloch(self.bloch))
-
-    @property
-    def trace(self) -> float:
-        return 2.0 * self.scalar
-
-    @property
-    def bloch_norm(self) -> float:
-        return float(np.linalg.norm(self.bloch))
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """Eigenvalue pair ``(scalar - |bloch|, scalar + |bloch|)``."""
-        r = self.bloch_norm
-        return (self.scalar - r, self.scalar + r)
-
-    def is_positive(self, tol: float = DEFAULT_TOL) -> bool:
-        """Whether the smallest eigenvalue is >= -tol."""
-        return self.scalar - self.bloch_norm >= -tol
-
-    def allclose(self, other: "HermitianOp", tol: float = DEFAULT_TOL) -> bool:
-        return (
-            abs(self.scalar - other.scalar) <= tol
-            and bool(np.all(np.abs(self.bloch - other.bloch) <= tol))
-        )
-
-    def __repr__(self) -> str:
-        x, y, z = self.bloch
-        return f"HermitianOp({self.scalar:.6g}, [{x:.6g}, {y:.6g}, {z:.6g}])"
-
-
-def trace_product(a: HermitianOp, b: HermitianOp) -> float:
-    """Hilbert-Schmidt pairing ``tr[A B] = 2 (a0 b0 + a . b)``.
-
-    Symmetric and bilinear; this is the only contraction the Born rule
-    needs.
-    """
-    return 2.0 * (a.scalar * b.scalar + float(a.bloch @ b.bloch))
 
 
 def operator_product(
@@ -112,20 +54,6 @@ def operator_product(
     s = a0 * b0 + np.add.reduce(a * b, axis=-1)
     v = a0[..., None] * b + b0[..., None] * a + 1j * np.cross(a, b)
     return s, v
-
-
-def projector(direction: object, tol: float = DEFAULT_TOL) -> HermitianOp:
-    """Rank-one projector ``(I + direction . sigma) / 2`` onto a unit vector.
-
-    Raises ValueError if the direction is not unit length within ``tol``.
-    """
-    u = np.asarray(direction, dtype=float)
-    if u.shape != (3,):
-        raise ValueError(f"direction must have shape (3,), got {u.shape}")
-    norm = float(np.linalg.norm(u))
-    if abs(norm - 1.0) > tol:
-        raise ValueError(f"direction must be unit length, |u| = {norm!r}")
-    return HermitianOp(0.5, 0.5 * u)
 
 
 # The checks below test a whole stack at once and look for the entry to name
@@ -199,14 +127,10 @@ class _Operators:
         """Row of ``label`` in the arrays; KeyError if there is none."""
         return _position(self.labels, label)
 
-    def __getitem__(self, label: Label) -> HermitianOp:
+    def __getitem__(self, label: Label) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only row ``(scalars[..., i], blochs[..., i, :])`` of ``label``."""
         i = self.index(label)
-        if self.stack:
-            raise ValueError(
-                f"{label!r} names one operator per entry of a stack of shape "
-                f"{self.stack}; read scalars[..., {i}] and blochs[..., {i}, :] instead"
-            )
-        return HermitianOp(self.scalars[i], self.blochs[i])
+        return self.scalars[..., i], self.blochs[..., i, :]
 
     def __iter__(self) -> Iterator[Label]:
         return iter(self.labels)
@@ -224,7 +148,7 @@ class Measurement(_Operators):
     """POVM as outcome labels plus one effect per row.
 
     Effect ``outcomes[i]`` is ``scalars[i] * I + blochs[i] . sigma``;
-    ``m[z]`` returns it as a :class:`HermitianOp`.  The arrays are
+    ``m[z]`` returns it as the pair ``(scalar, bloch)``.  The arrays are
     read-only and the outcome order is the order of ``outcomes``.
     :meth:`validate` raises ValueError naming the first bad effect.
     """
@@ -282,7 +206,7 @@ class StateEnsemble(_Operators):
     """Sub-normalized states, one per input label, with unit total trace.
 
     State ``inputs[i]`` is ``scalars[i] * I + blochs[i] . sigma``;
-    ``ensemble[x]`` returns it as a :class:`HermitianOp`.  Each state
+    ``ensemble[x]`` returns it as the pair ``(scalar, bloch)``.  Each state
     absorbs its prior, so its trace ``2 * scalars[i]`` is the prior
     probability of its input and the traces sum to one.  :meth:`validate`
     raises ValueError naming the first state that is not positive.

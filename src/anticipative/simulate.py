@@ -42,6 +42,7 @@ basis).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
@@ -163,8 +164,15 @@ class ExperimentPlan:
         for kind in self.kinds:
             if kind not in KIND_BASES:
                 raise ValueError(f"unknown kind {kind!r}")
-        if self.shots_per_run < 1:
-            raise ValueError(f"shots_per_run must be >= 1, got {self.shots_per_run}")
+        for name, low in (("shots_per_run", 1), ("master_seed", 0)):
+            value = getattr(self, name)
+            try:
+                count = operator.index(value)
+            except TypeError:
+                count = None
+            if count is None or count < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+            object.__setattr__(self, name, count)
         if self.basis_mode not in BASIS_MODES:
             raise ValueError(f"basis_mode must be one of {BASIS_MODES}")
         even = self.basis_mode == "even"
@@ -425,7 +433,6 @@ def success_weights(kind: str, k: int) -> np.ndarray:
 def empirical_success(
     results: Iterable[RunResult],
     ks: tuple[int, ...] = K_VALUES,
-    require_equal_split: bool = True,
 ) -> dict[tuple[float, str, int], Estimate]:
     """Per-(theta, kind, k) success estimates for every exclusion count in ``ks``.
 
@@ -453,7 +460,7 @@ def empirical_success(
     weights: dict[str, np.ndarray] = {}
     out: dict[tuple[float, str, int], Estimate] = {}
     for (theta, kind), counts in tables.items():
-        if require_equal_split and (theta, kind) not in per_shot:
+        if (theta, kind) not in per_shot:
             per_basis = (counts[:, 0::2] + counts[:, 1::2]).tolist()
             for state, totals in zip(INPUT_LABELS, per_basis):
                 if totals[0] != totals[1]:

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, HermitianOp, Measurement, operator_product
+from .bloch import DEFAULT_TOL, Measurement, operator_product
 from .game import ExclusionSet, PostProcessing, all_exclusion_sets
 from .task import (
     ANTICIPATIVE,
@@ -184,8 +184,8 @@ class AuxiliaryEnsemble:
     Every member is proportional to a count-weighted mix of task states
     and depends on ``phi`` only through its count class: ``e(phi)`` is
     ``scalars[i] * I + blochs[i] . sigma`` with ``i`` the class of ``phi``
-    in :func:`count_classes`.  ``member(phi)`` builds that operator for
-    one outcome function.  ``normalization`` is the constant ``C`` that
+    in :func:`count_classes`.  ``member(phi)`` returns that row for one
+    outcome function.  ``normalization`` is the constant ``C`` that
     makes the traces sum to one; ``lambda_max`` is the best single-member
     score ``max_phi (scalar + |bloch|)``.  ``dual_gap`` is the largest
     member eigenvalue minus ``lambda_max``, positive when ``lambda_max`` is
@@ -210,10 +210,10 @@ class AuxiliaryEnsemble:
                 raise ValueError(f"{phi!r} is not an outcome function for k = {self.k}")
         return class_of[phis]
 
-    def member(self, phi: int) -> HermitianOp:
-        """The operator ``e(phi)``; ``phi`` must be an outcome function of ``k``."""
+    def member(self, phi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Row ``(scalar, bloch)`` of ``e(phi)`` for an outcome function ``phi``."""
         (i,) = self._classes([phi])
-        return HermitianOp(self.scalars[i], self.blochs[i])
+        return self.scalars[..., i], self.blochs[..., i, :]
 
     @cached_property
     def dual_gap(self) -> float:
@@ -358,6 +358,8 @@ def convex_combination(
 ) -> Measurement:
     """Outcome-wise convex mix of measurements over a shared label space."""
     measurements = list(measurements)
+    if not measurements:
+        raise ValueError("convex_combination needs at least one measurement")
     if weights is None:
         weights = [1.0 / len(measurements)] * len(measurements)
     weights = list(weights)

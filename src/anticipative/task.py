@@ -204,26 +204,18 @@ def _measurement(kind: str, a: np.ndarray, b: np.ndarray) -> Measurement:
     return Measurement(KIND_OUTCOMES[kind], _filled(blochs.shape[:-1], 0.25), blochs)
 
 
-def standard_measurement(theta: float) -> Measurement:
-    """Even mixture of the two projective measurements along the state axes.
-
-    Effects ``(I +- a.sigma)/4`` and ``(I +- b.sigma)/4`` with outcome
-    labels matching the input labels.
-    """
-    return _measurement(STANDARD, *basis_vectors(theta))
-
-
 def anticipative_directions(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Unit axes ``m, n`` of the anticipative measurement (:func:`kind_axes`)."""
     return kind_axes(ANTICIPATIVE, *basis_vectors(theta))
 
 
-def anticipative_measurement(theta: float) -> Measurement:
-    """Even mixture of the projective measurements along ``m`` and ``n``."""
-    return _measurement(ANTICIPATIVE, *basis_vectors(theta))
-
-
 def measurement_for(kind: str, theta: float) -> Measurement:
+    """Even mixture of the projective measurements along the kind's axes.
+
+    Effects ``(I +- u.sigma)/4`` for each axis ``u`` of :func:`kind_axes`,
+    labelled by :data:`KIND_OUTCOMES`: the standard outcomes match the
+    input labels, the anticipative ones are ``+-m, +-n``.
+    """
     _check_kind(kind)
     return _measurement(kind, *basis_vectors(theta))
 

@@ -68,7 +68,8 @@ def _planted_lambda(
     """
     a, _ = task.basis_vectors(theta)
     plus, minus = (solver.constant_function(aux.k, y) for y in ("+a", "-a"))
-    planted = replace(aux, lambda_max=aux.member(plus).eigenvalues()[1])
+    scalar, vec = aux.member(plus)
+    planted = replace(aux, lambda_max=float(scalar + np.linalg.norm(vec)))
     m = bloch.Measurement((plus, minus), np.full(2, 0.5), 0.5 * np.array((a, -a)))
     return planted, m
 
@@ -94,12 +95,14 @@ def _check_born_tables(tol: float, thetas: np.ndarray) -> CheckResult:
     ok = True
     for theta in thetas[:: max(len(thetas) // 5, 1)]:
         ensemble = task.make_ensemble(theta)
-        anticipative = task.anticipative_measurement(theta)
-        for m in (task.standard_measurement(theta), anticipative):
-            table = bloch.joint_table(ensemble, m, tol)
+        tables = {
+            kind: bloch.joint_table(ensemble, task.measurement_for(kind, theta), tol)
+            for kind in task.KINDS
+        }
+        for table in tables.values():
             worst = max(worst, abs(table.total() - 1.0))
         p_plus, p_minus, q_plus, q_minus = task.pq_values(theta)
-        table = bloch.joint_table(ensemble, anticipative, tol)
+        table = tables[task.ANTICIPATIVE]
         expected = {
             ("+a", "+m"): p_plus,
             ("+a", "+n"): q_plus,
@@ -111,13 +114,11 @@ def _check_born_tables(tol: float, thetas: np.ndarray) -> CheckResult:
         for (x, z), value in expected.items():
             worst = max(worst, abs(table.prob(x, z) - value))
         ok = ok and abs(sum(task.pq_values(theta)) - 0.25) <= tol
-        a, _ = task.basis_vectors(theta)
-        proj = bloch.projector(a)
-        worst = max(worst, abs(bloch.trace_product(proj, proj) - 1.0))
-        worst = max(
-            worst,
-            abs(bloch.trace_product(ensemble["+a"], proj) - 0.25),
-        )
+        # The projector (I + a.sigma)/2 squares to itself and holds 1/4 of +a.
+        half_a = 0.5 * task.basis_vectors(theta)[0]
+        scalar, vec = ensemble["+a"]
+        worst = max(worst, abs(2.0 * (0.25 + float(half_a @ half_a)) - 1.0))
+        worst = max(worst, abs(2.0 * (scalar * 0.5 + float(vec @ half_a)) - 0.25))
     return CheckResult(
         name="born tables",
         passed=ok and worst <= tol,
@@ -212,20 +213,15 @@ def _check_reduction(tol: float, thetas: np.ndarray) -> CheckResult:
                 solver.paired_measurement(theta, k, "ab"),
                 solver.paired_measurement(theta, k, "ba"),
             )
-            reference = task.anticipative_measurement(theta)
+            reference = task.measurement_for(task.ANTICIPATIVE, theta)
             ok = ok and povm.outcomes == reference.outcomes
-            for label in reference.outcomes:
-                got, want = povm[label], reference[label]
-                worst = max(
-                    worst,
-                    abs(got.scalar - want.scalar),
-                    float(np.max(np.abs(got.bloch - want.bloch))),
-                )
             m_dir, n_dir = task.anticipative_directions(theta)
             worst = max(
                 worst,
-                float(np.max(np.abs(povm["+m"].bloch - 0.25 * m_dir))),
-                float(np.max(np.abs(povm["+n"].bloch - 0.25 * n_dir))),
+                float(np.max(np.abs(povm.scalars - reference.scalars))),
+                float(np.max(np.abs(povm.blochs - reference.blochs))),
+                float(np.max(np.abs(povm["+m"][1] - 0.25 * m_dir))),
+                float(np.max(np.abs(povm["+n"][1] - 0.25 * n_dir))),
             )
             expected_nu = task.priority_post(task.ANTICIPATIVE, k)
             ok = ok and nu.sets == expected_nu.sets
@@ -344,7 +340,7 @@ def run_verification(
 
 #: Public operations per module; a verification run must call all of them.
 PUBLIC_OPS = {
-    "bloch": ("trace_product", "projector", "joint_table"),
+    "bloch": ("joint_table",),
     "game": (
         "exclusion_info_map",
         "success_with_cpost",
@@ -367,9 +363,8 @@ PUBLIC_OPS = {
         "kind_axes",
         "signed_axes",
         "make_ensemble",
-        "standard_measurement",
+        "measurement_for",
         "anticipative_directions",
-        "anticipative_measurement",
         "pq_values",
         "closed_form",
         "priority_table",

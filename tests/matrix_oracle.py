@@ -2,9 +2,10 @@
 
 The package itself never touches complex matrices outside the native-gate
 check; these helpers rebuild states, effects and traces from the Pauli
-matrices so tests can compare the two routes.  The outcome-function
-helpers at the bottom count guesses one function at a time, with plain
-loops and no numpy, as a brute-force check on the solver's array counts.
+matrices so tests can compare the two routes, and evaluate the Born rule
+one (state, effect) pair at a time.  The outcome-function helpers at the
+bottom count guesses one function at a time, with plain loops and no
+numpy, as a brute-force check on the solver's array counts.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ def matrix(scalar: float, bloch) -> np.ndarray:
     return out
 
 
-def to_matrix(op) -> np.ndarray:
-    return matrix(op.scalar, op.bloch)
+def to_matrix(pair) -> np.ndarray:
+    """The matrix of a ``(scalar, bloch)`` pair, such as ``ensemble[x]``."""
+    scalar, bloch = pair
+    return matrix(scalar, bloch)
 
 
 def top_eigenvalues(scalars, blochs) -> np.ndarray:
@@ -45,6 +48,20 @@ def pauli_components(op: np.ndarray) -> np.ndarray:
 
 def trace_pair(a, b) -> float:
     return float(np.trace(to_matrix(a) @ to_matrix(b)).real)
+
+
+def pairwise_born(a, b) -> float:
+    """``tr[A B] = 2 (a0 b0 + a . b)`` for two ``(scalar, bloch)`` pairs."""
+    (a0, a), (b0, b) = a, b
+    return 2.0 * (a0 * b0 + float(a @ b))
+
+
+def born_loop(ensemble, measurement) -> list[list[float]]:
+    """The Born table one pair at a time, tiny negatives clamped to zero."""
+    return [
+        [max(pairwise_born(ensemble[x], measurement[z]), 0.0) for z in measurement]
+        for x in ensemble
+    ]
 
 
 def plane_direction(theta: float, which: str) -> np.ndarray:

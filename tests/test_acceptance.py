@@ -41,9 +41,9 @@ from anticipative.task import (
     STANDARD,
     Scenario,
     anticipative_directions,
-    anticipative_measurement,
     closed_form,
     discrimination_game,
+    measurement_for,
     pipeline_success,
     priority_post,
     theta_grid,
@@ -151,17 +151,17 @@ def test_criterion_4_reduction_consistency():
                 paired_measurement(theta, k, "ab"),
                 paired_measurement(theta, k, "ba"),
             )
-            reference = anticipative_measurement(theta)
+            reference = measurement_for(ANTICIPATIVE, theta)
             for z in reference.outcomes:
-                got, want = povm[z], reference[z]
+                (got_s, got_b), (want_s, want_b) = povm[z], reference[z]
                 worst = max(
                     worst,
-                    abs(got.scalar - want.scalar),
-                    float(np.max(np.abs(got.bloch - want.bloch))),
+                    float(abs(got_s - want_s)),
+                    float(np.max(np.abs(got_b - want_b))),
                 )
             m_dir, n_dir = anticipative_directions(theta)
-            worst = max(worst, float(np.max(np.abs(povm["+m"].bloch - 0.25 * m_dir))))
-            worst = max(worst, float(np.max(np.abs(povm["+n"].bloch - 0.25 * n_dir))))
+            worst = max(worst, float(np.max(np.abs(povm["+m"][1] - 0.25 * m_dir))))
+            worst = max(worst, float(np.max(np.abs(povm["+n"][1] - 0.25 * n_dir))))
             expected = priority_post(ANTICIPATIVE, k)
             rules_ok = rules_ok and nu.sets == expected.sets
             rules_ok = rules_ok and np.array_equal(nu.guess, expected.guess)

@@ -10,19 +10,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from anticipative.bloch import (
-    HermitianOp,
     Measurement,
     StateEnsemble,
     joint_table,
     operator_product,
-    projector,
-    trace_product,
 )
 from anticipative.task import KINDS, make_ensemble, measurement_for, theta_grid
 
-from matrix_oracle import to_matrix, trace_pair
+from matrix_oracle import born_loop, matrix, pairwise_born, to_matrix, trace_pair
 
-IDENTITY = HermitianOp(1.0, [0.0, 0.0, 0.0])
 #: Bloch parts of the projectors onto +z and -z (scalar 1/2 each).
 Z_UP = [0.0, 0.0, 0.5]
 Z_DOWN = [0.0, 0.0, -0.5]
@@ -33,98 +29,96 @@ finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 vectors = st.tuples(finite, finite, finite)
 
 
-class TestHermitianOp:
-    def test_trace_and_norm(self):
-        op = HermitianOp(0.5, [0.3, 0.0, -0.4])
-        assert op.trace == 1.0
-        assert op.bloch_norm == pytest.approx(0.5, abs=1e-15)
+class TestRows:
+    """A label's row is the pair ``(scalar, bloch)``, eigenvalues ``scalar -+ |bloch|``."""
 
     def test_eigenvalues_match_matrix_diagonalization(self):
-        # scalar +- |bloch| against numpy's Hermitian eigensolver
+        # scalar -+ |bloch| against numpy's Hermitian eigensolver
         rng = np.random.default_rng(7)
-        for _ in range(100):
-            op = HermitianOp(rng.normal(), rng.normal(size=3))
-            expected = np.linalg.eigvalsh(to_matrix(op))
-            lo, hi = op.eigenvalues()
-            assert abs(lo - expected[0]) <= 1e-12
-            assert abs(hi - expected[1]) <= 1e-12
+        m = Measurement(tuple(range(100)), rng.normal(size=100), rng.normal(size=(100, 3)))
+        lo, hi = m.scalars - m._radii(), m.scalars + m._radii()
+        for z in m:
+            expected = np.linalg.eigvalsh(to_matrix(m[z]))
+            assert abs(lo[z] - expected[0]) <= 1e-12
+            assert abs(hi[z] - expected[1]) <= 1e-12
 
     def test_positivity_boundary(self):
-        assert HermitianOp(0.5, [0.5, 0.0, 0.0]).is_positive()
-        assert not HermitianOp(0.5, [0.6, 0.0, 0.0]).is_positive()
-        assert HermitianOp(0.5, [0.5 + 1e-14, 0.0, 0.0]).is_positive()
+        for radius, positive in ((0.5, True), (0.6, False), (0.5 + 1e-14, True)):
+            ens = StateEnsemble(("0",), [0.5], [[radius, 0.0, 0.0]])
+            if positive:
+                ens.validate()
+            else:
+                with pytest.raises(ValueError, match="'0' not positive"):
+                    ens.validate()
 
     def test_effect_bound(self):
         y_half = [[0.0, 0.5, 0.0], [0.0, -0.5, 0.0]]
         trivial = Measurement(("1", "0"), [1.0, 0.0], np.zeros((2, 3)))
         trivial.validate()
         Measurement(("+", "-"), [0.5, 0.5], y_half).validate()
-        # eigenvalue 1.3 exceeds the bound even though the op is positive
-        op = HermitianOp(0.8, [0.0, 0.5, 0.0])
-        assert op.is_positive()
+        # eigenvalue 1.3 exceeds the bound even though the effect is positive
         big = Measurement(("big", "rest"), [0.8, 0.2], y_half)
+        scalar, bloch = big["big"]
+        assert scalar - np.linalg.norm(bloch) >= 0.0
         message = r"^invalid measurement: 'big' exceeds effect bound"
         with pytest.raises(ValueError, match=message):
             big.validate()
 
     def test_bad_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            StateEnsemble(("0",), [0.5], [[1.0, 0.0]])
+
+    def test_rows_read_only(self):
+        m = Measurement(("+", "-"), [0.5, 0.5], [Z_UP, Z_DOWN])
+        scalar, bloch = m["+"]
         with pytest.raises(ValueError):
-            HermitianOp(1.0, [1.0, 0.0])
-
-    def test_immutability(self):
-        op = HermitianOp(1.0, [0.0, 0.0, 1.0])
+            bloch[0] = 5.0
         with pytest.raises(ValueError):
-            op.bloch[0] = 5.0
+            scalar[...] = 1.0
+        assert m.blochs[0, 0] == 0.0 and m.scalars[0] == 0.5
 
 
-class TestTraceProduct:
-    def test_identity_pairing(self):
-        assert trace_product(IDENTITY, IDENTITY) == 2.0
+class TestPairwiseBorn:
+    """The pairwise reference of ``tests/matrix_oracle.py`` and the table's linearity."""
 
-    def test_projector_pairings(self):
-        p = projector([0.0, 0.0, 1.0])
-        q = projector([0.0, 0.0, -1.0])
-        assert trace_product(p, p) == pytest.approx(1.0, abs=1e-15)
-        assert trace_product(p, q) == pytest.approx(0.0, abs=1e-15)
+    def test_identity_effect_reads_each_trace(self):
+        ens = make_ensemble(1.0)
+        everything = Measurement(("I",), [1.0], [[0.0, 0.0, 0.0]])
+        table = joint_table(ens, everything)
+        assert table.probs[:, 0].tolist() == (2.0 * ens.scalars).tolist()
 
     @given(finite, vectors, finite, vectors)
     def test_matches_matrix_trace(self, s1, v1, s2, v2):
-        a, b = HermitianOp(s1, v1), HermitianOp(s2, v2)
-        assert trace_product(a, b) == pytest.approx(trace_pair(a, b), abs=1e-9)
+        a, b = (s1, np.array(v1)), (s2, np.array(v2))
+        assert pairwise_born(a, b) == pytest.approx(trace_pair(a, b), abs=1e-9)
 
-    @given(finite, vectors, finite, vectors)
-    def test_symmetry(self, s1, v1, s2, v2):
-        a, b = HermitianOp(s1, v1), HermitianOp(s2, v2)
-        assert trace_product(a, b) == trace_product(b, a)
-
-    @given(finite, vectors, finite, vectors, finite, vectors, finite)
-    def test_bilinearity(self, s1, v1, s2, v2, s3, v3, scale):
-        a, b, c = HermitianOp(s1, v1), HermitianOp(s2, v2), HermitianOp(s3, v3)
-        mix = HermitianOp(s1 + s2 * scale, np.add(v1, np.multiply(v2, scale)))
-        left = trace_product(mix, c)
-        right = trace_product(a, c) + scale * trace_product(b, c)
-        assert left == pytest.approx(right, abs=1e-9)
+    @given(
+        st.floats(min_value=0.0, max_value=1.0), st.floats(min_value=0.01, max_value=1.5)
+    )
+    def test_table_linear_in_the_measurement(self, weight, theta):
+        ens = make_ensemble(theta)
+        first, second = (measurement_for(kind, theta) for kind in KINDS)
+        mix = Measurement(
+            ("0", "1", "2", "3"),
+            weight * first.scalars + (1.0 - weight) * second.scalars,
+            weight * first.blochs + (1.0 - weight) * second.blochs,
+        )
+        left = joint_table(ens, mix).probs
+        right = (
+            weight * joint_table(ens, first).probs
+            + (1.0 - weight) * joint_table(ens, second).probs
+        )
+        assert np.allclose(left, right, rtol=0.0, atol=1e-15)
 
 
 class TestOperatorProduct:
     def test_matches_matrix_product(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            a = HermitianOp(rng.normal(), rng.normal(size=3))
-            b = HermitianOp(rng.normal(), rng.normal(size=3))
-            s, v = operator_product(a.scalar, a.bloch, b.scalar, b.bloch)
-            rebuilt = s * np.eye(2) + sum(
-                comp * pauli
-                for comp, pauli in zip(
-                    v,
-                    (
-                        np.array([[0, 1], [1, 0]]),
-                        np.array([[0, -1j], [1j, 0]]),
-                        np.array([[1, 0], [0, -1]]),
-                    ),
-                )
-            )
-            assert np.allclose(rebuilt, to_matrix(a) @ to_matrix(b), atol=1e-12)
+            a0, a = rng.normal(), rng.normal(size=3)
+            b0, b = rng.normal(), rng.normal(size=3)
+            s, v = operator_product(a0, a, b0, b)
+            assert np.allclose(matrix(s, v), matrix(a0, a) @ matrix(b0, b), atol=1e-12)
 
     def test_rows_match_single_products(self):
         rng = np.random.default_rng(12)
@@ -137,23 +131,15 @@ class TestOperatorProduct:
             assert s[i] == s_i and np.array_equal(v[i], v_i)
 
 
-class TestProjector:
-    def test_unit_direction(self):
-        p = projector([1.0, 0.0, 0.0])
-        assert p.scalar == 0.5
-        assert p.eigenvalues() == (0.0, 1.0)
-        mat = to_matrix(p)
-        assert np.allclose(mat @ mat, mat, atol=1e-15)
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError, match="unit length"):
-            projector([0.9, 0.0, 0.0])
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            projector([1.0, 0.0])
-
-
+class TestTaskEffects:
+    def test_effects_are_half_projectors(self):
+        # 2 M(z) = (I + u.sigma)/2 squares to itself, eigenvalues 0 and 1
+        for kind in KINDS:
+            m = measurement_for(kind, 0.7)
+            for z in m:
+                projector = 2.0 * to_matrix(m[z])
+                assert np.allclose(projector @ projector, projector, atol=1e-15)
+                assert np.allclose(np.linalg.eigvalsh(projector), [0.0, 1.0], atol=1e-15)
 
 
 class TestMeasurement:
@@ -209,11 +195,11 @@ class TestMeasurement:
         with pytest.raises(ValueError, match="at least one effect"):
             Measurement((), [], np.zeros((0, 3)))
 
-    def test_lookup_returns_the_row_as_an_operator(self):
+    def test_lookup_returns_the_row_as_a_pair(self):
         m = Measurement(("+", "-"), [0.5, 0.5], [Z_UP, Z_DOWN])
-        assert isinstance(m["-"], HermitianOp)
-        assert m["-"].scalar == 0.5
-        assert np.array_equal(m["-"].bloch, Z_DOWN)
+        scalar, bloch = m["-"]
+        assert scalar == 0.5 and scalar.shape == ()
+        assert np.array_equal(bloch, Z_DOWN)
         assert m.index("-") == 1
         assert list(m) == ["+", "-"] and len(m) == 2
         with pytest.raises(KeyError):
@@ -278,13 +264,12 @@ class TestStateEnsemble:
         with pytest.raises(ValueError, match="at least one state"):
             StateEnsemble((), [], np.zeros((0, 3)))
 
-    def test_lookup_returns_the_row_as_an_operator(self):
+    def test_lookup_returns_the_row_as_a_pair(self):
         ens = make_ensemble(1.0)
         assert ens.inputs == ("+a", "-a", "+b", "-b")
-        state = ens["-b"]
-        assert isinstance(state, HermitianOp)
-        assert state.scalar == 0.125
-        assert np.array_equal(state.bloch, ens.blochs[3])
+        scalar, bloch = ens["-b"]
+        assert scalar == 0.125
+        assert np.array_equal(bloch, ens.blochs[3])
 
 
 class TestJointTable:
@@ -309,14 +294,13 @@ class TestJointTable:
                     trace_pair(ens[x], m[z]), abs=1e-14
                 )
 
-    def test_matches_trace_product_loop(self):
+    def test_matches_pairwise_born_loop(self):
         # the one contraction against the pairwise Born rule, bit for bit
         for theta in theta_grid(25):
             ens = make_ensemble(theta)
             for kind in KINDS:
                 m = measurement_for(kind, theta)
-                loop = [[max(trace_product(ens[x], m[z]), 0.0) for z in m] for x in ens]
-                assert np.array_equal(joint_table(ens, m).probs, loop)
+                assert np.array_equal(joint_table(ens, m).probs, born_loop(ens, m))
 
     def test_unknown_label_raises_key_error(self):
         table = joint_table(*self._qubit_pair())
@@ -421,14 +405,19 @@ class TestStacks:
         assert type(table.total()) is float and type(table.prob("0", "+")) is float
         assert type(ens.total_trace()) is float
 
-    def test_lookup_on_a_stack_is_a_clear_error(self):
-        ens, m = self._z_stack()
-        with pytest.raises(ValueError, match=r"^'1' names one operator per entry of a stack"):
-            ens["1"]
-        with pytest.raises(ValueError, match=r"stack of shape \(3,\); read scalars\[\.\.\., 0\]"):
-            m["+"]
+    def test_lookup_on_a_stack_is_the_stacked_pair(self):
+        thetas = theta_grid(5)
+        ens = make_ensemble(thetas)
+        for i, x in enumerate(ens):
+            scalars, blochs = ens[x]
+            assert scalars.shape == (5,) and blochs.shape == (5, 3)
+            assert not scalars.flags.writeable and not blochs.flags.writeable
+            assert np.array_equal(scalars, ens.scalars[:, i])
+            for j, theta in enumerate(thetas):
+                scalar, bloch = make_ensemble(theta)[x]
+                assert scalars[j] == scalar and np.array_equal(blochs[j], bloch)
         with pytest.raises(KeyError):
-            m["?"]
+            ens["?"]
 
     def test_layout_must_share_stack_axes(self):
         with pytest.raises(ValueError, match="after the same stack axes"):

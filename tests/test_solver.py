@@ -16,7 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anticipative import solver
-from anticipative.bloch import HermitianOp, Measurement
+from anticipative.bloch import Measurement
 from anticipative.game import exclusion_info_map, success_with_cpost
 from anticipative.solver import (
     GAMMA_TOL,
@@ -41,10 +41,10 @@ from anticipative.task import (
     INPUT_LABELS,
     Scenario,
     anticipative_directions,
-    anticipative_measurement,
     basis_vectors,
     closed_form,
     discrimination_game,
+    measurement_for,
     priority_post,
     theta_grid,
 )
@@ -261,8 +261,9 @@ class TestBuildAuxiliary:
                 ap, am, bp, bm = oracle_counts(guesses, k)
                 da, db = ap - am, bp - bm
                 total = ap + am + bp + bm
-                expected = HermitianOp(total * scale, (da * a + db * b) * scale)
-                assert aux.member(phi).allclose(expected, tol=1e-15)
+                scalar, bloch = aux.member(phi)
+                assert abs(scalar - total * scale) <= 1e-15
+                assert np.max(np.abs(bloch - (da * a + db * b) * scale)) <= 1e-15
 
     def test_members_read_only(self):
         aux = build_auxiliary(0.9, 1)
@@ -270,21 +271,28 @@ class TestBuildAuxiliary:
             aux.scalars[0] = 1.0
         with pytest.raises(ValueError):
             aux.blochs[0, 0] = 1.0
+        scalar, bloch = aux.member(7)
+        with pytest.raises(ValueError):
+            scalar[...] = 1.0
+        with pytest.raises(ValueError):
+            bloch[0] = 1.0
         classes = count_classes(1)
         with pytest.raises(ValueError):
             classes.class_of[0] = 1
 
     def test_members_positive(self):
         aux = build_auxiliary(1.3, 1)
-        assert all(aux.member(phi).is_positive() for phi in range(256))
+        for phi in range(256):
+            scalar, bloch = aux.member(phi)
+            assert scalar - np.linalg.norm(bloch) >= -1e-12
 
     def test_member_scores_match_matrix_eigenvalues(self):
         aux = build_auxiliary(0.9, 1)
         rng = np.random.default_rng(3)
         for idx in rng.integers(0, 256, size=20):
-            op = aux.member(idx)
-            top = np.linalg.eigvalsh(to_matrix(op))[-1]
-            assert op.scalar + op.bloch_norm == pytest.approx(top, abs=1e-13)
+            scalar, bloch = aux.member(idx)
+            top = np.linalg.eigvalsh(to_matrix((scalar, bloch)))[-1]
+            assert scalar + np.linalg.norm(bloch) == pytest.approx(top, abs=1e-13)
 
     def test_theta_domain(self):
         with pytest.raises(ValueError):
@@ -369,20 +377,22 @@ class TestTheoremMeasurement:
             m = paired_measurement(1.2, k, "ab")
             m.validate()
             assert len(m) == 2
-            for effect in (m[phi] for phi in m):
-                assert effect.eigenvalues() == pytest.approx((0.0, 1.0), abs=1e-15)
+            for scalar, bloch in (m[phi] for phi in m):
+                radius = np.linalg.norm(bloch)
+                eigenvalues = (scalar - radius, scalar + radius)
+                assert eigenvalues == pytest.approx((0.0, 1.0), abs=1e-15)
 
     def test_directions(self):
         theta = 0.8
         a, b = basis_vectors(theta)
         m_ab = paired_measurement(theta, 1, "ab")
         axis = (3 * a + b) / np.linalg.norm(3 * a + b)
-        plus = m_ab[fallback_function(1, +1, "ab")]
-        assert np.allclose(plus.bloch, 0.5 * axis, atol=1e-15)
+        _, plus = m_ab[fallback_function(1, +1, "ab")]
+        assert np.allclose(plus, 0.5 * axis, atol=1e-15)
         m_ba = paired_measurement(theta, 1, "ba")
         axis = (a + 3 * b) / np.linalg.norm(a + 3 * b)
-        plus = m_ba[fallback_function(1, +1, "ba")]
-        assert np.allclose(plus.bloch, 0.5 * axis, atol=1e-15)
+        _, plus = m_ba[fallback_function(1, +1, "ba")]
+        assert np.allclose(plus, 0.5 * axis, atol=1e-15)
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_axes_are_the_task_axes(self, k):
@@ -458,7 +468,8 @@ class TestCertificates:
         aux = build_auxiliary(theta, k)
         a, _ = basis_vectors(theta)
         plus, minus = constant_function(k, "+a"), constant_function(k, "-a")
-        planted = replace(aux, lambda_max=aux.member(plus).eigenvalues()[1])
+        scalar, bloch = aux.member(plus)
+        planted = replace(aux, lambda_max=float(scalar + np.linalg.norm(bloch)))
         m = Measurement((plus, minus), [0.5, 0.5], [0.5 * a, -0.5 * a])
         assert anticipative_success(planted) == pytest.approx(0.5, abs=1e-15)
         assert anticipative_success(aux) > 0.647
@@ -471,8 +482,8 @@ class TestCertificates:
     def test_dual_gap_matches_matrix_eigenvalues(self, k):
         for theta in theta_grid(25):
             aux = build_auxiliary(theta, k)
-            constant = aux.member(constant_function(k, "+a"))
-            planted = replace(aux, lambda_max=constant.eigenvalues()[1])
+            scalar, bloch = aux.member(constant_function(k, "+a"))
+            planted = replace(aux, lambda_max=float(scalar + np.linalg.norm(bloch)))
             for ens in (aux, _tampered(aux), planted):
                 top = top_eigenvalues(ens.scalars, ens.blochs).max()
                 assert ens.dual_gap == pytest.approx(top - ens.lambda_max, abs=1e-15)
@@ -506,13 +517,17 @@ class TestConvexCombination:
         mix = convex_combination([first, second], [0.25, 0.75])
         assert mix.outcomes == ("x", "y", "z")
         assert np.array_equal(mix.scalars, [0.125, 0.125 + 0.375, 0.375])
-        assert np.array_equal(mix["y"].bloch, [0.375, 0.0, -0.125])
+        assert np.array_equal(mix["y"][1], [0.375, 0.0, -0.125])
         mix.validate()
 
     def test_bad_weights_rejected(self):
         m = paired_measurement(1.0, 1, "ab")
         with pytest.raises(ValueError, match="sum to 1"):
             convex_combination([m, m], [0.5, 0.6])
+
+    def test_no_measurements_rejected(self):
+        with pytest.raises(ValueError, match="at least one measurement"):
+            convex_combination([])
 
 
 class TestReduction:
@@ -525,10 +540,10 @@ class TestReduction:
                     paired_measurement(theta, k, "ab"),
                     paired_measurement(theta, k, "ba"),
                 )
-                reference = anticipative_measurement(theta)
+                reference = measurement_for(ANTICIPATIVE, theta)
                 assert povm.outcomes == reference.outcomes
-                for z in reference.outcomes:
-                    assert povm[z].allclose(reference[z], tol=1e-12)
+                assert np.max(np.abs(povm.scalars - reference.scalars)) <= 1e-12
+                assert np.max(np.abs(povm.blochs - reference.blochs)) <= 1e-12
                 expected = priority_post(ANTICIPATIVE, k)
                 assert nu.sets == expected.sets
                 assert np.array_equal(nu.guess, expected.guess)

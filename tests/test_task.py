@@ -21,7 +21,6 @@ from anticipative.task import (
     STANDARD,
     Scenario,
     anticipative_directions,
-    anticipative_measurement,
     basis_vectors,
     check_theta,
     closed_form,
@@ -36,7 +35,6 @@ from anticipative.task import (
     priority_table,
     signed_axes,
     signed_label,
-    standard_measurement,
     theta_grid,
 )
 from matrix_oracle import signed_direction
@@ -93,9 +91,11 @@ class TestSetups:
         assert ensemble.inputs == INPUT_LABELS
         ensemble.validate()
         for x in INPUT_LABELS:
-            state = ensemble[x]
-            assert state.trace == pytest.approx(0.25, abs=1e-15)
-            assert state.eigenvalues() == pytest.approx((0.0, 0.25), abs=1e-15)
+            scalar, bloch = ensemble[x]
+            radius = np.linalg.norm(bloch)
+            assert 2.0 * scalar == pytest.approx(0.25, abs=1e-15)
+            eigenvalues = (scalar - radius, scalar + radius)
+            assert eigenvalues == pytest.approx((0.0, 0.25), abs=1e-15)
 
     @given(angles, st.sampled_from([STANDARD, ANTICIPATIVE]))
     def test_measurements_valid(self, theta, kind):
@@ -104,8 +104,8 @@ class TestSetups:
         m.validate()
 
     def test_measurement_labels(self):
-        assert standard_measurement(1.0).outcomes == INPUT_LABELS
-        assert anticipative_measurement(1.0).outcomes == ("+m", "-m", "+n", "-n")
+        assert measurement_for(STANDARD, 1.0).outcomes == INPUT_LABELS
+        assert measurement_for(ANTICIPATIVE, 1.0).outcomes == ("+m", "-m", "+n", "-n")
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -165,7 +165,7 @@ class TestBornStatistics:
     def test_table_placement(self, theta):
         # each state pairs with its nearby tilted axis at probability q
         # and with the other axis at probability p
-        table = joint_table(make_ensemble(theta), anticipative_measurement(theta))
+        table = joint_table(make_ensemble(theta), measurement_for(ANTICIPATIVE, theta))
         pq = pq_values(theta)
         tol = 1e-14
         for x, near in (("+a", "n"), ("-a", "n"), ("+b", "m"), ("-b", "m")):
@@ -178,7 +178,7 @@ class TestBornStatistics:
 
     def test_standard_table_is_cosine_law(self):
         theta = 1.1
-        table = joint_table(make_ensemble(theta), standard_measurement(theta))
+        table = joint_table(make_ensemble(theta), measurement_for(STANDARD, theta))
         c = math.cos(theta)
         assert table.prob("+a", "+a") == pytest.approx(0.125, abs=1e-15)
         assert table.prob("+a", "-a") == pytest.approx(0.0, abs=1e-15)

@@ -114,6 +114,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             cfg.grid()
         if cfg.command == "simulate":
             cfg.noise()
+            simulate.check_distinct_thetas(cfg.grid())
         if cfg.command in ("curves", "simulate") and cfg.shots < 1:
             raise ValueError(f"shots must be >= 1, got {cfg.shots}")
         if cfg.command == "solve":

@@ -27,23 +27,27 @@ priority strategy averaged over the leaked exclusion sets
 (:func:`success_weights`).  So one set of shots estimates every
 exclusion count ``k``.
 
-Memory: :func:`simulate_curves` streams.  Each run is sampled through one
-reused buffer of :data:`CHUNK` uniforms, tallied once into the count
-table of its (theta, kind) and dropped, so a plan of any size holds one
-chunk buffer plus one run's outcomes (and, in per-shot mode, its bases)
-at a time.
+Memory: :func:`simulate_curves` streams.  Each run allocates its own
+buffer of :data:`CHUNK` uniforms, reuses it across that run's chunks, is
+tallied once into the count table of its (theta, kind) and is dropped, so
+a plan of any size holds one run's chunk buffer plus its outcomes (and,
+in per-shot mode, its bases) at a time.
 
 Seed lineage: run ``i`` of a plan with master seed ``s`` uses
 ``numpy.random.SeedSequence(s, spawn_key=(i,))``, where ``i`` is the run's
 position in the plan's canonical order (theta, then kind, then state, then
-basis).
+basis).  :meth:`RunSpec.seed_sequence` is that contract.  A plan computes
+the state every run's sequence hands its generator once for all runs, and
+each run's noise-free Born overlaps once for all angles, so neither is
+rebuilt per run; the streams are those of the contract.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
@@ -122,10 +126,136 @@ class NoiseModel:
 
 NOISELESS = NoiseModel(0.0, 0.0)
 
+# numpy's SeedSequence hash: entropy words are hashed into a pool of four
+# 32-bit words with the A constants and mixed pairwise; state words are
+# drawn from the pool with the B constants.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
-@dataclass(frozen=True)
+
+def _hash(value, const: int, mult: int):
+    """One hash step on a Python int or a ``uint32`` array, and the next constant."""
+    following = const * mult & _MASK32
+    value = (value ^ const) * following & _MASK32
+    return value ^ value >> 16, following
+
+
+def _mix(x, y):
+    """Fold hashed word ``y`` into pool word ``x`` (ints or ``uint32`` arrays)."""
+    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _absorb(pool: list, const: int, words) -> int:
+    """Mix each entropy word beyond the pool's first four into every pool word."""
+    for word in words:
+        for dst in range(4):
+            hashed, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], hashed)
+    return const
+
+
+def _master_pool(master_seed: int) -> tuple[list[int], int]:
+    """The pool and hash constant of ``SeedSequence(master_seed, spawn_key=(i,))``
+    once the master seed's words are in, before the spawn key's.
+
+    A spawned sequence pads its entropy to four words, so the first four
+    words, and with them the pairwise mixing, do not depend on ``i``.
+    """
+    words = [
+        master_seed >> shift & _MASK32
+        for shift in range(0, max(master_seed.bit_length(), 1), 32)
+    ]
+    words += [0] * (4 - len(words))
+    const = _INIT_A
+    pool = []
+    for word in words[:4]:
+        hashed, const = _hash(word, const, _MULT_A)
+        pool.append(hashed)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                hashed, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+    return pool, _absorb(pool, const, words[4:])
+
+
+def _spawn_words(master_seed: int, keys: int | np.ndarray) -> bytes:
+    """``SeedSequence(master_seed, spawn_key=(key,)).generate_state(4, uint64)``
+    as 32 little-endian bytes per key, for one key or an array of keys.
+
+    The words ``PCG64`` seeds itself from.  The master seed (an int >= 0)
+    is hashed once in Python ints; the keys, each one word in
+    ``[0, 2**32)``, are then hashed together as a ``uint32`` array, or in
+    Python ints for a single key.
+    """
+    pool, const = _master_pool(master_seed)
+    _absorb(pool, const, (keys,))
+    state, const = [], _INIT_B
+    for j in range(8):
+        word, const = _hash(pool[j % 4], const, _MULT_B)
+        state.append(word)
+    # SeedSequence pairs its 32-bit words little-endian into 64-bit ones.
+    if isinstance(keys, int):
+        return struct.pack("<8I", *state)
+    return np.stack(state, axis=-1).astype("<u4", copy=False).tobytes()
+
+
+@lru_cache(maxsize=None)
+def _run_seed_type() -> type:
+    """The ``ISeedSequence`` that seeds a run's ``PCG64`` from its words.
+
+    Defined on first use: subclassing at import time would import
+    ``numpy.random``, which adds 10-15 ms to every CLI start.
+    """
+    from numpy.random.bit_generator import ISpawnableSeedSequence
+
+    class RunSeed(ISpawnableSeedSequence):
+        """Hands ``PCG64`` a run's words; anything else goes to its SeedSequence."""
+
+        def __init__(self, run: RunSpec, words: bytes) -> None:
+            self.run = run
+            self.words = words
+            self.sequence = None
+
+        def _sequence(self) -> np.random.SeedSequence:
+            if self.sequence is None:
+                self.sequence = self.run.seed_sequence()
+            return self.sequence
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == 4 and np.dtype(dtype) == np.uint64:
+                return np.frombuffer(self.words, "<u8").astype(np.uint64, copy=False)
+            return self._sequence().generate_state(n_words, dtype)
+
+        def spawn(self, n_children):
+            return self._sequence().spawn(n_children)
+
+    return RunSeed
+
+
+def _overlaps(theta: float | np.ndarray, kind: str) -> np.ndarray:
+    """Noise-free overlaps ``x . u`` of the state axes with a kind's basis axes.
+
+    ``out[..., x, i]`` is for state ``INPUT_LABELS[x]`` measured in basis
+    ``KIND_BASES[kind][i]``.  An array of angles gives one table per angle
+    from one stacked product, bit-equal to building each angle alone.
+    """
+    a, b = basis_vectors(theta)
+    return signed_axes(a, b) @ np.stack(kind_axes(kind, a, b), axis=-1)
+
+
+@dataclass(frozen=True, slots=True)
 class RunSpec:
-    """One circuit: a (theta, kind, state, basis) cell of the plan."""
+    """One circuit: a (theta, kind, state, basis) cell of the plan.
+
+    A run built by :class:`ExperimentPlan` also carries its seeding words
+    and its row of noise-free overlaps, computed once for the whole plan;
+    a run constructed on its own computes both when it is sampled, through
+    the same functions.  Neither takes part in equality, hashing or repr.
+    """
 
     index: int
     theta: float
@@ -134,17 +264,62 @@ class RunSpec:
     basis: str
     shots: int
     master_seed: int
+    _words: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    _overlap: tuple[float, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def seed_sequence(self) -> np.random.SeedSequence:
         return np.random.SeedSequence(self.master_seed, spawn_key=(self.index,))
 
     def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed_sequence())
+        """``default_rng(self.seed_sequence())``, seeded from the run's words."""
+        words = self._words
+        if words is None:
+            try:
+                seed, key = operator.index(self.master_seed), operator.index(self.index)
+            except TypeError:
+                seed = key = -1
+            if seed >= 0 and 0 <= key <= _MASK32:
+                words = _spawn_words(seed, key)
+            else:  # outside the one-word hash: the contract's own words, or its error
+                state = self.seed_sequence().generate_state(4, np.uint64)
+                words = state.astype("<u8").tobytes()
+        return np.random.Generator(np.random.PCG64(_run_seed_type()(self, words)))
+
+    def overlap(self) -> tuple[float, float]:
+        """Noise-free overlaps of the run's state with its kind's two basis axes."""
+        if self._overlap is not None:
+            return self._overlap
+        row = _overlaps(self.theta, self.kind)[INPUT_LABELS.index(self.state)]
+        return tuple(row.tolist())
+
+
+def check_distinct_thetas(thetas: Iterable[float]) -> None:
+    """Reject an angle that appears twice.
+
+    Estimates pool every run of one (theta, kind), so a repeated angle
+    would merge its groups of runs into one estimate without a word.
+    """
+    seen: set[float] = set()
+    for theta in map(float, thetas):
+        if theta in seen:
+            raise ValueError(
+                f"theta {theta!r} is repeated: the runs of one angle are pooled "
+                "into one estimate, so each angle must appear once"
+            )
+        seen.add(theta)
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentPlan:
-    """Full factorial sweep over angles, kinds, states and bases."""
+    """Full factorial sweep over angles, kinds, states and bases.
+
+    Angles must be distinct (:func:`check_distinct_thetas`).  The plan
+    hashes every run's seeding words in one pass and builds the overlaps
+    of all its angles in one stacked product per kind, and hands each run
+    its own.
+    """
 
     thetas: tuple[float, ...]
     kinds: tuple[str, ...]
@@ -161,9 +336,13 @@ class ExperimentPlan:
             raise ValueError("plan needs at least one theta")
         for t in self.thetas:
             check_theta(t)
+        check_distinct_thetas(self.thetas)
         for kind in self.kinds:
             if kind not in KIND_BASES:
                 raise ValueError(f"unknown kind {kind!r}")
+        for state in self.states:
+            if state not in INPUT_LABELS:
+                raise ValueError(f"unknown state {state!r}")
         for name, low in (("shots_per_run", 1), ("master_seed", 0)):
             value = getattr(self, name)
             try:
@@ -177,22 +356,23 @@ class ExperimentPlan:
             raise ValueError(f"basis_mode must be one of {BASIS_MODES}")
         even = self.basis_mode == "even"
         shots = self.shots_per_run if even else 2 * self.shots_per_run
+        per_cell = 2 if even else 1  # every kind has two bases
+        n_runs = len(self.thetas) * len(self.kinds) * len(self.states) * per_cell
+        seed = self.master_seed
+        words = _spawn_words(seed, np.arange(n_runs, dtype=np.uint32))
+        thetas = np.array(self.thetas)
+        rows = {kind: _overlaps(thetas, kind).tolist() for kind in self.kinds}
         runs: list[RunSpec] = []
-        for theta in self.thetas:
+        for t, theta in enumerate(self.thetas):
             for kind in self.kinds:
                 for state in self.states:
+                    overlap = tuple(rows[kind][t][INPUT_LABELS.index(state)])
                     for basis in KIND_BASES[kind] if even else (RANDOM_BASIS,):
-                        runs.append(
-                            RunSpec(
-                                index=len(runs),
-                                theta=theta,
-                                kind=kind,
-                                state=state,
-                                basis=basis,
-                                shots=shots,
-                                master_seed=self.master_seed,
-                            )
-                        )
+                        i = len(runs)
+                        run = RunSpec(i, theta, kind, state, basis, shots, seed)
+                        object.__setattr__(run, "_words", words[32 * i : 32 * i + 32])
+                        object.__setattr__(run, "_overlap", overlap)
+                        runs.append(run)
         object.__setattr__(self, "runs", tuple(runs))
 
     def __len__(self) -> int:
@@ -290,11 +470,10 @@ def _plus_probabilities(theta: float, kind: str, shrink: float) -> np.ndarray:
     ``X`` holds the task's state axes and ``U`` the kind's basis axes, so
     ``table[x, i]`` is for state ``INPUT_LABELS[x]`` measured in basis
     ``KIND_BASES[kind][i]``; ``s`` is the noise's shrink factor.
-    Read-only, built once per ``(theta, kind, shrink)``.
+    Read-only, built once per ``(theta, kind, shrink)`` from the
+    :func:`_overlaps` a plan's runs carry.
     """
-    a, b = basis_vectors(theta)
-    overlaps = signed_axes(a, b) @ np.array(kind_axes(kind, a, b)).T
-    table = 0.5 * (1.0 + shrink * overlaps)
+    table = 0.5 * (1.0 + shrink * _overlaps(theta, kind))
     table.setflags(write=False)
     return table
 
@@ -371,18 +550,21 @@ def sample_run(run: RunSpec, noise: NoiseModel = NOISELESS) -> RunResult:
     overlap shrunk by ``1 - p`` only), so the flip is applied exactly once.
     Identical inputs give bit-identical outcomes.
 
-    The uniforms are drawn :data:`CHUNK` at a time into one reused
-    buffer: a Born pass over all chunks compares them into the outcome
-    array, then a flip pass over all chunks XORs the flips into it.  So
-    the stream is consumed in the order above, and the run holds one
-    chunk of floats besides its outcomes (and, per-shot, its bases).
+    The uniforms are drawn :data:`CHUNK` at a time into one buffer that
+    the run allocates and reuses across its chunks: a Born pass over all
+    chunks compares them into the outcome array, then a flip pass over
+    all chunks XORs the flips into it.  So the stream is consumed in the
+    order above, and the run holds one chunk of floats besides its
+    outcomes (and, per-shot, its bases).  The Born probability of each
+    basis is ``(1 + (1 - p) overlap)/2`` from :meth:`RunSpec.overlap`.
     """
     rng = run.rng()
     n = run.shots
-    table = _plus_probabilities(run.theta, run.kind, 1.0 - noise.depolarizing)
-    p_pair = table[INPUT_LABELS.index(run.state)]
+    shrink = 1.0 - noise.depolarizing
+    p_pair = [0.5 * (1.0 + shrink * overlap) for overlap in run.overlap()]
     if run.basis == RANDOM_BASIS:
         bases = rng.integers(0, 2, size=n).astype(np.uint8)
+        p_pair = np.array(p_pair)
     else:
         bases = None
         p_plus = p_pair[_basis_index(run.kind, run.basis)]

@@ -320,6 +320,22 @@ class TestSimulate:
             "1.57079632679,anticipative,2,0.763523138347,0.716541666667,0.00356291406889,2000,11\n"
         )
 
+    def test_repeated_angle_exits_2(self, capsys):
+        argv = ["simulate", "--points", "2", "--theta-min", "0.3", "--theta-max", "0.3"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: theta 0.3 is repeated: the runs of one angle are pooled "
+            "into one estimate, so each angle must appear once\n"
+        )
+
+    def test_repeated_angle_still_allowed_in_curves(self, capsys):
+        argv = ["curves", "--points", "2", "--theta-min", "0.3", "--theta-max", "0.3"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 12 and rows[:6] == rows[6:]
+
     def test_bad_noise_exits_2(self, capsys):
         code, _, err = run_cli(["simulate", "--noise-depol", "1.5"], capsys)
         assert code == 2

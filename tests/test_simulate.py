@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
@@ -11,6 +16,7 @@ import pytest
 
 from anticipative.simulate import (
     CHUNK,
+    ExperimentPlan,
     KIND_BASES,
     NOISELESS,
     RANDOM_BASIS,
@@ -106,6 +112,19 @@ class TestPlan:
         with pytest.raises(ValueError):
             plan_experiment([1.0], shots=10, basis_mode="odd")
 
+    def test_repeated_theta_rejected(self):
+        # pooled by (theta, kind), two copies of one angle would make one
+        # estimate of twice the shots instead of two estimates
+        message = r"^theta 0\.3 is repeated: "
+        with pytest.raises(ValueError, match=message):
+            plan_experiment([0.3, 1.0, 0.3], shots=10)
+        with pytest.raises(ValueError, match=message):
+            plan_experiment(np.array([0.3, 0.3]), shots=10, basis_mode="per-shot")
+
+    def test_unknown_state_rejected(self):
+        with pytest.raises(ValueError, match=r"^unknown state '\+c'$"):
+            ExperimentPlan((1.0,), KINDS, ("+a", "+c"), 10, 0, "even")
+
     def test_fractional_shots_rejected_at_plan_time(self):
         message = r"^shots_per_run must be an integer >= 1, got 2.5$"
         with pytest.raises(ValueError, match=message):
@@ -131,6 +150,95 @@ class TestPlan:
         seq = plan.runs[3].seed_sequence()
         assert seq.entropy == 99
         assert seq.spawn_key == (3,)
+
+
+def _rebuilt(run: RunSpec) -> RunSpec:
+    """The run constructed anew from its fields, without what its plan computed."""
+    fields = dataclasses.fields(run)
+    return RunSpec(**{f.name: getattr(run, f.name) for f in fields if f.init})
+
+
+def _contract_state(run: RunSpec) -> dict:
+    return np.random.default_rng(run.seed_sequence()).bit_generator.state
+
+
+class TestLineage:
+    """Every run's generator equals ``default_rng(run.seed_sequence())``."""
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 7])
+    def test_default_cli_plan(self, seed):
+        plan = plan_experiment(theta_grid(), shots=20000, seed=seed)
+        assert len(plan) == 400
+        for run in plan.runs:
+            assert run.rng().bit_generator.state == _contract_state(run), run
+
+    def test_wide_per_shot_plan(self):
+        plan = plan_experiment(
+            theta_grid(400), shots=100, seed=3, basis_mode="per-shot"
+        )
+        assert len(plan) == 3200
+        for run in plan.runs:
+            assert run.rng().bit_generator.state == _contract_state(run), run
+
+    @pytest.mark.parametrize(
+        "index, seed",
+        [
+            (0, 0),
+            (5, 2**32),
+            (2**32 - 1, 2**200 + 7),
+            (2**32, 9),
+            (2**70, 1),
+            (3, np.int64(99)),
+        ],
+    )
+    def test_run_constructed_alone(self, index, seed):
+        # keys beyond one 32-bit word take the contract's own path
+        run = RunSpec(index, 0.7, ANTICIPATIVE, "+b", "m", 10, seed)
+        assert run.rng().bit_generator.state == _contract_state(run)
+        run.rng().random(3)  # a fresh generator per call, like default_rng
+        assert run.rng().bit_generator.state == _contract_state(run)
+
+    def test_contract_errors_kept(self):
+        with pytest.raises(ValueError):
+            RunSpec(-1, 0.7, STANDARD, "+a", "a", 10, 0).rng()
+        with pytest.raises(ValueError):
+            RunSpec(0, 0.7, STANDARD, "+a", "a", 10, -3).rng()
+
+    def test_spawned_generators_follow_the_sequence(self):
+        run = plan_experiment([0.4], shots=10, seed=11).runs[5]
+        ours, contract = run.rng(), np.random.default_rng(run.seed_sequence())
+        for _ in range(2):  # the second spawn continues where the first stopped
+            for a, b in zip(ours.spawn(2), contract.spawn(2)):
+                assert a.bit_generator.state == b.bit_generator.state
+
+    def test_plan_state_is_not_part_of_equality(self):
+        plan = plan_experiment([0.4, 1.2], shots=10, seed=11, basis_mode="per-shot")
+        for run in plan.runs:
+            alone = _rebuilt(run)
+            assert alone == run and hash(alone) == hash(run)
+            assert repr(alone) == repr(run)
+            assert alone.overlap() == run.overlap()
+
+    def test_overlap_rows_match_the_born_table(self):
+        # one stacked product per kind gives each angle's table bit for bit
+        plan = plan_experiment(FINE_THETAS, shots=10, seed=0)
+        for run in plan.runs:
+            table = outcome_probability(run.theta, run.state, run.kind, run.basis)
+            cell = run.overlap()[KIND_BASES[run.kind].index(run.basis)]
+            assert table == 0.5 * (1.0 + cell)
+
+    def test_import_leaves_numpy_random_unloaded(self):
+        # numpy.random costs every CLI start 10-15 ms; runs load it when sampled
+        code = "import sys, anticipative; print('numpy.random' in sys.modules)"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestProbabilities:
@@ -507,16 +615,34 @@ class TestEstimation:
             sigma = math.sqrt(p * (1.0 - p) / est.shots)
             assert abs(est.value - p) <= bound * sigma
 
-    @pytest.mark.parametrize("basis_mode", ["even", "per-shot"])
-    def test_generator_and_list_agree(self, basis_mode):
-        plan = plan_experiment([0.6, 1.2], shots=3000, seed=21, basis_mode=basis_mode)
-        noise = NoiseModel(0.05, 0.1)
+    @pytest.mark.parametrize(
+        "thetas, shots, basis_mode, eps",
+        [
+            ([0.6, 1.2], 3000, "even", 0.1),
+            ([0.6, 1.2], 3000, "per-shot", 0.1),
+            (theta_grid(400), 100, "per-shot", 0.0),
+            (theta_grid(400), 100, "per-shot", 0.1),
+        ],
+    )
+    def test_generator_and_list_agree(self, thetas, shots, basis_mode, eps):
+        plan = plan_experiment(thetas, shots=shots, seed=21, basis_mode=basis_mode)
+        noise = NoiseModel(0.05, eps)
         results = [sample_run(run, noise) for run in plan.runs]
         from_list = empirical_success(results)
         from_generator = empirical_success(sample_run(run, noise) for run in plan.runs)
         curves = simulate_curves(plan, noise)
-        assert list(from_generator) == list(from_list) == list(curves)
+        # runs built alone compute their seeding words and overlaps themselves
+        alone = empirical_success(sample_run(_rebuilt(run), noise) for run in plan.runs)
+        assert list(from_generator) == list(from_list) == list(curves) == list(alone)
         assert from_generator == from_list == curves
+
+        def bits(estimates):
+            return {
+                key: (e.value.hex(), e.stderr.hex(), e.shots)
+                for key, e in estimates.items()
+            }
+
+        assert bits(curves) == bits(alone)
 
     def test_simulate_curves_holds_one_run_at_a_time(self):
         # holding all 32 runs of 250 000 shots would keep 8 MB of outcomes

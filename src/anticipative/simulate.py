@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -182,14 +181,12 @@ def _master_pool(master_seed: int) -> tuple[list[int], int]:
     return pool, _absorb(pool, const, words[4:])
 
 
-def _spawn_words(master_seed: int, keys: int | np.ndarray) -> bytes:
+def _spawn_words(master_seed: int, keys: np.ndarray) -> bytes:
     """``SeedSequence(master_seed, spawn_key=(key,)).generate_state(4, uint64)``
-    as 32 little-endian bytes per key, for one key or an array of keys.
+    as 32 little-endian bytes per key of a ``uint32`` array.
 
     The words ``PCG64`` seeds itself from.  The master seed (an int >= 0)
-    is hashed once in Python ints; the keys, each one word in
-    ``[0, 2**32)``, are then hashed together as a ``uint32`` array, or in
-    Python ints for a single key.
+    is hashed once in Python ints; the keys are then hashed together.
     """
     pool, const = _master_pool(master_seed)
     _absorb(pool, const, (keys,))
@@ -198,8 +195,6 @@ def _spawn_words(master_seed: int, keys: int | np.ndarray) -> bytes:
         word, const = _hash(pool[j % 4], const, _MULT_B)
         state.append(word)
     # SeedSequence pairs its 32-bit words little-endian into 64-bit ones.
-    if isinstance(keys, int):
-        return struct.pack("<8I", *state)
     return np.stack(state, axis=-1).astype("<u4", copy=False).tobytes()
 
 
@@ -215,9 +210,8 @@ def _run_seed_type() -> type:
     class RunSeed(ISpawnableSeedSequence):
         """Hands ``PCG64`` a run's words; anything else goes to its SeedSequence."""
 
-        def __init__(self, run: RunSpec, words: bytes) -> None:
+        def __init__(self, run: RunSpec) -> None:
             self.run = run
-            self.words = words
             self.sequence = None
 
         def _sequence(self) -> np.random.SeedSequence:
@@ -227,11 +221,22 @@ def _run_seed_type() -> type:
 
         def generate_state(self, n_words, dtype=np.uint32):
             if n_words == 4 and np.dtype(dtype) == np.uint64:
-                return np.frombuffer(self.words, "<u8").astype(np.uint64, copy=False)
+                return np.frombuffer(self.run._words, "<u8").astype(np.uint64, copy=False)
             return self._sequence().generate_state(n_words, dtype)
 
         def spawn(self, n_children):
             return self._sequence().spawn(n_children)
+
+        entropy = property(lambda self: self._sequence().entropy)
+        spawn_key = property(lambda self: self._sequence().spawn_key)
+        pool_size = property(lambda self: self._sequence().pool_size)
+        n_children_spawned = property(
+            lambda self: self._sequence().n_children_spawned
+        )
+
+        def __reduce__(self):
+            # pickles as the run's SeedSequence: this class lives in a function
+            return self._sequence().__reduce__()
 
     return RunSeed
 
@@ -247,14 +252,32 @@ def _overlaps(theta: float | np.ndarray, kind: str) -> np.ndarray:
     return signed_axes(a, b) @ np.stack(kind_axes(kind, a, b), axis=-1)
 
 
+@lru_cache(maxsize=256)
+def _overlap_table(theta: float, kind: str) -> np.ndarray:
+    """:func:`_overlaps` of one angle, read-only and built once per ``(theta, kind)``."""
+    table = _overlaps(theta, kind)
+    table.setflags(write=False)
+    return table
+
+
+def _plus(overlap, shrink: float):
+    """Probability of the ``+`` outcome, ``(1 + s overlap)/2``.
+
+    The one Born formula of the module: an overlap may be a float or an
+    array of them, and ``s`` is the noise's shrink factor.
+    """
+    return 0.5 * (1.0 + shrink * overlap)
+
+
 @dataclass(frozen=True, slots=True)
 class RunSpec:
     """One circuit: a (theta, kind, state, basis) cell of the plan.
 
     A run built by :class:`ExperimentPlan` also carries its seeding words
     and its row of noise-free overlaps, computed once for the whole plan;
-    a run constructed on its own computes both when it is sampled, through
-    the same functions.  Neither takes part in equality, hashing or repr.
+    a run constructed on its own seeds from :meth:`seed_sequence` and reads
+    its row from a table cached per ``(theta, kind)``.  Neither field takes
+    part in equality, hashing or repr.
     """
 
     index: int
@@ -273,25 +296,16 @@ class RunSpec:
         return np.random.SeedSequence(self.master_seed, spawn_key=(self.index,))
 
     def rng(self) -> np.random.Generator:
-        """``default_rng(self.seed_sequence())``, seeded from the run's words."""
-        words = self._words
-        if words is None:
-            try:
-                seed, key = operator.index(self.master_seed), operator.index(self.index)
-            except TypeError:
-                seed = key = -1
-            if seed >= 0 and 0 <= key <= _MASK32:
-                words = _spawn_words(seed, key)
-            else:  # outside the one-word hash: the contract's own words, or its error
-                state = self.seed_sequence().generate_state(4, np.uint64)
-                words = state.astype("<u8").tobytes()
-        return np.random.Generator(np.random.PCG64(_run_seed_type()(self, words)))
+        """``default_rng(self.seed_sequence())``, from the plan's words if carried."""
+        if self._words is None:
+            return np.random.default_rng(self.seed_sequence())
+        return np.random.Generator(np.random.PCG64(_run_seed_type()(self)))
 
     def overlap(self) -> tuple[float, float]:
         """Noise-free overlaps of the run's state with its kind's two basis axes."""
         if self._overlap is not None:
             return self._overlap
-        row = _overlaps(self.theta, self.kind)[INPUT_LABELS.index(self.state)]
+        row = _overlap_table(self.theta, self.kind)[INPUT_LABELS.index(self.state)]
         return tuple(row.tolist())
 
 
@@ -471,9 +485,9 @@ def _plus_probabilities(theta: float, kind: str, shrink: float) -> np.ndarray:
     ``table[x, i]`` is for state ``INPUT_LABELS[x]`` measured in basis
     ``KIND_BASES[kind][i]``; ``s`` is the noise's shrink factor.
     Read-only, built once per ``(theta, kind, shrink)`` from the
-    :func:`_overlaps` a plan's runs carry.
+    overlaps a plan's runs carry, by the formula :func:`sample_run` uses.
     """
-    table = 0.5 * (1.0 + shrink * _overlaps(theta, kind))
+    table = _plus(_overlap_table(theta, kind), shrink)
     table.setflags(write=False)
     return table
 
@@ -561,13 +575,13 @@ def sample_run(run: RunSpec, noise: NoiseModel = NOISELESS) -> RunResult:
     rng = run.rng()
     n = run.shots
     shrink = 1.0 - noise.depolarizing
-    p_pair = [0.5 * (1.0 + shrink * overlap) for overlap in run.overlap()]
+    overlap = run.overlap()
     if run.basis == RANDOM_BASIS:
         bases = rng.integers(0, 2, size=n).astype(np.uint8)
-        p_pair = np.array(p_pair)
+        p_pair = np.array([_plus(cell, shrink) for cell in overlap])
     else:
         bases = None
-        p_plus = p_pair[_basis_index(run.kind, run.basis)]
+        p_plus = _plus(overlap[_basis_index(run.kind, run.basis)], shrink)
     buf = np.empty(min(n, CHUNK))
     outcomes = np.empty(n, dtype=bool)
     for lo in range(0, n, CHUNK):

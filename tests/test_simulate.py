@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -192,7 +193,6 @@ class TestLineage:
         ],
     )
     def test_run_constructed_alone(self, index, seed):
-        # keys beyond one 32-bit word take the contract's own path
         run = RunSpec(index, 0.7, ANTICIPATIVE, "+b", "m", 10, seed)
         assert run.rng().bit_generator.state == _contract_state(run)
         run.rng().random(3)  # a fresh generator per call, like default_rng
@@ -210,6 +210,31 @@ class TestLineage:
         for _ in range(2):  # the second spawn continues where the first stopped
             for a, b in zip(ours.spawn(2), contract.spawn(2)):
                 assert a.bit_generator.state == b.bit_generator.state
+
+    def test_sequence_attributes_follow_the_contract(self):
+        run = plan_experiment([0.4], shots=10, seed=2**64 + 5).runs[6]
+        ours, contract = run.rng().bit_generator, run.seed_sequence()
+        assert ours.seed_seq.entropy == contract.entropy
+        assert ours.seed_seq.spawn_key == contract.spawn_key == (6,)
+        assert ours.seed_seq.pool_size == contract.pool_size
+        ours.spawn(3)
+        assert ours.seed_seq.n_children_spawned == 3
+
+    def test_generator_pickles_as_the_contract(self):
+        run = plan_experiment([0.4, 1.2], shots=10, seed=7).runs[9]
+        rng = run.rng()
+        rng.random(5)
+        rng.spawn(2)
+        back = pickle.loads(pickle.dumps(rng))
+        assert back.bit_generator.state == rng.bit_generator.state
+        assert back.random(4).tolist() == rng.random(4).tolist()
+        seq = back.bit_generator.seed_seq
+        assert type(seq) is np.random.SeedSequence
+        assert (seq.entropy, seq.spawn_key, seq.n_children_spawned) == (7, (9,), 2)
+        contract = np.random.default_rng(run.seed_sequence())
+        contract.spawn(2)
+        for a, b in zip(back.spawn(2), contract.spawn(2)):
+            assert a.bit_generator.state == b.bit_generator.state
 
     def test_plan_state_is_not_part_of_equality(self):
         plan = plan_experiment([0.4, 1.2], shots=10, seed=11, basis_mode="per-shot")

@@ -37,6 +37,10 @@ DEFAULT_TOL = 1e-12
 Label = Hashable
 
 
+#: ``j`` and ``l`` of each component ``i`` in the cross product.
+_NEXT, _AFTER = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def operator_product(
     a_scalars: object, a_blochs: object, b_scalars: object, b_blochs: object
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -47,12 +51,16 @@ def operator_product(
     ``(n, 3)``, or as one scalar and one 3-vector each.  Returns ``(s, v)``
     with ``A B = s I + v . sigma`` where ``s = a0 b0 + a . b`` is real and
     ``v = a0 b + b0 a + i (a x b)``.  The cross term makes ``v`` complex
-    whenever the Bloch parts are not parallel.
+    whenever the Bloch parts are not parallel.  ``a x b`` is written out
+    by components, ``(a x b)_i = a_j b_l - a_l b_j`` with ``(i, j, l)``
+    cyclic: the same products and differences ``np.cross`` takes, without
+    that function's axis shuffling.
     """
     a0, a = np.asarray(a_scalars, dtype=float), np.asarray(a_blochs, dtype=float)
     b0, b = np.asarray(b_scalars, dtype=float), np.asarray(b_blochs, dtype=float)
     s = a0 * b0 + np.add.reduce(a * b, axis=-1)
-    v = a0[..., None] * b + b0[..., None] * a + 1j * np.cross(a, b)
+    cross = a[..., _NEXT] * b[..., _AFTER] - a[..., _AFTER] * b[..., _NEXT]
+    v = a0[..., None] * b + b0[..., None] * a + 1j * cross
     return s, v
 
 

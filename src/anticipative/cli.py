@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import simulate, solver, task, verify
 
@@ -107,6 +108,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: built on its first call, not at import."""
+    return build_parser()
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(**vars(args))
     try:
@@ -185,8 +192,7 @@ def run_solve(cfg: RunConfig) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
     except ConfigError as exc:

@@ -52,6 +52,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .bloch import first_true, stack_note
 from .game import exclusion_info_map, no_exclusion_map, win_weights
 from .task import (
     INPUT_LABELS,
@@ -702,31 +703,44 @@ def simulate_curves(
     return empirical_success(sample_run(run, noise) for run in plan.runs)
 
 
-def _ry(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+def _ry(angle: np.ndarray) -> np.ndarray:
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    return np.stack((c, -s, s, c), axis=-1).reshape(c.shape + (2, 2)) + 0j
 
 
-def _rz(angle: float) -> np.ndarray:
-    return np.array(
-        [[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=complex
-    )
+def _rz(angle: np.ndarray) -> np.ndarray:
+    w = np.exp(-0.5j * angle)
+    diagonal = (w, np.zeros_like(w), np.zeros_like(w), np.exp(0.5j * angle))
+    return np.stack(diagonal, axis=-1).reshape(w.shape + (2, 2))
 
 
 _SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex)
 
 
-def native_decomposition_check(theta: float, tol: float = 1e-12) -> bool:
+def native_decomposition_check(
+    theta: float | np.ndarray, tol: float = 1e-12
+) -> bool | np.ndarray:
     """Verify the native-gate decomposition of the plane rotation.
 
     Checks ``RY(theta) = i . sqrt(X) . RZ(pi - theta) . sqrt(X) . RZ(pi)``
-    up to a global phase.  This is the only place complex matrices appear
-    in the simulator.
+    up to a global phase.  One angle gives a ``bool``; an array of angles
+    gives one per angle, from one stacked product.  A non-finite angle
+    raises ValueError naming its index.  This is the only place complex
+    matrices appear in the simulator.
     """
-    lhs = _ry(theta)
-    rhs = 1j * (_SQRT_X @ _rz(math.pi - theta) @ _SQRT_X @ _rz(math.pi))
-    flat = np.argmax(np.abs(rhs))
-    phase = lhs.flat[flat] / rhs.flat[flat]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.all(np.abs(lhs - phase * rhs) <= tol))
+    thetas = np.asarray(theta, dtype=float)
+    finite = np.isfinite(thetas)
+    if not np.all(finite):
+        at = first_true(~finite)
+        raise ValueError(
+            f"theta must be finite, got {float(thetas[at])!r}{stack_note(at)}"
+        )
+    lhs = _ry(thetas).reshape(thetas.shape + (4,))
+    rhs = 1j * (_SQRT_X @ _rz(math.pi - thetas) @ _SQRT_X @ _rz(math.pi))
+    rhs = rhs.reshape(lhs.shape)
+    pick = np.argmax(np.abs(rhs), axis=-1)[..., None]
+    phase = np.take_along_axis(lhs, pick, -1) / np.take_along_axis(rhs, pick, -1)
+    ok = (np.abs(np.abs(phase[..., 0]) - 1.0) <= tol) & np.all(
+        np.abs(lhs - phase * rhs) <= tol, axis=-1
+    )
+    return bool(ok) if ok.ndim == 0 else ok

@@ -17,6 +17,10 @@ satisfy the exact Holevo / Yuen-Kennedy-Lax certificate: every used
 effect is an eigen-projection of its member at ``Lambda``, and no member
 has an eigenvalue above ``Lambda``.  The two-effect measurements built
 here pass it and average to the four-outcome anticipative measurement.
+
+``build_auxiliary``, ``lambda_argmax`` and ``gamma`` take a 1-D array of
+angles (inner products) too, as the task layer does, giving per angle what
+that angle gives alone; the certificate and the reduction take one angle.
 """
 
 from __future__ import annotations
@@ -27,14 +31,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bloch import DEFAULT_TOL, Measurement, operator_product
+from .bloch import DEFAULT_TOL, Measurement, float_or_array, operator_product
 from .game import ExclusionSet, PostProcessing, all_exclusion_sets
 from .task import (
     ANTICIPATIVE,
     INPUT_LABELS,
     KIND_OUTCOMES,
     basis_vectors,
-    check_theta,
     kind_axes,
     negate_label,
     signed_label,
@@ -116,7 +119,9 @@ def counts(phi: np.ndarray, k: int) -> np.ndarray:
     return np.stack(per_answer, axis=-1)
 
 
-def gamma(c: Sequence[int] | np.ndarray, inner_product: float) -> float | np.ndarray:
+def gamma(
+    c: Sequence[int] | np.ndarray, inner_product: float | np.ndarray
+) -> float | np.ndarray:
     """Unnormalized discrimination score of a count vector ``(ap, am, bp, bm)``.
 
     ``total + sqrt(da^2 + db^2 + 2 da db (a.b))`` with ``da, db`` the
@@ -125,11 +130,15 @@ def gamma(c: Sequence[int] | np.ndarray, inner_product: float) -> float | np.nda
     radicand is regrouped around the exact integer square it approaches,
     so it does not cancel as ``a.b`` nears ``+-1``.  One count vector gives
     a ``float``; an integer array of shape ``[..., 4]`` gives one score per
-    row, equal to the score of that row on its own.
+    row, equal to the score of that row on its own.  An array of inner
+    products puts its axes first: scores ``[j, ...]`` for inner product ``j``.
     """
-    if not -1.0 <= inner_product <= 1.0:
+    c = np.asarray(c, dtype=np.int64)
+    ip = np.asarray(inner_product, dtype=float)
+    if not np.all((ip >= -1.0) & (ip <= 1.0)):
         raise ValueError(f"inner product must lie in [-1, 1], got {inner_product!r}")
-    ap, am, bp, bm = np.moveaxis(np.asarray(c, dtype=np.int64), -1, 0)
+    inner_product = ip.reshape(ip.shape + (1,) * (c.ndim - 1))
+    ap, am, bp, bm = np.moveaxis(c, -1, 0)
     da = ap - am
     db = bp - bm
     cross = 2.0 * da * db
@@ -138,8 +147,7 @@ def gamma(c: Sequence[int] | np.ndarray, inner_product: float) -> float | np.nda
         (da + db) ** 2 - cross * (1.0 - inner_product),
         (da - db) ** 2 + cross * (1.0 + inner_product),
     )
-    score = ap + am + bp + bm + np.sqrt(np.maximum(radicand, 0.0))
-    return float(score) if score.ndim == 0 else score
+    return float_or_array(ap + am + bp + bm + np.sqrt(np.maximum(radicand, 0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,23 +191,30 @@ class AuxiliaryEnsemble:
 
     Every member is proportional to a count-weighted mix of task states
     and depends on ``phi`` only through its count class: ``e(phi)`` is
-    ``scalars[i] * I + blochs[i] . sigma`` with ``i`` the class of ``phi``
-    in :func:`count_classes`.  ``member(phi)`` returns that row for one
-    outcome function.  ``normalization`` is the constant ``C`` that
-    makes the traces sum to one; ``lambda_max`` is the best single-member
-    score ``max_phi (scalar + |bloch|)``.  ``dual_gap`` is the largest
-    member eigenvalue minus ``lambda_max``, positive when ``lambda_max`` is
-    not the maximum; it is taken from the classes' top eigenvalues
-    ``scalar + sqrt(sum bloch^2)`` over the whole arrays, independently of
-    the scores behind ``lambda_max``, and computed once per instance.
+    ``scalars[i] * I + blochs[..., i, :] . sigma`` with ``i`` the class of
+    ``phi`` in :func:`count_classes`.  The scalars depend on the counts
+    alone, so one row of them serves every angle of a stack; ``blochs``
+    puts the stack axes first.  ``member(phi)`` returns the row of one
+    outcome function.  ``normalization`` is the constant ``C`` that makes
+    the traces sum to one; ``lambda_max`` is the best single-member score
+    ``max_phi (scalar + |bloch|)`` and ``inner_product`` is ``a . b``, one
+    of each per angle.  ``dual_gap`` is the largest member eigenvalue minus
+    ``lambda_max``, positive when ``lambda_max`` is not the maximum; it is
+    recomputed from the class arrays, not read from the scores behind
+    ``lambda_max``, and computed once per instance.
     """
 
     k: int
     scalars: np.ndarray
     blochs: np.ndarray
     normalization: float
-    lambda_max: float
-    inner_product: float
+    lambda_max: float | np.ndarray
+    inner_product: float | np.ndarray
+
+    @property
+    def stack(self) -> tuple[int, ...]:
+        """Shape of the leading angle axes; ``()`` for one angle."""
+        return self.blochs.shape[:-2]
 
     def _classes(self, phis: Iterable[int]) -> np.ndarray:
         """Count class of each outcome function in ``phis``, as an index array."""
@@ -216,31 +231,33 @@ class AuxiliaryEnsemble:
         return self.scalars[..., i], self.blochs[..., i, :]
 
     @cached_property
-    def dual_gap(self) -> float:
-        radii = np.sqrt(np.add.reduce(self.blochs * self.blochs, axis=1))
-        return float(np.maximum.reduce(self.scalars + radii)) - self.lambda_max
+    def dual_gap(self) -> float | np.ndarray:
+        top = np.maximum.reduce(_scores(self.scalars, self.blochs), axis=-1)
+        return float_or_array(top - self.lambda_max)
 
-    def total_trace(self) -> float:
-        return 2.0 * float(count_classes(self.k).multiplicity @ self.scalars)
+    def total_trace(self) -> float | np.ndarray:
+        """Sum of the member traces; one per angle, the same for all."""
+        total = 2.0 * float(count_classes(self.k).multiplicity @ self.scalars)
+        return float_or_array(np.full(self.stack, total))
 
 
 def _scores(scalars: np.ndarray, blochs: np.ndarray) -> np.ndarray:
     """Discrimination score of each class: its member's largest eigenvalue."""
-    return scalars + np.linalg.norm(blochs, axis=1)
+    return scalars + np.sqrt(np.vecdot(blochs, blochs))
 
 
-def build_auxiliary(theta: float, k: int) -> AuxiliaryEnsemble:
+def build_auxiliary(theta: float | np.ndarray, k: int) -> AuxiliaryEnsemble:
     """Construct the auxiliary ensemble for the four-state task.
 
     Each member is ``(total * I + (da a + db b).sigma) / (24 C)`` where
     the counts come from :func:`counts` and ``C`` is fixed by unit total
-    trace: ``C = 64`` for ``k = 1`` and ``C = 1024`` for ``k = 2``.
+    trace: ``C = 64`` for ``k = 1`` and ``C = 1024`` for ``k = 2``.  A 1-D
+    array of angles gives the ensembles of all of them stacked:
+    ``blochs[n, class, 3]`` and ``n`` values of ``lambda_max``.
     """
-    # One angle: float() rejects an array, which the task's checks accept.
-    theta = check_theta(float(theta))
+    a, b = basis_vectors(theta)
     if k not in SOLVER_K:
         raise ValueError(f"k must be one of {SOLVER_K}, got {k!r}")
-    a, b = basis_vectors(theta)
     classes = count_classes(k)
     slots = classes.slots
     totals = slots.sum(axis=1)
@@ -250,47 +267,57 @@ def build_auxiliary(theta: float, k: int) -> AuxiliaryEnsemble:
     c_norm = int(classes.multiplicity @ totals) / 12.0
     scale = 1.0 / (24.0 * c_norm)
     scalars = _readonly(totals * scale)
-    blochs = _readonly((da[:, None] * a + db[:, None] * b) * scale)
+    rows_a, rows_b = a[..., None, :], b[..., None, :]
+    blochs = _readonly((da[:, None] * rows_a + db[:, None] * rows_b) * scale)
     return AuxiliaryEnsemble(
         k=k,
         scalars=scalars,
         blochs=blochs,
         normalization=c_norm,
-        lambda_max=float(_scores(scalars, blochs).max()),
-        inner_product=float(a @ b),
+        lambda_max=float_or_array(np.maximum.reduce(_scores(scalars, blochs), -1)),
+        inner_product=float_or_array(np.vecdot(a, b)),
     )
 
 
 def lambda_argmax(
     aux: AuxiliaryEnsemble, tol: float = GAMMA_TOL
-) -> tuple[float, frozenset[int]]:
+) -> tuple[float | np.ndarray, frozenset[int] | tuple[frozenset[int], ...]]:
     """Best member score and the set of members attaining it.
 
     Each count class is scored once and only the winning classes expand
     back to outcome functions.  The tie tolerance applies on the
     unnormalized (gamma) scale, where distinct scores are well separated;
     degenerate geometries such as ``a . b = 0`` then report every
-    maximizer.
+    maximizer.  A stacked ensemble gives one score per angle and a tuple
+    of the angles' maximizer sets.
     """
     scale = 24.0 * aux.normalization
     scores = _scores(aux.scalars, aux.blochs)
-    best = float(scores.max())
-    wins = scores * scale >= best * scale - tol
-    chosen = np.flatnonzero(wins[count_classes(aux.k).class_of])
-    return best, frozenset(chosen.tolist())
+    best = np.maximum.reduce(scores, axis=-1)
+    wins = scores * scale >= best[..., None] * scale - tol
+    chosen = wins[..., count_classes(aux.k).class_of]
+    sets = tuple(
+        frozenset(np.flatnonzero(row).tolist())
+        for row in chosen.reshape(-1, chosen.shape[-1])
+    )
+    return float_or_array(best), sets if aux.stack else sets[0]
 
 
+@lru_cache(maxsize=None)
 def fallback_function(k: int, sign: int, order: str, flip_a: bool = False) -> int:
     """The outcome function attached to one effect of the paired measurement.
 
     It guesses the primary state, falls back to the secondary, then to
     the secondary's opposite.  ``order = "ab"`` makes ``a`` primary and
-    ``b`` secondary; ``order = "ba"`` swaps the roles.  ``flip_a``
-    replaces ``a`` with its antipode, which yields the extra maximizers at
-    ``a . b = 0``.
+    ``b`` secondary; ``order = "ba"`` swaps the roles.  ``sign`` (+1 or
+    -1) picks the ``+`` or ``-`` end of both axes.  ``flip_a`` replaces
+    ``a`` with its antipode, which yields the extra maximizers at
+    ``a . b = 0``.  Each answer is computed once and then cached.
     """
     if order not in ("ab", "ba"):
         raise ValueError(f"order must be 'ab' or 'ba', got {order!r}")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     a_label = signed_label("a", -sign if flip_a else sign)
     b_label = signed_label("b", sign)
     primary, secondary = (a_label, b_label) if order == "ab" else (b_label, a_label)
@@ -320,6 +347,11 @@ def paired_measurement(
     return Measurement((plus, minus), np.full(2, 0.5), 0.5 * np.array((axis, -axis)))
 
 
+def _check_one_angle(aux: AuxiliaryEnsemble) -> None:
+    if aux.stack:
+        raise ValueError(f"the certificate takes one angle, got a stack {aux.stack}")
+
+
 def certificate_residual(aux: AuxiliaryEnsemble, m: Measurement) -> float:
     """Largest component of ``e(phi) M(phi) - Lambda M(phi)`` over effects.
 
@@ -327,6 +359,7 @@ def certificate_residual(aux: AuxiliaryEnsemble, m: Measurement) -> float:
     its Hermitian part) vanish on every effect actually used, so the
     residual tracks real and imaginary Pauli components.
     """
+    _check_one_angle(aux)
     rows = aux._classes(m.outcomes)
     s, v = operator_product(aux.scalars[rows], aux.blochs[rows], m.scalars, m.blochs)
     lam = aux.lambda_max
@@ -346,6 +379,7 @@ def certify_optimal(
     stationarity alone accepts any ``Lambda`` that a used member attains.
     Outcome functions without an entry in ``m`` carry the zero effect.
     """
+    _check_one_angle(aux)
     try:
         m.validate(tol)
     except ValueError:

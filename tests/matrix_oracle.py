@@ -46,6 +46,19 @@ def pauli_components(op: np.ndarray) -> np.ndarray:
     return np.array([np.trace(op @ p) / 2.0 for p in (I2, *PAULI)])
 
 
+def cross_product_reference(a_scalars, a_blochs, b_scalars, b_blochs):
+    """``A B`` in Pauli components with the cross term taken by ``np.cross``.
+
+    The formula ``bloch.operator_product`` had before it wrote the cross
+    product out by components; the two must agree bit for bit.
+    """
+    a0, a = np.asarray(a_scalars, dtype=float), np.asarray(a_blochs, dtype=float)
+    b0, b = np.asarray(b_scalars, dtype=float), np.asarray(b_blochs, dtype=float)
+    s = a0 * b0 + np.add.reduce(a * b, axis=-1)
+    v = a0[..., None] * b + b0[..., None] * a + 1j * np.cross(a, b)
+    return s, v
+
+
 def trace_pair(a, b) -> float:
     return float(np.trace(to_matrix(a) @ to_matrix(b)).real)
 

@@ -17,7 +17,14 @@ from anticipative.bloch import (
 )
 from anticipative.task import KINDS, make_ensemble, measurement_for, theta_grid
 
-from matrix_oracle import born_loop, matrix, pairwise_born, to_matrix, trace_pair
+from matrix_oracle import (
+    born_loop,
+    cross_product_reference,
+    matrix,
+    pairwise_born,
+    to_matrix,
+    trace_pair,
+)
 
 #: Bloch parts of the projectors onto +z and -z (scalar 1/2 each).
 Z_UP = [0.0, 0.0, 0.5]
@@ -129,6 +136,28 @@ class TestOperatorProduct:
         for i in range(5):
             s_i, v_i = operator_product(a0[i], a[i], b0[i], b[i])
             assert s[i] == s_i and np.array_equal(v[i], v_i)
+
+    def test_bit_identical_to_np_cross(self):
+        # Random rows at several scales, one pair, rows against one operator,
+        # and the certificate's own inputs (auxiliary rows times effects).
+        rng = np.random.default_rng(13)
+        cases = [
+            (rng.normal(size=n), rng.normal(size=(n, 3)) * scale,
+             rng.normal(size=n), rng.normal(size=(n, 3)))
+            for n, scale in ((7, 1.0), (64, 1e-9), (64, 1e9))
+        ]
+        cases.append((0.3, rng.normal(size=3), -1.2, rng.normal(size=3)))
+        rows = rng.normal(size=4), rng.normal(size=(4, 3))
+        cases.append((*rows, 0.5, [0.0, 0.3, -0.4]))
+        for theta in theta_grid(9):
+            m = measurement_for("anticipative", theta)
+            ens = make_ensemble(theta)
+            cases.append((ens.scalars, ens.blochs, m.scalars, m.blochs))
+        for args in cases:
+            got, expected = operator_product(*args), cross_product_reference(*args)
+            for g, e in zip(got, expected):
+                assert g.dtype == e.dtype and g.shape == e.shape
+                assert g.tobytes() == e.tobytes()
 
 
 class TestTaskEffects:

@@ -6,12 +6,16 @@ import contextlib
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from anticipative import cli
 from anticipative.cli import (
     CSV_HEADER,
     ConfigError,
@@ -524,3 +528,41 @@ def test_every_invocation_exits_0_or_2_without_traceback(argv):
         assert code in (0, 2), argv
     if code == 2:
         assert sum("error:" in line for line in errors.splitlines()) == 1, errors
+
+
+def _main_in_process(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a bad command line or --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_answers_as_a_fresh_one(monkeypatch):
+    # main builds its parser once per process; a rejected command line and
+    # --help on that parser must not change what the later calls print.
+    monkeypatch.setenv("COLUMNS", "80")
+    src = Path(cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    fresh_main = "import sys; from anticipative.cli import main; sys.exit(main())"
+    cli._parser.cache_clear()
+    codes = []
+    for argv in (
+        ["solve", "--k", "3"],
+        ["--help"],
+        ["verify", "--points", "3"],
+        ["solve", "--theta", "0.7", "--k", "2"],
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-c", fresh_main, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        expected = (fresh.returncode, fresh.stdout, fresh.stderr)
+        assert _main_in_process(argv) == expected, argv
+        codes.append(fresh.returncode)
+    assert codes == [2, 0, 0, 0]
+    assert cli._parser.cache_info().misses == 1

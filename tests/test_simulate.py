@@ -698,3 +698,22 @@ class TestGateDecomposition:
 
     def test_tolerance_is_honest(self):
         assert not native_decomposition_check(0.7, tol=1e-30)
+
+    def test_array_gives_each_angle_its_float_answer(self):
+        rng = np.random.default_rng(1)
+        angles = rng.uniform(-2 * math.pi, 2 * math.pi, 40)
+        angles = np.concatenate((angles, [0.0, math.pi]))
+        for tol in (1e-12, 1e-30):
+            got = native_decomposition_check(angles, tol)
+            assert got.shape == angles.shape and got.dtype == bool
+            alone = [native_decomposition_check(t, tol) for t in angles.tolist()]
+            assert got.tolist() == alone
+        assert type(native_decomposition_check(0.7)) is bool
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        # a NaN used to divide 0 by 0 for the phase, warn and return False
+        with pytest.raises(ValueError, match="finite"):
+            native_decomposition_check(bad)
+        with pytest.raises(ValueError, match="finite.* index 2"):
+            native_decomposition_check(np.array([0.1, 0.2, bad, 0.4]))

@@ -236,11 +236,21 @@ class TestGamma:
 
 class TestBuildAuxiliary:
     def test_one_angle_only(self):
-        # the task layer stacks angles; the solver takes one at a time
-        with pytest.raises(TypeError):
-            build_auxiliary(np.array([0.3, 0.5]), 1)
+        # the ensemble stacks angles; the measurement, certificate and
+        # reduction take one at a time
         with pytest.raises(TypeError):
             paired_measurement(np.array([0.3, 0.5]), 1, "ab")
+        stacked = build_auxiliary(np.array([0.3, 0.5]), 1)
+        assert stacked.stack == (2,)
+        m_ab = paired_measurement(0.3, 1, "ab")
+        m_ba = paired_measurement(0.3, 1, "ba")
+        for call in (
+            lambda: certificate_residual(stacked, m_ab),
+            lambda: certify_optimal(stacked, m_ab),
+            lambda: reduce_to_povm(stacked, m_ab, m_ba),
+        ):
+            with pytest.raises(ValueError, match="takes one angle"):
+                call()
 
     def test_normalization_constants(self):
         assert build_auxiliary(1.0, 1).normalization == pytest.approx(64.0)
@@ -371,6 +381,77 @@ class TestLambdaArgmax:
                 )
 
 
+#: ``theta_grid(25)``, a geometric sweep down to 1e-6 and the right angle.
+STACK_ANGLES = np.concatenate(
+    (theta_grid(25), np.geomspace(1e-6, math.pi / 2, 200), [math.pi / 2])
+)
+
+
+class TestStackedAngles:
+    """An array of angles gives, per angle, what that angle gives alone."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_stack_matches_each_angle_bit_for_bit(self, k):
+        aux = build_auxiliary(STACK_ANGLES, k)
+        best, winners = lambda_argmax(aux)
+        slots = count_classes(k).slots
+        scores = gamma(slots, aux.inner_product)
+        n = len(STACK_ANGLES)
+        assert aux.stack == (n,) and len(winners) == n
+        assert scores.shape == (n, len(slots))
+        stacked = {
+            "lambda_max": aux.lambda_max,
+            "total_trace": aux.total_trace(),
+            "success": anticipative_success(aux),
+            "best": best,
+            "inner_product": aux.inner_product,
+            "dual_gap": aux.dual_gap,
+        }
+        for i, theta in enumerate(STACK_ANGLES.tolist()):
+            one = build_auxiliary(theta, k)
+            one_best, one_winners = lambda_argmax(one)
+            alone = {
+                "lambda_max": one.lambda_max,
+                "total_trace": one.total_trace(),
+                "success": anticipative_success(one),
+                "best": one_best,
+                "inner_product": one.inner_product,
+                "dual_gap": one.dual_gap,
+            }
+            for name, values in stacked.items():
+                assert type(alone[name]) is float
+                assert float(values[i]).hex() == alone[name].hex(), (name, theta)
+            one_scores = gamma(slots, one.inner_product)
+            assert list(map(float.hex, scores[i].tolist())) == list(
+                map(float.hex, one_scores.tolist())
+            )
+            assert winners[i] == one_winners
+            if theta == math.pi / 2:
+                assert len(one_winners) == 8
+            elif theta >= 1e-3:
+                # Below ~1e-4 the score gaps fall under GAMMA_TOL and more tie.
+                assert len(one_winners) == 4, theta
+
+    def test_one_angle_gives_floats_and_one_set(self):
+        aux = build_auxiliary(0.7, 2)
+        best, winners = lambda_argmax(aux)
+        assert aux.stack == ()
+        assert type(best) is float and isinstance(winners, frozenset)
+        values = (aux.lambda_max, aux.inner_product, aux.total_trace(), aux.dual_gap)
+        assert all(type(value) is float for value in values)
+
+    def test_bad_angle_named(self):
+        with pytest.raises(ValueError, match="at index 1"):
+            build_auxiliary(np.array([0.5, math.nan, 0.7]), 1)
+        with pytest.raises(ValueError, match="1-D"):
+            build_auxiliary(np.full((2, 2), 0.5), 1)
+
+    def test_bad_inner_product_in_an_array(self):
+        for bad in ([0.3, math.nan], [-1.5, 0.3]):
+            with pytest.raises(ValueError, match="must lie in"):
+                gamma((1, 0, 0, 0), np.array(bad))
+
+
 class TestTheoremMeasurement:
     def test_valid_and_projective(self):
         for k in (1, 2):
@@ -409,6 +490,13 @@ class TestTheoremMeasurement:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             paired_measurement(1.0, 1, "xy")
+
+    @pytest.mark.parametrize("sign", [0, 2, -2, 0.5])
+    def test_bad_sign(self, sign):
+        with pytest.raises(ValueError, match="sign must be"):
+            fallback_function(1, sign, "ab")
+        with pytest.raises(ValueError, match="sign must be"):
+            fallback_function(2, sign, "ba", flip_a=True)
 
 
 class TestCertificates:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import importlib
+import math
 import sys
 
+import numpy as np
 import pytest
 
-from anticipative import task
+from anticipative import cli, simulate, solver, task
 from anticipative.bloch import Measurement, StateEnsemble
 from anticipative.verify import (
     FAULTS,
@@ -67,10 +69,13 @@ def test_validators_are_exercised(monkeypatch):
     assert called == {"Measurement.validate", "StateEnsemble.validate"}
 
 
-def test_closed_forms_take_one_pipeline_call_per_scenario(monkeypatch):
-    # Each scenario runs the whole angle grid as one stack, not angle by angle.
+def _recorded_calls(monkeypatch, module, name: str) -> list[tuple]:
+    """Record the positional arguments of every call to ``module.name``.
+
+    The function is replaced wherever a package module binds it.
+    """
     calls = []
-    original = task.pipeline_success
+    original = getattr(module, name)
 
     def counting(*args, **kwargs):
         calls.append(args)
@@ -81,8 +86,44 @@ def test_closed_forms_take_one_pipeline_call_per_scenario(monkeypatch):
         for key, value in list(vars(holder).items()):
             if value is original:
                 monkeypatch.setattr(holder, key, counting)
+    return calls
+
+
+def test_closed_forms_take_one_pipeline_call_per_scenario(monkeypatch):
+    # Each scenario runs the whole angle grid as one stack, not angle by angle.
+    calls = _recorded_calls(monkeypatch, task, "pipeline_success")
     assert run_verification().passed
     assert len(calls) == 6
+
+
+def test_enumeration_takes_one_solver_call_per_k(monkeypatch):
+    # The brute-force check stacks the grid; certificates and the reduction
+    # take one angle at a time.
+    calls = _recorded_calls(monkeypatch, solver, "build_auxiliary")
+    assert run_verification().passed
+    stacked = [(len(theta), k) for theta, k in calls if np.ndim(theta)]
+    assert stacked == [(25, 1), (25, 2)]
+
+
+def test_decomposition_takes_one_stacked_call(monkeypatch):
+    calls = _recorded_calls(monkeypatch, simulate, "native_decomposition_check")
+    assert run_verification().passed
+    assert [len(args[0]) for args in calls] == [104]
+
+
+def test_certify_operation_builds_the_parser_once(monkeypatch, capsys):
+    # verify, then solve for k = 1, 2 at a generic angle and at pi/2
+    cli._parser.cache_clear()
+    calls = _recorded_calls(monkeypatch, cli, "build_parser")
+    solves = [
+        ["solve", "--theta", theta, "--k", k]
+        for k in ("1", "2")
+        for theta in ("0.7", repr(math.pi / 2))
+    ]
+    for argv in (["verify"], *solves):
+        assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_report_lines(report):

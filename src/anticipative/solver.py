@@ -18,9 +18,10 @@ effect is an eigen-projection of its member at ``Lambda``, and no member
 has an eigenvalue above ``Lambda``.  The two-effect measurements built
 here pass it and average to the four-outcome anticipative measurement.
 
-``build_auxiliary``, ``lambda_argmax`` and ``gamma`` take a 1-D array of
-angles (inner products) too, as the task layer does, giving per angle what
-that angle gives alone; the certificate and the reduction take one angle.
+Every function of an angle also takes a 1-D array of angles, as the task
+layer does (``gamma`` an array of inner products): ensembles and
+measurements then carry a leading angle axis, and each result gives per
+angle what that angle gives alone.
 """
 
 from __future__ import annotations
@@ -201,7 +202,9 @@ class AuxiliaryEnsemble:
     of each per angle.  ``dual_gap`` is the largest member eigenvalue minus
     ``lambda_max``, positive when ``lambda_max`` is not the maximum; it is
     recomputed from the class arrays, not read from the scores behind
-    ``lambda_max``, and computed once per instance.
+    ``lambda_max``, and computed once per instance.  ``scores`` are the
+    class scores behind ``lambda_max``, which :func:`build_auxiliary` hands
+    over; an ensemble made by ``dataclasses.replace`` scores its own arrays.
     """
 
     k: int
@@ -229,6 +232,11 @@ class AuxiliaryEnsemble:
         """Row ``(scalar, bloch)`` of ``e(phi)`` for an outcome function ``phi``."""
         (i,) = self._classes([phi])
         return self.scalars[..., i], self.blochs[..., i, :]
+
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """Each class's score ``scalar + |bloch|``, ``[..., class]``."""
+        return _scores(self.scalars, self.blochs)
 
     @cached_property
     def dual_gap(self) -> float | np.ndarray:
@@ -269,14 +277,17 @@ def build_auxiliary(theta: float | np.ndarray, k: int) -> AuxiliaryEnsemble:
     scalars = _readonly(totals * scale)
     rows_a, rows_b = a[..., None, :], b[..., None, :]
     blochs = _readonly((da[:, None] * rows_a + db[:, None] * rows_b) * scale)
-    return AuxiliaryEnsemble(
+    scores = _scores(scalars, blochs)
+    aux = AuxiliaryEnsemble(
         k=k,
         scalars=scalars,
         blochs=blochs,
         normalization=c_norm,
-        lambda_max=float_or_array(np.maximum.reduce(_scores(scalars, blochs), -1)),
+        lambda_max=float_or_array(np.maximum.reduce(scores, -1)),
         inner_product=float_or_array(np.vecdot(a, b)),
     )
+    vars(aux)["scores"] = scores  # fills the cache of the property
+    return aux
 
 
 def lambda_argmax(
@@ -292,7 +303,7 @@ def lambda_argmax(
     of the angles' maximizer sets.
     """
     scale = 24.0 * aux.normalization
-    scores = _scores(aux.scalars, aux.blochs)
+    scores = aux.scores
     best = np.maximum.reduce(scores, axis=-1)
     wins = scores * scale >= best[..., None] * scale - tol
     chosen = wins[..., count_classes(aux.k).class_of]
@@ -328,7 +339,7 @@ def fallback_function(k: int, sign: int, order: str, flip_a: bool = False) -> in
 
 
 def paired_measurement(
-    theta: float, k: int, order: str, flip_a: bool = False
+    theta: float | np.ndarray, k: int, order: str, flip_a: bool = False
 ) -> Measurement:
     """Two-effect optimal measurement with outcome-function labels.
 
@@ -337,40 +348,55 @@ def paired_measurement(
     direction is ``m``, preferring ``+-b``.  ``m`` and ``n`` are the
     task's tilted axes (:func:`~anticipative.task.kind_axes`), taken with
     ``-a`` in place of ``a`` under ``flip_a``.  All remaining outcome
-    functions implicitly carry the zero effect.
+    functions implicitly carry the zero effect.  The labels do not depend
+    on the angle, so an array of angles gives one measurement with
+    ``blochs[n, 2, 3]``.
     """
-    a, b = basis_vectors(float(theta))
-    m_axis, n_axis = kind_axes(ANTICIPATIVE, -a if flip_a else a, b)
-    axis = n_axis if order == "ab" else m_axis
     plus = fallback_function(k, +1, order, flip_a)
     minus = fallback_function(k, -1, order, flip_a)
-    return Measurement((plus, minus), np.full(2, 0.5), 0.5 * np.array((axis, -axis)))
+    a, b = basis_vectors(theta)
+    m_axis, n_axis = kind_axes(ANTICIPATIVE, -a if flip_a else a, b)
+    axis = n_axis if order == "ab" else m_axis
+    blochs = 0.5 * np.array((axis, -axis)).swapaxes(0, -2)
+    return Measurement((plus, minus), np.full(blochs.shape[:-1], 0.5), blochs)
 
 
-def _check_one_angle(aux: AuxiliaryEnsemble) -> None:
-    if aux.stack:
-        raise ValueError(f"the certificate takes one angle, got a stack {aux.stack}")
-
-
-def certificate_residual(aux: AuxiliaryEnsemble, m: Measurement) -> float:
+def certificate_residual(aux: AuxiliaryEnsemble, m: Measurement) -> float | np.ndarray:
     """Largest component of ``e(phi) M(phi) - Lambda M(phi)`` over effects.
 
     The optimality condition demands the operator product itself (not just
     its Hermitian part) vanish on every effect actually used, so the
-    residual tracks real and imaginary Pauli components.
+    residual tracks real and imaginary Pauli components.  Stacks of
+    ensembles and measurements broadcast; each entry gives one residual.
     """
-    _check_one_angle(aux)
     rows = aux._classes(m.outcomes)
-    s, v = operator_product(aux.scalars[rows], aux.blochs[rows], m.scalars, m.blochs)
-    lam = aux.lambda_max
-    scalar = np.abs(s - lam * m.scalars)
-    vector = np.abs(v - lam * m.blochs)
-    return max(float(scalar.max()), float(vector.max()))
+    s, v = operator_product(
+        aux.scalars[rows], aux.blochs[..., rows, :], m.scalars, m.blochs
+    )
+    lam = np.asarray(aux.lambda_max)[..., None]
+    scalar = np.maximum.reduce(np.abs(s - lam * m.scalars), axis=-1)
+    vector = np.abs(v - lam[..., None] * m.blochs)
+    return float_or_array(np.maximum(scalar, np.maximum.reduce(vector, axis=(-2, -1))))
+
+
+def _valid_entries(m: Measurement, tol: float) -> np.ndarray:
+    """Per stack entry of ``m``: whether that entry alone is a valid measurement."""
+    valid = np.ones(m.stack, dtype=bool)
+    for i in np.ndindex(m.stack):
+        try:
+            Measurement(m.outcomes, m.scalars[i], m.blochs[i]).validate(tol)
+        except ValueError:
+            valid[i] = False
+    return valid
 
 
 def certify_optimal(
-    aux: AuxiliaryEnsemble, m: Measurement, tol: float = DEFAULT_TOL
-) -> bool:
+    aux: AuxiliaryEnsemble,
+    m: Measurement,
+    tol: float = DEFAULT_TOL,
+    *,
+    residual: float | np.ndarray | None = None,
+) -> bool | np.ndarray:
     """Exact optimality test for a discrimination measurement.
 
     True iff ``m`` is a valid measurement, every effect satisfies
@@ -378,34 +404,46 @@ def certify_optimal(
     eigenvalue exceeds ``Lambda`` by more than ``tol`` (``aux.dual_gap``);
     stationarity alone accepts any ``Lambda`` that a used member attains.
     Outcome functions without an entry in ``m`` carry the zero effect.
+    Stacks give one verdict per entry, each judged on that entry alone.
+    ``residual``, when the caller has it, is ``certificate_residual(aux, m)``.
     """
-    _check_one_angle(aux)
+    valid = True
     try:
         m.validate(tol)
     except ValueError:
-        return False
-    return certificate_residual(aux, m) <= tol and aux.dual_gap <= tol
+        valid = _valid_entries(m, tol)
+        if not np.logical_or.reduce(valid, axis=None):
+            return valid if m.stack else False
+    if residual is None:
+        residual = certificate_residual(aux, m)
+    return valid & (residual <= tol) & (aux.dual_gap <= tol)
 
 
 def convex_combination(
     measurements: Iterable[Measurement], weights: Iterable[float] | None = None
 ) -> Measurement:
-    """Outcome-wise convex mix of measurements over a shared label space."""
+    """Outcome-wise convex mix of measurements over a shared label space.
+
+    Stacked measurements mix entry by entry; their stack axes broadcast.
+    """
     measurements = list(measurements)
     if not measurements:
         raise ValueError("convex_combination needs at least one measurement")
     if weights is None:
         weights = [1.0 / len(measurements)] * len(measurements)
     weights = list(weights)
+    if not all(0.0 <= w < np.inf for w in weights):
+        raise ValueError(f"weights must be finite and non-negative, got {weights}")
     if len(weights) != len(measurements) or abs(sum(weights) - 1.0) > DEFAULT_TOL:
         raise ValueError("weights must match the measurements and sum to 1")
     labels = tuple(dict.fromkeys(z for m in measurements for z in m))
-    scalars = np.zeros(len(labels))
-    blochs = np.zeros((len(labels), 3))
+    stack = np.broadcast_shapes(*(m.stack for m in measurements))
+    scalars = np.zeros(stack + (len(labels),))
+    blochs = np.zeros(stack + (len(labels), 3))
     for w, m in zip(weights, measurements):
         rows = [labels.index(z) for z in m]
-        scalars[rows] += w * m.scalars
-        blochs[rows] += w * m.blochs
+        scalars[..., rows] += w * m.scalars
+        blochs[..., rows, :] += w * m.blochs
     return Measurement(labels, scalars, blochs)
 
 
@@ -420,11 +458,12 @@ def reduce_to_povm(
     Outcomes relabel as ``phi_ab(+-) -> +-n`` and ``phi_ba(+-) -> +-m``;
     the returned post-processing guesses what the underlying outcome
     function dictates, which reproduces the priority-table strategy.  Both
-    inputs must pass the optimality certificate.
+    inputs must pass the optimality certificate at every entry of a stack;
+    the POVM then carries their stack axes and the strategy serves them all.
     """
     k = aux.k
     for name, m in (("m_ab", m_ab), ("m_ba", m_ba)):
-        if not certify_optimal(aux, m, tol):
+        if not np.logical_and.reduce(certify_optimal(aux, m, tol), axis=None):
             raise ValueError(f"{name} does not certify as optimal")
     layout = {
         "+n": (m_ab, fallback_function(k, +1, "ab")),
@@ -433,8 +472,9 @@ def reduce_to_povm(
         "-m": (m_ba, fallback_function(k, -1, "ba")),
     }
     outcomes = KIND_OUTCOMES[ANTICIPATIVE]
-    scalars = np.empty(len(outcomes))
-    blochs = np.empty((len(outcomes), 3))
+    stack = np.broadcast_shapes(m_ab.stack, m_ba.stack)
+    scalars = np.empty(stack + (len(outcomes),))
+    blochs = np.empty(stack + (len(outcomes), 3))
     for j, label in enumerate(outcomes):
         m, phi = layout[label]
         try:
@@ -443,7 +483,7 @@ def reduce_to_povm(
             raise ValueError(
                 f"expected outcome function {phi!r} among {label!r} effects"
             ) from None
-        scalars[j], blochs[j] = m.scalars[i], m.blochs[i]
+        scalars[..., j], blochs[..., j, :] = m.scalars[..., i], m.blochs[..., i, :]
     picks = enumerate_functions(k)[[layout[z][1] for z in outcomes]]
     guess = np.eye(len(INPUT_LABELS))[picks.T]
     povm = Measurement(outcomes, 0.5 * scalars, 0.5 * blochs)

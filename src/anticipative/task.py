@@ -193,7 +193,7 @@ def _ensemble(a: np.ndarray, b: np.ndarray) -> StateEnsemble:
     return StateEnsemble(INPUT_LABELS, _filled(blochs.shape[:-1], 0.125), blochs)
 
 
-def make_ensemble(theta: float) -> StateEnsemble:
+def make_ensemble(theta: float | np.ndarray) -> StateEnsemble:
     """The four equiprobable pure states ``(I +- a.sigma)/8, (I +- b.sigma)/8``."""
     return _ensemble(*basis_vectors(theta))
 
@@ -204,12 +204,12 @@ def _measurement(kind: str, a: np.ndarray, b: np.ndarray) -> Measurement:
     return Measurement(KIND_OUTCOMES[kind], _filled(blochs.shape[:-1], 0.25), blochs)
 
 
-def anticipative_directions(theta: float) -> tuple[np.ndarray, np.ndarray]:
+def anticipative_directions(theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit axes ``m, n`` of the anticipative measurement (:func:`kind_axes`)."""
     return kind_axes(ANTICIPATIVE, *basis_vectors(theta))
 
 
-def measurement_for(kind: str, theta: float) -> Measurement:
+def measurement_for(kind: str, theta: float | np.ndarray) -> Measurement:
     """Even mixture of the projective measurements along the kind's axes.
 
     Effects ``(I +- u.sigma)/4`` for each axis ``u`` of :func:`kind_axes`,

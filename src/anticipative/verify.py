@@ -58,30 +58,36 @@ def _tampered(aux: solver.AuxiliaryEnsemble) -> solver.AuxiliaryEnsemble:
 
 
 def _planted_lambda(
-    aux: solver.AuxiliaryEnsemble, theta: float
+    aux: solver.AuxiliaryEnsemble, theta: float | np.ndarray
 ) -> tuple[solver.AuxiliaryEnsemble, bloch.Measurement]:
     """The ``aux-lambda`` fault: a wrong maximum and a measurement stationary for it.
 
     ``lambda_max`` drops to the score of the constant guess ``+a``, measured
     along ``+-a`` together with the constant guess ``-a`` (success 1/2).
-    Only the dual half of the certificate rejects the pair.
+    Only the dual half of the certificate rejects the pair.  An array of
+    angles plants one maximum and one measurement per angle.
     """
     a, _ = task.basis_vectors(theta)
     plus, minus = (solver.constant_function(aux.k, y) for y in ("+a", "-a"))
     scalar, vec = aux.member(plus)
-    planted = replace(aux, lambda_max=float(scalar + np.linalg.norm(vec)))
-    m = bloch.Measurement((plus, minus), np.full(2, 0.5), 0.5 * np.array((a, -a)))
-    return planted, m
+    top = bloch.float_or_array(scalar + np.sqrt(np.vecdot(vec, vec)))
+    blochs = 0.5 * np.stack((a, -a), axis=-2)
+    m = bloch.Measurement((plus, minus), np.full(blochs.shape[:-1], 0.5), blochs)
+    return replace(aux, lambda_max=top), m
+
+
+def _worst(*gaps: np.ndarray) -> float:
+    """Largest entry of all the arrays; NaN if any entry is NaN, so the check fails."""
+    return float(np.maximum.reduce([np.maximum.reduce(g, axis=None) for g in gaps]))
 
 
 def _check_closed_forms(tol: float, thetas: np.ndarray) -> CheckResult:
-    worst = 0.0
+    gaps = []
     for scenario in task.SCENARIOS:
         # One pipeline call per scenario, over every angle at once.
         closed = [task.closed_form(scenario, theta) for theta in thetas]
-        gaps = np.abs(task.pipeline_success(scenario, thetas) - closed)
-        # The new value first: max keeps a NaN there, and NaN fails the check.
-        worst = max(float(np.max(gaps)), worst)
+        gaps.append(np.abs(task.pipeline_success(scenario, thetas) - closed))
+    worst = _worst(*gaps)
     return CheckResult(
         name="closed-form equivalence",
         passed=worst <= tol,
@@ -91,34 +97,36 @@ def _check_closed_forms(tol: float, thetas: np.ndarray) -> CheckResult:
 
 
 def _check_born_tables(tol: float, thetas: np.ndarray) -> CheckResult:
-    worst = 0.0
-    ok = True
-    for theta in thetas[:: max(len(thetas) // 5, 1)]:
-        ensemble = task.make_ensemble(theta)
-        tables = {
-            kind: bloch.joint_table(ensemble, task.measurement_for(kind, theta), tol)
-            for kind in task.KINDS
-        }
-        for table in tables.values():
-            worst = max(worst, abs(table.total() - 1.0))
-        p_plus, p_minus, q_plus, q_minus = task.pq_values(theta)
-        table = tables[task.ANTICIPATIVE]
-        expected = {
-            ("+a", "+m"): p_plus,
-            ("+a", "+n"): q_plus,
-            ("-a", "+m"): p_minus,
-            ("+b", "+n"): p_plus,
-            ("+b", "+m"): q_plus,
-            ("-b", "-m"): q_plus,
-        }
-        for (x, z), value in expected.items():
-            worst = max(worst, abs(table.prob(x, z) - value))
-        ok = ok and abs(sum(task.pq_values(theta)) - 0.25) <= tol
-        # The projector (I + a.sigma)/2 squares to itself and holds 1/4 of +a.
-        half_a = 0.5 * task.basis_vectors(theta)[0]
-        scalar, vec = ensemble["+a"]
-        worst = max(worst, abs(2.0 * (0.25 + float(half_a @ half_a)) - 1.0))
-        worst = max(worst, abs(2.0 * (scalar * 0.5 + float(vec @ half_a)) - 0.25))
+    # One stacked ensemble over the sampled angles and one table per kind.
+    angles = thetas[:: max(len(thetas) // 5, 1)]
+    ensemble = task.make_ensemble(angles)
+    tables = {
+        kind: bloch.joint_table(ensemble, task.measurement_for(kind, angles), tol)
+        for kind in task.KINDS
+    }
+    pq = [task.pq_values(theta) for theta in angles]
+    ok = all(abs(sum(values) - 0.25) <= tol for values in pq)
+    p_plus, p_minus, q_plus, q_minus = np.array(pq).T
+    table = tables[task.ANTICIPATIVE]
+    expected = {
+        ("+a", "+m"): p_plus,
+        ("+a", "+n"): q_plus,
+        ("-a", "+m"): p_minus,
+        ("+b", "+n"): p_plus,
+        ("+b", "+m"): q_plus,
+        ("-b", "-m"): q_plus,
+    }
+    got = np.array([table.prob(x, z) for x, z in expected])
+    totals = np.array([t.total() for t in tables.values()])
+    # The projector (I + a.sigma)/2 squares to itself and holds 1/4 of +a.
+    half_a = 0.5 * task.basis_vectors(angles)[0]
+    scalar, vec = ensemble["+a"]
+    worst = _worst(
+        np.abs(totals - 1.0),
+        np.abs(got - np.array(list(expected.values()))),
+        np.abs(2.0 * (0.25 + np.vecdot(half_a, half_a)) - 1.0),
+        np.abs(2.0 * (scalar * 0.5 + np.vecdot(vec, half_a)) - 0.25),
+    )
     return CheckResult(
         name="born tables",
         passed=ok and worst <= tol,
@@ -129,7 +137,7 @@ def _check_born_tables(tol: float, thetas: np.ndarray) -> CheckResult:
 def _check_enumeration(tol: float, thetas: np.ndarray) -> CheckResult:
     sizes = {1: 256, 2: 4096}
     norms = {1: 64.0, 2: 1024.0}
-    worst = 0.0
+    gaps = []
     ok = True
     for k in solver.SOLVER_K:
         functions = solver.enumerate_functions(k)
@@ -146,19 +154,18 @@ def _check_enumeration(tol: float, thetas: np.ndarray) -> CheckResult:
         brute = np.maximum.reduce(solver.gamma(found, aux.inner_product), axis=-1)
         scenario = task.Scenario(task.ANTICIPATIVE, k)
         closed = [task.closed_form(scenario, theta) for theta in thetas]
-        gaps = (
+        gaps += (
             np.abs(aux.total_trace() - 1.0),
             np.abs(best * 24.0 * aux.normalization - brute),
             np.abs(solver.anticipative_success(aux) - closed),
         )
-        # The new values first: max keeps a NaN there, and NaN fails the check.
-        worst = max(float(np.max(gaps)), worst)
         ok = ok and all(
             solver.fallback_function(k, sign, order) in found_set
             for found_set in winners
             for order in ("ab", "ba")
             for sign in (+1, -1)
         )
+    worst = _worst(*gaps)
     return CheckResult(
         name="enumeration oracle",
         passed=ok and worst <= tol,
@@ -172,25 +179,26 @@ def _check_certificates(
 ) -> CheckResult:
     n = len(thetas)
     # Each position once: on a short grid some of the five coincide.
-    sample = [thetas[i] for i in sorted({0, n // 4, n // 2, (3 * n) // 4, n - 1})]
+    sample = thetas[sorted({0, n // 4, n // 2, (3 * n) // 4, n - 1})]
     ok = True
-    worst = 0.0
-    gap = -math.inf
+    residuals, gaps = [], []
     for k in solver.SOLVER_K:
-        for theta in sample:
-            aux = solver.build_auxiliary(theta, k)
-            m_ab = solver.paired_measurement(theta, k, "ab")
-            m_ba = solver.paired_measurement(theta, k, "ba")
-            measurements = [m_ab, m_ba, solver.convex_combination([m_ab, m_ba])]
-            if fault == "aux-normalization":
-                aux = _tampered(aux)
-            elif fault == "aux-lambda":
-                aux, planted = _planted_lambda(aux, theta)
-                measurements = [planted]
-            for m in measurements:
-                ok = ok and solver.certify_optimal(aux, m, tol)
-                worst = max(worst, solver.certificate_residual(aux, m))
-            gap = max(gap, aux.dual_gap)
+        # One stacked ensemble and measurement of each kind per k.
+        aux = solver.build_auxiliary(sample, k)
+        m_ab = solver.paired_measurement(sample, k, "ab")
+        m_ba = solver.paired_measurement(sample, k, "ba")
+        measurements = [m_ab, m_ba, solver.convex_combination([m_ab, m_ba])]
+        if fault == "aux-normalization":
+            aux = _tampered(aux)
+        elif fault == "aux-lambda":
+            aux, planted = _planted_lambda(aux, sample)
+            measurements = [planted]
+        for m in measurements:
+            residuals.append(solver.certificate_residual(aux, m))
+            passed = solver.certify_optimal(aux, m, tol, residual=residuals[-1])
+            ok = ok and bool(np.logical_and.reduce(passed, axis=None))
+        gaps.append(aux.dual_gap)
+    worst, gap = _worst(*residuals), _worst(*gaps)
     detail = (
         f"max certificate residual = {worst:.3e}, max dual gap = {gap:.3e} "
         f"at {len(sample)} angles, k in {solver.SOLVER_K}"
@@ -205,35 +213,33 @@ def _check_certificates(
 
 
 def _check_reduction(tol: float, thetas: np.ndarray) -> CheckResult:
+    # Each position once, as one stack shared by both k.
+    angles = thetas[sorted({0, len(thetas) // 2, len(thetas) - 1})]
+    reference = task.measurement_for(task.ANTICIPATIVE, angles)
+    m_dir, n_dir = task.anticipative_directions(angles)
+    spec = task.discrimination_game(task.ANTICIPATIVE, angles)
     ok = True
-    worst = 0.0
+    gaps = []
     for k in solver.SOLVER_K:
-        for i in sorted({0, len(thetas) // 2, len(thetas) - 1}):
-            theta = thetas[i]
-            aux = solver.build_auxiliary(theta, k)
-            povm, nu = solver.reduce_to_povm(
-                aux,
-                solver.paired_measurement(theta, k, "ab"),
-                solver.paired_measurement(theta, k, "ba"),
-            )
-            reference = task.measurement_for(task.ANTICIPATIVE, theta)
-            ok = ok and povm.outcomes == reference.outcomes
-            m_dir, n_dir = task.anticipative_directions(theta)
-            worst = max(
-                worst,
-                float(np.max(np.abs(povm.scalars - reference.scalars))),
-                float(np.max(np.abs(povm.blochs - reference.blochs))),
-                float(np.max(np.abs(povm["+m"][1] - 0.25 * m_dir))),
-                float(np.max(np.abs(povm["+n"][1] - 0.25 * n_dir))),
-            )
-            expected_nu = task.priority_post(task.ANTICIPATIVE, k)
-            ok = ok and nu.sets == expected_nu.sets
-            ok = ok and np.array_equal(nu.guess, expected_nu.guess)
-            spec = task.discrimination_game(task.ANTICIPATIVE, theta)
-            value = game.success_with_cpost(
-                spec, game.exclusion_info_map(spec, k), nu
-            )
-            worst = max(worst, abs(value - solver.anticipative_success(aux)))
+        aux = solver.build_auxiliary(angles, k)
+        povm, nu = solver.reduce_to_povm(
+            aux,
+            solver.paired_measurement(angles, k, "ab"),
+            solver.paired_measurement(angles, k, "ba"),
+        )
+        ok = ok and povm.outcomes == reference.outcomes
+        expected_nu = task.priority_post(task.ANTICIPATIVE, k)
+        ok = ok and nu.sets == expected_nu.sets
+        ok = ok and np.array_equal(nu.guess, expected_nu.guess)
+        value = game.success_with_cpost(spec, game.exclusion_info_map(spec, k), nu)
+        gaps += (
+            np.abs(povm.scalars - reference.scalars),
+            np.abs(povm.blochs - reference.blochs),
+            np.abs(povm["+m"][1] - 0.25 * m_dir),
+            np.abs(povm["+n"][1] - 0.25 * n_dir),
+            np.abs(value - solver.anticipative_success(aux)),
+        )
+    worst = _worst(*gaps)
     return CheckResult(
         name="povm reduction",
         passed=ok and worst <= tol,
@@ -279,15 +285,15 @@ def _check_decomposition(tol: float, seed: int) -> CheckResult:
 
 def _check_simulator(tol: float, seed: int) -> CheckResult:
     ok = True
-    worst = 0.0
+    gaps = []
     for theta in (math.pi / 8, math.pi / 3, math.pi / 2):
         for kind in task.KINDS:
             for k in task.K_VALUES:
-                gap = abs(
+                gaps.append(
                     simulate.exact_success(theta, kind, k)
                     - task.closed_form(task.Scenario(kind, k), theta)
                 )
-                worst = max(worst, gap)
+    worst = _worst(np.abs(gaps))
     sched = simulate.angle_schedule(math.pi / 2, task.STANDARD, "b", state="+a")
     ok = ok and abs(sched.measurement + math.pi / 4) <= tol
     ok = ok and abs(sched.preparation - math.pi / 4) <= tol
@@ -302,10 +308,12 @@ def _check_simulator(tol: float, seed: int) -> CheckResult:
     ok = ok and all(
         np.array_equal(r1.outcomes, r2.outcomes) for r1, r2 in zip(results, again)
     )
-    stat_worst = 0.0
-    for (theta, kind, k), est in simulate.empirical_success(results).items():
-        target = task.closed_form(task.Scenario(kind, k), theta)
-        stat_worst = max(stat_worst, abs(est.value - target) / est.stderr)
+    stat_worst = _worst(
+        [
+            abs(est.value - task.closed_form(task.Scenario(kind, k), theta)) / est.stderr
+            for (theta, kind, k), est in simulate.empirical_success(results).items()
+        ]
+    )
     ok = ok and stat_worst <= 5.0
     return CheckResult(
         name="simulator consistency",

@@ -235,23 +235,6 @@ class TestGamma:
 
 
 class TestBuildAuxiliary:
-    def test_one_angle_only(self):
-        # the ensemble stacks angles; the measurement, certificate and
-        # reduction take one at a time
-        with pytest.raises(TypeError):
-            paired_measurement(np.array([0.3, 0.5]), 1, "ab")
-        stacked = build_auxiliary(np.array([0.3, 0.5]), 1)
-        assert stacked.stack == (2,)
-        m_ab = paired_measurement(0.3, 1, "ab")
-        m_ba = paired_measurement(0.3, 1, "ba")
-        for call in (
-            lambda: certificate_residual(stacked, m_ab),
-            lambda: certify_optimal(stacked, m_ab),
-            lambda: reduce_to_povm(stacked, m_ab, m_ba),
-        ):
-            with pytest.raises(ValueError, match="takes one angle"):
-                call()
-
     def test_normalization_constants(self):
         assert build_auxiliary(1.0, 1).normalization == pytest.approx(64.0)
         assert build_auxiliary(1.0, 2).normalization == pytest.approx(1024.0)
@@ -366,6 +349,31 @@ class TestLambdaArgmax:
             assert winners == expected
             assert len(winners) == 8
 
+    def test_scores_computed_once_per_ensemble(self, monkeypatch):
+        # build_auxiliary hands its scores to lambda_argmax; an ensemble made
+        # by replace() scores its own arrays, not the ones it was copied from
+        calls = []
+        original = solver._scores
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_scores", counting)
+        for theta in (0.7, STACK_ANGLES):
+            aux = build_auxiliary(theta, 2)
+            assert len(calls) == 1
+            best, winners = lambda_argmax(aux)
+            assert len(calls) == 1
+            assert _hexes(best) == _hexes(aux.lambda_max)
+            tampered = _tampered(aux)
+            tampered_best, tampered_winners = lambda_argmax(tampered)
+            assert len(calls) == 2
+            scores = original(tampered.scalars, tampered.blochs)
+            assert _hexes(tampered_best) == _hexes(np.maximum.reduce(scores, axis=-1))
+            assert tampered_winners == winners
+            calls.clear()
+
     def test_small_angle_limit(self):
         aux = build_auxiliary(1e-6, 1)
         assert 24.0 * aux.normalization * aux.lambda_max == pytest.approx(
@@ -450,6 +458,130 @@ class TestStackedAngles:
         for bad in ([0.3, math.nan], [-1.5, 0.3]):
             with pytest.raises(ValueError, match="must lie in"):
                 gamma((1, 0, 0, 0), np.array(bad))
+
+
+def _hexes(values) -> list[str]:
+    """``float.hex`` of every entry, for bit-for-bit comparisons."""
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestStackedSolver:
+    """The measurement, certificate and reduction on a stack of angles."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("order", ["ab", "ba"])
+    def test_stack_matches_each_angle_bit_for_bit(self, k, order):
+        aux = build_auxiliary(STACK_ANGLES, k)
+        m = paired_measurement(STACK_ANGLES, k, order)
+        other = paired_measurement(STACK_ANGLES, k, "ba" if order == "ab" else "ab")
+        mix = convex_combination([m, other], [0.25, 0.75])
+        m_ab, m_ba = (m, other) if order == "ab" else (other, m)
+        povm, nu = reduce_to_povm(aux, m_ab, m_ba)
+        n = len(STACK_ANGLES)
+        assert m.stack == mix.stack == povm.stack == (n,)
+        assert m.blochs.shape == (n, 2, 3)
+        stacked = {
+            "residual": certificate_residual(aux, m),
+            "mix_residual": certificate_residual(aux, mix),
+            "certified": certify_optimal(aux, m),
+            "mix_certified": certify_optimal(aux, mix),
+        }
+        assert stacked["certified"].shape == (n,)
+        for i, theta in enumerate(STACK_ANGLES.tolist()):
+            one = build_auxiliary(theta, k)
+            one_m = paired_measurement(theta, k, order)
+            one_other = paired_measurement(theta, k, "ba" if order == "ab" else "ab")
+            one_mix = convex_combination([one_m, one_other], [0.25, 0.75])
+            one_povm, one_nu = reduce_to_povm(
+                one, *((one_m, one_other) if order == "ab" else (one_other, one_m))
+            )
+            alone = {
+                "residual": certificate_residual(one, one_m),
+                "mix_residual": certificate_residual(one, one_mix),
+                "certified": certify_optimal(one, one_m),
+                "mix_certified": certify_optimal(one, one_mix),
+            }
+            for name, values in stacked.items():
+                assert type(alone[name]) in (float, bool), name
+                assert _hexes(values[i]) == _hexes(alone[name]), (name, theta)
+            assert m.outcomes == one_m.outcomes and mix.outcomes == one_mix.outcomes
+            for got, want in ((m, one_m), (mix, one_mix), (povm, one_povm)):
+                assert _hexes(got.scalars[i]) == _hexes(want.scalars)
+                assert _hexes(got.blochs[i]) == _hexes(want.blochs)
+            assert povm.outcomes == one_povm.outcomes
+            assert nu.sets == one_nu.sets
+            assert np.array_equal(nu.guess, one_nu.guess)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("order", ["ab", "ba"])
+    def test_flipped_stack_certifies_only_at_right_angles(self, k, order):
+        aux = build_auxiliary(STACK_ANGLES, k)
+        flipped = paired_measurement(STACK_ANGLES, k, order, flip_a=True)
+        certified = certify_optimal(aux, flipped)
+        residual = certificate_residual(aux, flipped)
+        right = np.flatnonzero(STACK_ANGLES == math.pi / 2)
+        assert np.array_equal(np.flatnonzero(certified), right)
+        for i, theta in enumerate(STACK_ANGLES.tolist()):
+            one = paired_measurement(theta, k, order, flip_a=True)
+            assert _hexes(flipped.blochs[i]) == _hexes(one.blochs)
+            one_aux = build_auxiliary(theta, k)
+            assert certified[i] == certify_optimal(one_aux, one)
+            assert residual[i].hex() == certificate_residual(one_aux, one).hex()
+
+    def test_labels_do_not_depend_on_the_angle(self):
+        for k in (1, 2):
+            for order in ("ab", "ba"):
+                m = paired_measurement(STACK_ANGLES, k, order)
+                assert m.outcomes == paired_measurement(0.3, k, order).outcomes
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_tampered_angle_fails_only_its_own_index(self, k):
+        angles = theta_grid(7)
+        aux = build_auxiliary(angles, k)
+        m_ab = paired_measurement(angles, k, "ab")
+        m_ba = paired_measurement(angles, k, "ba")
+        blochs = aux.blochs.copy()
+        blochs[3] *= 1.01
+        tampered = replace(aux, blochs=blochs)
+        for m in (m_ab, m_ba, convex_combination([m_ab, m_ba])):
+            assert certify_optimal(aux, m).all()
+            verdict = certify_optimal(tampered, m)
+            assert np.flatnonzero(~verdict).tolist() == [3]
+        with pytest.raises(ValueError, match="m_ab does not certify"):
+            reduce_to_povm(tampered, m_ab, m_ba)
+
+    def test_invalid_entry_fails_only_its_own_index(self):
+        # the effects at angle 2 sum to 1.5 I: the only invalid entry
+        angles = theta_grid(5)
+        aux = build_auxiliary(angles, 1)
+        m = paired_measurement(angles, 1, "ab")
+        scalars = m.scalars.copy()
+        scalars[2] *= 1.5
+        bad = Measurement(m.outcomes, scalars, m.blochs)
+        with pytest.raises(ValueError, match="at stack index 2"):
+            bad.validate()
+        assert np.flatnonzero(~certify_optimal(aux, bad)).tolist() == [2]
+        everywhere = Measurement(m.outcomes, 1.5 * m.scalars, m.blochs)
+        assert not certify_optimal(aux, everywhere).any()
+
+    def test_residual_given_by_the_caller(self):
+        aux = build_auxiliary(theta_grid(5), 2)
+        m = paired_measurement(theta_grid(5), 2, "ab")
+        residual = certificate_residual(aux, m)
+        assert certify_optimal(aux, m, residual=residual).all()
+        assert not certify_optimal(aux, m, residual=residual + 1.0).any()
+
+    def test_one_angle_gives_the_unstacked_objects(self):
+        aux = build_auxiliary(0.7, 1)
+        m_ab = paired_measurement(0.7, 1, "ab")
+        m_ba = paired_measurement(0.7, 1, "ba")
+        assert m_ab.stack == () and m_ab.blochs.shape == (2, 3)
+        assert type(certificate_residual(aux, m_ab)) is float
+        assert certify_optimal(aux, m_ab) is True
+        invalid = _identity(fallback_function(1, +1, "ab"), 0.5)
+        assert certify_optimal(aux, invalid) is False
+        povm, nu = reduce_to_povm(aux, m_ab, m_ba)
+        assert povm.stack == () and nu.guess.shape == (4, 4, 4)
 
 
 class TestTheoremMeasurement:
@@ -612,6 +744,20 @@ class TestConvexCombination:
         m = paired_measurement(1.0, 1, "ab")
         with pytest.raises(ValueError, match="sum to 1"):
             convex_combination([m, m], [0.5, 0.6])
+        with pytest.raises(ValueError, match="sum to 1"):
+            convex_combination([m, m], [1.0])
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[2.0, -1.0], [math.nan, 0.5], [math.inf, -math.inf], [math.inf, 0.0]],
+        ids=["negative", "nan", "infinities", "infinite"],
+    )
+    def test_weights_that_are_not_convex_rejected(self, weights):
+        # the warnings filter turns a RuntimeWarning from NaN arithmetic
+        # into an error, so these must fail before any mixing
+        m_ab, m_ba = (paired_measurement(1.0, 1, order) for order in ("ab", "ba"))
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            convex_combination([m_ab, m_ba], weights)
 
     def test_no_measurements_rejected(self):
         with pytest.raises(ValueError, match="at least one measurement"):

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from anticipative import cli, simulate, solver, task
+from anticipative import bloch, cli, simulate, solver, task, verify
 from anticipative.bloch import Measurement, StateEnsemble
 from anticipative.verify import (
     FAULTS,
@@ -97,12 +97,42 @@ def test_closed_forms_take_one_pipeline_call_per_scenario(monkeypatch):
 
 
 def test_enumeration_takes_one_solver_call_per_k(monkeypatch):
-    # The brute-force check stacks the grid; certificates and the reduction
-    # take one angle at a time.
+    # No one-angle ensembles: the brute-force check stacks the grid, the
+    # certificates their five sample angles and the reduction its three,
+    # each once per k.
     calls = _recorded_calls(monkeypatch, solver, "build_auxiliary")
     assert run_verification().passed
-    stacked = [(len(theta), k) for theta, k in calls if np.ndim(theta)]
-    assert stacked == [(25, 1), (25, 2)]
+    assert all(np.ndim(theta) == 1 for theta, _ in calls)
+    assert [(len(theta), k) for theta, k in calls] == [
+        (25, 1),
+        (25, 2),
+        (5, 1),
+        (5, 2),
+        (3, 1),
+        (3, 2),
+    ]
+
+
+def test_certificates_and_reduction_take_stacked_calls(monkeypatch):
+    # Per k, the certificate check takes two paired measurements and three
+    # residuals over five angles; the reduction check two paired
+    # measurements and one reduction, which certifies both, over three.
+    paired = _recorded_calls(monkeypatch, solver, "paired_measurement")
+    residuals = _recorded_calls(monkeypatch, solver, "certificate_residual")
+    reductions = _recorded_calls(monkeypatch, solver, "reduce_to_povm")
+    assert run_verification().passed
+    assert [len(theta) for theta, *_ in paired] == [5] * 4 + [3] * 4
+    assert [aux.stack for aux, _ in residuals] == [(5,)] * 6 + [(3,)] * 4
+    assert [aux.stack for aux, *_ in reductions] == [(3,)] * 2
+
+
+def test_born_tables_take_one_table_per_kind(monkeypatch):
+    calls = _recorded_calls(monkeypatch, bloch, "joint_table")
+    assert verify._check_born_tables(1e-12, task.theta_grid(25)).passed
+    assert [args[1].outcomes for args in calls] == [
+        task.KIND_OUTCOMES[kind] for kind in task.KINDS
+    ]
+    assert all(args[0].stack == (5,) for args in calls)
 
 
 def test_decomposition_takes_one_stacked_call(monkeypatch):
@@ -138,14 +168,37 @@ def test_impossible_tolerance_fails():
     assert not report.passed
 
 
+@pytest.mark.parametrize("points", [1, 2, 3, 25])
 @pytest.mark.parametrize("fault", FAULTS)
-def test_fault_injection_breaks_exactly_the_certificates(fault):
-    report = run_verification(points=3, fault=fault)
+def test_fault_injection_breaks_exactly_the_certificates(fault, points):
+    # On one or two points some of the five sample positions coincide.
+    report = run_verification(points=points, fault=fault)
     assert not report.passed
     failed = [c.name for c in report.checks if not c.passed]
     assert failed == ["optimality certificates"]
     detail = next(c.detail for c in report.checks if not c.passed)
     assert "fault injected" in detail
+
+
+def test_a_nan_in_an_early_gap_fails_the_check(monkeypatch):
+    # A NaN must survive the later, finite gaps of the same check.
+    pipeline, exact = task.pipeline_success, simulate.exact_success
+    first = task.SCENARIOS[0]
+    monkeypatch.setattr(
+        task,
+        "pipeline_success",
+        lambda s, thetas: pipeline(s, thetas) * (math.nan if s == first else 1.0),
+    )
+    monkeypatch.setattr(
+        simulate,
+        "exact_success",
+        lambda theta, kind, k: math.nan if k == 0 else exact(theta, kind, k),
+    )
+    for check in (
+        verify._check_closed_forms(1e-12, task.theta_grid(5)),
+        verify._check_simulator(1e-12, 2026),
+    ):
+        assert not check.passed and "= nan" in check.detail, check
 
 
 def test_unknown_fault_rejected():

@@ -36,10 +36,12 @@ in per-shot mode, its bases) at a time.
 Seed lineage: run ``i`` of a plan with master seed ``s`` uses
 ``numpy.random.SeedSequence(s, spawn_key=(i,))``, where ``i`` is the run's
 position in the plan's canonical order (theta, then kind, then state, then
-basis).  :meth:`RunSpec.seed_sequence` is that contract.  A plan computes
-the state every run's sequence hands its generator once for all runs, and
-each run's noise-free Born overlaps once for all angles, so neither is
-rebuilt per run; the streams are those of the contract.
+basis).  :meth:`RunSpec.seed_sequence` is that contract, and
+:meth:`RunSpec.rng` is ``default_rng`` of it for every run.  A plan
+computes the state every run's sequence hands its generator once for all
+runs, which only :func:`sample_run` seeds from, and each run's noise-free
+Born overlaps once for all angles, so neither is rebuilt per run; the
+streams are those of the contract.
 """
 
 from __future__ import annotations
@@ -200,46 +202,22 @@ def _spawn_words(master_seed: int, keys: np.ndarray) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _run_seed_type() -> type:
-    """The ``ISeedSequence`` that seeds a run's ``PCG64`` from its words.
+def _words_seed_type() -> type:
+    """The ``ISeedSequence`` that hands ``PCG64`` a plan run's words.
 
     Defined on first use: subclassing at import time would import
     ``numpy.random``, which adds 10-15 ms to every CLI start.
     """
-    from numpy.random.bit_generator import ISpawnableSeedSequence
+    from numpy.random.bit_generator import ISeedSequence
 
-    class RunSeed(ISpawnableSeedSequence):
-        """Hands ``PCG64`` a run's words; anything else goes to its SeedSequence."""
-
-        def __init__(self, run: RunSpec) -> None:
-            self.run = run
-            self.sequence = None
-
-        def _sequence(self) -> np.random.SeedSequence:
-            if self.sequence is None:
-                self.sequence = self.run.seed_sequence()
-            return self.sequence
+    class WordsSeed(ISeedSequence):
+        def __init__(self, words: bytes) -> None:
+            self.words = words
 
         def generate_state(self, n_words, dtype=np.uint32):
-            if n_words == 4 and np.dtype(dtype) == np.uint64:
-                return np.frombuffer(self.run._words, "<u8").astype(np.uint64, copy=False)
-            return self._sequence().generate_state(n_words, dtype)
+            return np.frombuffer(self.words, "<u8").astype(np.uint64, copy=False)
 
-        def spawn(self, n_children):
-            return self._sequence().spawn(n_children)
-
-        entropy = property(lambda self: self._sequence().entropy)
-        spawn_key = property(lambda self: self._sequence().spawn_key)
-        pool_size = property(lambda self: self._sequence().pool_size)
-        n_children_spawned = property(
-            lambda self: self._sequence().n_children_spawned
-        )
-
-        def __reduce__(self):
-            # pickles as the run's SeedSequence: this class lives in a function
-            return self._sequence().__reduce__()
-
-    return RunSeed
+    return WordsSeed
 
 
 def _overlaps(theta: float | np.ndarray, kind: str) -> np.ndarray:
@@ -274,11 +252,13 @@ def _plus(overlap, shrink: float):
 class RunSpec:
     """One circuit: a (theta, kind, state, basis) cell of the plan.
 
-    A run built by :class:`ExperimentPlan` also carries its seeding words
-    and its row of noise-free overlaps, computed once for the whole plan;
-    a run constructed on its own seeds from :meth:`seed_sequence` and reads
-    its row from a table cached per ``(theta, kind)``.  Neither field takes
-    part in equality, hashing or repr.
+    :meth:`rng` is ``default_rng(self.seed_sequence())`` for every run.  A
+    run built by :class:`ExperimentPlan` also carries its seeding words,
+    which only :func:`sample_run` reads, and its row of noise-free
+    overlaps, both computed once for the whole plan; a run constructed on
+    its own is sampled from :meth:`rng` and reads its row from a table
+    cached per ``(theta, kind)``.  Neither field takes part in equality,
+    hashing or repr.
     """
 
     index: int
@@ -297,16 +277,13 @@ class RunSpec:
         return np.random.SeedSequence(self.master_seed, spawn_key=(self.index,))
 
     def rng(self) -> np.random.Generator:
-        """``default_rng(self.seed_sequence())``, from the plan's words if carried."""
-        if self._words is None:
-            return np.random.default_rng(self.seed_sequence())
-        return np.random.Generator(np.random.PCG64(_run_seed_type()(self)))
+        return np.random.default_rng(self.seed_sequence())
 
     def overlap(self) -> tuple[float, float]:
         """Noise-free overlaps of the run's state with its kind's two basis axes."""
         if self._overlap is not None:
             return self._overlap
-        row = _overlap_table(self.theta, self.kind)[INPUT_LABELS.index(self.state)]
+        row = _overlap_table(self.theta, self.kind)[_state_index(self.state)]
         return tuple(row.tolist())
 
 
@@ -356,8 +333,7 @@ class ExperimentPlan:
             if kind not in KIND_BASES:
                 raise ValueError(f"unknown kind {kind!r}")
         for state in self.states:
-            if state not in INPUT_LABELS:
-                raise ValueError(f"unknown state {state!r}")
+            _state_index(state)
         for name, low in (("shots_per_run", 1), ("master_seed", 0)):
             value = getattr(self, name)
             try:
@@ -418,6 +394,12 @@ def plan_experiment(
     )
 
 
+def _state_index(state: str) -> int:
+    if state not in INPUT_LABELS:
+        raise ValueError(f"unknown state {state!r}: states are {INPUT_LABELS}")
+    return INPUT_LABELS.index(state)
+
+
 def _basis_index(kind: str, basis: str) -> int:
     bases = KIND_BASES[kind]
     if basis not in bases:
@@ -441,6 +423,7 @@ class AngleSchedule:
 def state_angle(theta: float, state: str) -> float:
     """In-plane angle of a state: ``+-theta/2`` plus ``pi`` for antipodes."""
     theta = check_theta(_one_angle(theta))
+    _state_index(state)
     base = {"a": theta / 2.0, "b": -theta / 2.0}[state[1]]
     return base if state[0] == "+" else base + math.pi
 
@@ -478,21 +461,6 @@ def angle_schedule(
     )
 
 
-@lru_cache(maxsize=256)
-def _plus_probabilities(theta: float, kind: str, shrink: float) -> np.ndarray:
-    """Probability of the ``+`` outcome per cell, ``(1 + s X U^T) / 2``.
-
-    ``X`` holds the task's state axes and ``U`` the kind's basis axes, so
-    ``table[x, i]`` is for state ``INPUT_LABELS[x]`` measured in basis
-    ``KIND_BASES[kind][i]``; ``s`` is the noise's shrink factor.
-    Read-only, built once per ``(theta, kind, shrink)`` from the
-    overlaps a plan's runs carry, by the formula :func:`sample_run` uses.
-    """
-    table = _plus(_overlap_table(theta, kind), shrink)
-    table.setflags(write=False)
-    return table
-
-
 def outcome_probability(
     theta: float, state: str, kind: str, basis: str, noise: NoiseModel = NOISELESS
 ) -> float:
@@ -502,8 +470,9 @@ def outcome_probability(
     rule and the readout flip mixes the recorded bit; both enter as the
     one factor :attr:`NoiseModel.shrink` on the overlap.
     """
-    table = _plus_probabilities(_one_angle(theta), kind, noise.shrink)
-    return float(table[INPUT_LABELS.index(state), _basis_index(kind, basis)])
+    table = _overlap_table(_one_angle(theta), kind)
+    overlap = table[_state_index(state), _basis_index(kind, basis)]
+    return _plus(float(overlap), noise.shrink)
 
 
 class RunResult:
@@ -546,10 +515,22 @@ class RunResult:
                 second_minus,
             )
             return counts
-        column = 2 * KIND_BASES[self.run.kind].index(self.run.basis)
+        column = 2 * _basis_index(self.run.kind, self.run.basis)
         minus = np.count_nonzero(self.outcomes)
         counts[column : column + 2] = (len(self.outcomes) - minus, minus)
         return counts
+
+
+def _run_rng(run: RunSpec) -> np.random.Generator:
+    """The generator :func:`sample_run` draws from, equal to :meth:`RunSpec.rng`.
+
+    A plan run seeds ``PCG64`` from the words its plan hashed, which skips
+    building its ``SeedSequence``; a run constructed on its own calls
+    :meth:`RunSpec.rng`.
+    """
+    if run._words is None:
+        return run.rng()
+    return np.random.Generator(np.random.PCG64(_words_seed_type()(run._words)))
 
 
 def sample_run(run: RunSpec, noise: NoiseModel = NOISELESS) -> RunResult:
@@ -573,7 +554,7 @@ def sample_run(run: RunSpec, noise: NoiseModel = NOISELESS) -> RunResult:
     outcomes (and, per-shot, its bases).  The Born probability of each
     basis is ``(1 + (1 - p) overlap)/2`` from :meth:`RunSpec.overlap`.
     """
-    rng = run.rng()
+    rng = _run_rng(run)
     n = run.shots
     shrink = 1.0 - noise.depolarizing
     overlap = run.overlap()
@@ -629,28 +610,32 @@ def success_weights(kind: str, k: int) -> np.ndarray:
 
 def empirical_success(
     results: Iterable[RunResult],
-    ks: tuple[int, ...] = K_VALUES,
+    ks: Iterable[int] = K_VALUES,
 ) -> dict[tuple[float, str, int], Estimate]:
     """Per-(theta, kind, k) success estimates for every exclusion count in ``ks``.
 
-    Makes one pass over ``results`` (a generator will do) and keeps no
-    run: each run's :meth:`RunResult.tallies` are added once into the
-    ``counts[state, column]`` table of its (theta, kind).  Each table is
-    then scored with the exact weights of :func:`success_weights`, the
-    tables of all ``ks`` stacked once per kind, and the standard error is
-    bounded by the binomial formula (the weights lie in [0, 1], so the
-    bound is conservative).  Fixed-basis groups must cover both bases of
-    their kind with equal shot counts for every state they contain;
-    groups with a per-shot-basis run are exempt because their balance is
-    stochastic by design.
+    Makes one pass over ``results`` and one over ``ks`` (generators will
+    do) and keeps no run: each run's :meth:`RunResult.tallies` are added
+    once into the ``counts[state, column]`` table of its (theta, kind).
+    Each table is then scored with the exact weights of
+    :func:`success_weights`, the tables of all ``ks`` stacked once per
+    kind, and the standard error is bounded by the binomial formula (the
+    weights lie in [0, 1], so the bound is conservative).  Fixed-basis
+    groups must cover both bases of their kind with equal shot counts for
+    every state they contain; groups with a per-shot-basis run are exempt
+    because their balance is stochastic by design.  Every group must hold
+    a shot, and ``ks`` at least one exclusion count.
     """
+    ks = tuple(ks)
+    if not ks:
+        raise ValueError("ks must name at least one exclusion count")
     tables: dict[tuple[float, str], np.ndarray] = {}
     per_shot: set[tuple[float, str]] = set()
     for res in results:
         key = (res.run.theta, res.run.kind)
         if key not in tables:
             tables[key] = np.zeros((len(INPUT_LABELS), 4), dtype=np.int64)
-        tables[key][INPUT_LABELS.index(res.run.state)] += res.tallies()
+        tables[key][_state_index(res.run.state)] += res.tallies()
         if res.bases is not None:
             per_shot.add(key)
         del res  # drop this run's outcomes before the next run is sampled
@@ -669,6 +654,8 @@ def empirical_success(
         if kind not in weights:
             weights[kind] = np.stack([success_weights(kind, k).ravel() for k in ks])
         shots = int(counts.sum())
+        if shots == 0:
+            raise ValueError(f"no shots for theta={theta!r}, kind={kind!r}")
         for k, row in zip(ks, (weights[kind] * counts.ravel()).tolist()):
             # Summed left to right in row-major order: np.sum adds pairwise,
             # which moves some estimates by an ulp and with them CSV digits.
@@ -686,7 +673,7 @@ def exact_success(
     With no noise this equals the closed-form success probability of the
     scenario, which pins the estimator to the analytic layer.
     """
-    plus = _plus_probabilities(_one_angle(theta), kind, noise.shrink)
+    plus = _plus(_overlap_table(_one_angle(theta), kind), noise.shrink)
     probs = np.stack((plus, 1.0 - plus), axis=-1).reshape(len(INPUT_LABELS), 4)
     return 0.125 * float(np.sum(probs * success_weights(kind, k)))
 

@@ -200,11 +200,10 @@ class AuxiliaryEnsemble:
     the traces sum to one; ``lambda_max`` is the best single-member score
     ``max_phi (scalar + |bloch|)`` and ``inner_product`` is ``a . b``, one
     of each per angle.  ``dual_gap`` is the largest member eigenvalue minus
-    ``lambda_max``, positive when ``lambda_max`` is not the maximum; it is
-    recomputed from the class arrays, not read from the scores behind
-    ``lambda_max``, and computed once per instance.  ``scores`` are the
-    class scores behind ``lambda_max``, which :func:`build_auxiliary` hands
-    over; an ensemble made by ``dataclasses.replace`` scores its own arrays.
+    ``lambda_max``, positive when ``lambda_max`` is not the maximum, taken
+    from ``scores`` once per instance.  ``scores`` are the class scores
+    behind ``lambda_max``, which :func:`build_auxiliary` hands over; an
+    ensemble made by ``dataclasses.replace`` scores its own arrays.
     """
 
     k: int
@@ -240,7 +239,7 @@ class AuxiliaryEnsemble:
 
     @cached_property
     def dual_gap(self) -> float | np.ndarray:
-        top = np.maximum.reduce(_scores(self.scalars, self.blochs), axis=-1)
+        top = np.maximum.reduce(self.scores, axis=-1)
         return float_or_array(top - self.lambda_max)
 
     def total_trace(self) -> float | np.ndarray:

@@ -22,6 +22,7 @@ from anticipative.simulate import (
     NOISELESS,
     RANDOM_BASIS,
     NoiseModel,
+    RunResult,
     RunSpec,
     angle_schedule,
     empirical_success,
@@ -35,6 +36,7 @@ from anticipative.simulate import (
     state_angle,
     success_weights,
     tilt_angle,
+    _run_rng,
 )
 from anticipative.task import (
     ANTICIPATIVE,
@@ -51,6 +53,9 @@ from anticipative.task import (
     theta_grid,
 )
 from matrix_oracle import plane_direction, plus_probability_cells, signed_direction
+
+#: The one message for a state outside ``INPUT_LABELS``, here ``'+c'``.
+UNKNOWN_STATE = r"^unknown state '\+c': states are \('\+a', '-a', '\+b', '-b'\)$"
 
 #: Angles for the geometry checks, from near the theta -> 0 end up to pi/2.
 FINE_THETAS = np.concatenate((np.geomspace(1e-6, 0.02, 40), theta_grid(101)))
@@ -123,7 +128,7 @@ class TestPlan:
             plan_experiment(np.array([0.3, 0.3]), shots=10, basis_mode="per-shot")
 
     def test_unknown_state_rejected(self):
-        with pytest.raises(ValueError, match=r"^unknown state '\+c'$"):
+        with pytest.raises(ValueError, match=UNKNOWN_STATE):
             ExperimentPlan((1.0,), KINDS, ("+a", "+c"), 10, 0, "even")
 
     def test_fractional_shots_rejected_at_plan_time(self):
@@ -164,14 +169,15 @@ def _contract_state(run: RunSpec) -> dict:
 
 
 class TestLineage:
-    """Every run's generator equals ``default_rng(run.seed_sequence())``."""
+    """The generator :func:`sample_run` draws from, seeded from a plan's
+    words or from the run alone, equals ``default_rng(run.seed_sequence())``."""
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 7])
     def test_default_cli_plan(self, seed):
         plan = plan_experiment(theta_grid(), shots=20000, seed=seed)
         assert len(plan) == 400
         for run in plan.runs:
-            assert run.rng().bit_generator.state == _contract_state(run), run
+            assert _run_rng(run).bit_generator.state == _contract_state(run), run
 
     def test_wide_per_shot_plan(self):
         plan = plan_experiment(
@@ -179,7 +185,7 @@ class TestLineage:
         )
         assert len(plan) == 3200
         for run in plan.runs:
-            assert run.rng().bit_generator.state == _contract_state(run), run
+            assert _run_rng(run).bit_generator.state == _contract_state(run), run
 
     @pytest.mark.parametrize(
         "index, seed",
@@ -194,9 +200,16 @@ class TestLineage:
     )
     def test_run_constructed_alone(self, index, seed):
         run = RunSpec(index, 0.7, ANTICIPATIVE, "+b", "m", 10, seed)
-        assert run.rng().bit_generator.state == _contract_state(run)
-        run.rng().random(3)  # a fresh generator per call, like default_rng
-        assert run.rng().bit_generator.state == _contract_state(run)
+        assert _run_rng(run).bit_generator.state == _contract_state(run)
+        _run_rng(run).random(3)  # a fresh generator per call, like default_rng
+        assert _run_rng(run).bit_generator.state == _contract_state(run)
+
+    def test_plan_run_rng_is_the_contract(self):
+        # the plan's words seed only the sampler; rng() hands out the contract
+        for run in plan_experiment([0.4, 1.2], shots=10, seed=2**64 + 5).runs:
+            seq = run.rng().bit_generator.seed_seq
+            assert type(seq) is np.random.SeedSequence
+            assert (seq.entropy, seq.spawn_key) == (2**64 + 5, (run.index,))
 
     def test_contract_errors_kept(self):
         with pytest.raises(ValueError):
@@ -296,6 +309,27 @@ class TestProbabilities:
         eps = 0.023
         noisy = outcome_probability(1.0, "+b", ANTICIPATIVE, "m", NoiseModel(0.0, eps))
         assert noisy == pytest.approx(clean * (1 - 2 * eps) + eps, abs=1e-15)
+
+    def test_unknown_state_named(self):
+        # paths a plan does not validate share its check
+        bad = RunSpec(0, 0.7, STANDARD, "+c", "a", 3, 0)
+        calls = (
+            lambda: outcome_probability(0.7, "+c", STANDARD, "a"),
+            lambda: sample_run(bad),
+            bad.overlap,
+            lambda: state_angle(0.7, "+c"),
+            lambda: angle_schedule(0.7, STANDARD, "a", state="+c"),
+            lambda: empirical_success([RunResult(bad, np.zeros(3, np.uint8))]),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=UNKNOWN_STATE):
+                call()
+
+    def test_unknown_basis_named_in_tallies(self):
+        run = RunSpec(0, 0.7, STANDARD, "+a", "n", 3, 0)
+        message = r"^kind 'standard' has bases \('a', 'b'\), got 'n'$"
+        with pytest.raises(ValueError, match=message):
+            RunResult(run, np.zeros(3, np.uint8)).tallies()
 
     def test_bad_basis(self):
         with pytest.raises(ValueError):
@@ -610,6 +644,26 @@ class TestEstimation:
         results = [sample_run(run, NOISELESS) for run in plan.runs]
         with pytest.raises(ValueError, match="unbalanced"):
             empirical_success(results[:-1], (1,))
+
+    def test_group_without_shots_rejected(self):
+        runs = [RunSpec(0, 0.7, STANDARD, "+a", basis, 0, 0) for basis in "ab"]
+        message = r"^no shots for theta=0\.7, kind='standard'$"
+        with pytest.raises(ValueError, match=message):
+            empirical_success(sample_run(run) for run in runs)
+
+    def test_no_exclusion_count_rejected(self):
+        results = [sample_run(run) for run in plan_experiment([1.0], shots=5).runs]
+        message = r"^ks must name at least one exclusion count$"
+        with pytest.raises(ValueError, match=message):
+            empirical_success(results, ())
+
+    def test_exclusion_counts_read_once(self):
+        # every group is scored for each k, so a generator of ks must not
+        # run dry after the first group
+        results = [sample_run(run) for run in plan_experiment([0.5, 1.0], shots=5).runs]
+        from_generator = empirical_success(results, (k for k in (0, 2)))
+        assert from_generator == empirical_success(results, (0, 2))
+        assert len(from_generator) == 2 * 2 * 2
 
     def test_noise_monotone_under_common_random_numbers(self):
         # identical seeds share every uniform draw, so adding depolarizing

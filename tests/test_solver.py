@@ -350,8 +350,9 @@ class TestLambdaArgmax:
             assert len(winners) == 8
 
     def test_scores_computed_once_per_ensemble(self, monkeypatch):
-        # build_auxiliary hands its scores to lambda_argmax; an ensemble made
-        # by replace() scores its own arrays, not the ones it was copied from
+        # build_auxiliary hands its scores to lambda_argmax and dual_gap; an
+        # ensemble made by replace() scores its own arrays, not the ones it
+        # was copied from
         calls = []
         original = solver._scores
 
@@ -364,10 +365,12 @@ class TestLambdaArgmax:
             aux = build_auxiliary(theta, 2)
             assert len(calls) == 1
             best, winners = lambda_argmax(aux)
+            aux.dual_gap
             assert len(calls) == 1
             assert _hexes(best) == _hexes(aux.lambda_max)
             tampered = _tampered(aux)
             tampered_best, tampered_winners = lambda_argmax(tampered)
+            tampered.dual_gap
             assert len(calls) == 2
             scores = original(tampered.scalars, tampered.blochs)
             assert _hexes(tampered_best) == _hexes(np.maximum.reduce(scores, axis=-1))

@@ -27,10 +27,11 @@ priority strategy averaged over the leaked exclusion sets
 (:func:`success_weights`).  So one set of shots estimates every
 exclusion count ``k``.
 
-Memory: :func:`simulate_curves` streams.  Each run allocates its own
-buffer of :data:`CHUNK` uniforms, reuses it across that run's chunks, is
-tallied once into the count table of its (theta, kind) and is dropped, so
-a plan of any size holds one run's chunk buffer plus its outcomes (and,
+Memory: :func:`simulate_curves` streams.  Each run draws its uniforms
+into the :data:`CHUNK`-float buffer of the thread sampling it, allocated
+on that thread's first run and reused by every later one, is tallied
+once into the count table of its (theta, kind) and is dropped, so a plan
+of any size holds the thread's chunk buffer plus one run's outcomes (and,
 in per-shot mode, its bases) at a time.
 
 Seed lineage: run ``i`` of a plan with master seed ``s`` uses
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
@@ -74,8 +76,35 @@ RANDOM_BASIS = "random"
 
 BASIS_MODES = ("even", "per-shot")
 
-#: Uniforms drawn per call into a run's reused buffer (512 KB of floats).
+#: Uniforms drawn per call into a thread's reused buffer (512 KB of floats).
 CHUNK = 1 << 16
+
+_per_thread = threading.local()
+
+
+def _chunk_buffer(n: int) -> np.ndarray:
+    """The first ``min(n, CHUNK)`` floats of the calling thread's buffer.
+
+    Allocated on the thread's first run and kept for its later ones, so a
+    run does not allocate (and the heap does not trim and re-fault) its
+    own; threads sampling at once each write to their own buffer.
+    """
+    try:
+        buf = _per_thread.buf
+    except AttributeError:
+        buf = _per_thread.buf = np.empty(CHUNK)
+    return buf[: min(n, CHUNK)]
+
+
+def _count(name: str, value, low: int) -> int:
+    """``value`` as an ``int``; ValueError unless it is an integer >= ``low``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return count
 
 
 def _one_angle(theta: float) -> float:
@@ -256,9 +285,9 @@ class RunSpec:
     run built by :class:`ExperimentPlan` also carries its seeding words,
     which only :func:`sample_run` reads, and its row of noise-free
     overlaps, both computed once for the whole plan; a run constructed on
-    its own is sampled from :meth:`rng` and reads its row from a table
-    cached per ``(theta, kind)``.  Neither field takes part in equality,
-    hashing or repr.
+    its own is sampled from :meth:`rng`, reads its row from a table
+    cached per ``(theta, kind)``, and has its shots and angle checked only
+    then.  Neither field takes part in equality, hashing or repr.
     """
 
     index: int
@@ -283,7 +312,8 @@ class RunSpec:
         """Noise-free overlaps of the run's state with its kind's two basis axes."""
         if self._overlap is not None:
             return self._overlap
-        row = _overlap_table(self.theta, self.kind)[_state_index(self.state)]
+        row = _overlap_table(_one_angle(self.theta), self.kind)
+        row = row[_state_index(self.state)]
         return tuple(row.tolist())
 
 
@@ -335,14 +365,7 @@ class ExperimentPlan:
         for state in self.states:
             _state_index(state)
         for name, low in (("shots_per_run", 1), ("master_seed", 0)):
-            value = getattr(self, name)
-            try:
-                count = operator.index(value)
-            except TypeError:
-                count = None
-            if count is None or count < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-            object.__setattr__(self, name, count)
+            object.__setattr__(self, name, _count(name, getattr(self, name), low))
         if self.basis_mode not in BASIS_MODES:
             raise ValueError(f"basis_mode must be one of {BASIS_MODES}")
         even = self.basis_mode == "even"
@@ -547,15 +570,16 @@ def sample_run(run: RunSpec, noise: NoiseModel = NOISELESS) -> RunResult:
     Identical inputs give bit-identical outcomes.
 
     The uniforms are drawn :data:`CHUNK` at a time into one buffer that
-    the run allocates and reuses across its chunks: a Born pass over all
-    chunks compares them into the outcome array, then a flip pass over
-    all chunks XORs the flips into it.  So the stream is consumed in the
-    order above, and the run holds one chunk of floats besides its
-    outcomes (and, per-shot, its bases).  The Born probability of each
-    basis is ``(1 + (1 - p) overlap)/2`` from :meth:`RunSpec.overlap`.
+    belongs to the calling thread and is reused across runs: a Born pass
+    over all chunks compares them into the outcome array, then a flip
+    pass over all chunks XORs the flips into it.  So the stream is
+    consumed in the order above, and a run allocates no buffer of
+    uniforms of its own.  The Born probability of each basis is
+    ``(1 + (1 - p) overlap)/2`` from :meth:`RunSpec.overlap`.
     """
     rng = _run_rng(run)
-    n = run.shots
+    # a plan checked its runs' shots; a run built alone is checked here
+    n = run.shots if run._words is not None else _count("shots", run.shots, 0)
     shrink = 1.0 - noise.depolarizing
     overlap = run.overlap()
     if run.basis == RANDOM_BASIS:
@@ -564,7 +588,7 @@ def sample_run(run: RunSpec, noise: NoiseModel = NOISELESS) -> RunResult:
     else:
         bases = None
         p_plus = _plus(overlap[_basis_index(run.kind, run.basis)], shrink)
-    buf = np.empty(min(n, CHUNK))
+    buf = _chunk_buffer(n)
     outcomes = np.empty(n, dtype=bool)
     for lo in range(0, n, CHUNK):
         u = rng.random(out=buf[: n - lo])

@@ -8,6 +8,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from statistics import NormalDist
@@ -555,6 +556,68 @@ class TestSampling:
         if eps > 0.0:
             reference.random(shots)
         assert held.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("shots", -3, r"^shots must be an integer >= 0, got -3$"),
+            ("shots", 2.5, r"^shots must be an integer >= 0, got 2\.5$"),
+            (
+                "theta",
+                np.array([0.3, 0.5]),
+                r"^theta must be one angle, got an array of shape \(2,\)$",
+            ),
+        ],
+        ids=["negative-shots", "fractional-shots", "array-theta"],
+    )
+    def test_bad_run_built_alone_rejected(self, field, value, message):
+        run = RunSpec(1, 0.7, ANTICIPATIVE, "+b", "m", 10, 4)
+        with pytest.raises(ValueError, match=message):
+            sample_run(dataclasses.replace(run, **{field: value}))
+
+    def test_run_built_alone_takes_zero_and_numpy_shots(self):
+        run = RunSpec(1, 0.7, ANTICIPATIVE, "+b", "m", 0, 4)
+        assert sample_run(run).outcomes.tolist() == []
+        wide = dataclasses.replace(run, shots=1000)
+        numpy_shots = dataclasses.replace(run, shots=np.int64(1000))
+        expected = sample_run(wide, NoiseModel(0.05, 0.1)).outcomes
+        got = sample_run(numpy_shots, NoiseModel(0.05, 0.1)).outcomes
+        assert np.array_equal(got, expected)
+
+    def test_run_allocates_no_chunk_buffer(self):
+        # the thread's buffer, made by the warm-up, is reused: the run
+        # allocates its outcomes and no 512 KB of uniforms
+        plan = plan_experiment([0.8], shots=500_000, seed=9)
+        noise = NoiseModel(0.05, 0.0)
+        sample_run(plan.runs[0], noise)
+        tracemalloc.start()
+        try:
+            result = sample_run(plan.runs[1], noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < result.outcomes.nbytes + 64 * 1024
+
+    def test_threads_sampling_at_once_match_sampling_in_turn(self):
+        plan = plan_experiment([0.6], shots=3 * CHUNK + 7, seed=12)
+        noise = NoiseModel(0.05, 0.1)
+        in_turn = [sample_run(run, noise).outcomes for run in plan.runs]
+        at_once = [None] * len(plan.runs)
+        start = threading.Barrier(2)
+
+        def sample(first):
+            start.wait()
+            for i in range(first, len(plan.runs), 2):
+                at_once[i] = sample_run(plan.runs[i], noise).outcomes
+
+        threads = [threading.Thread(target=sample, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        for got, expected in zip(at_once, in_turn):
+            assert np.array_equal(got, expected)
 
 
 #: Rows of a weight table (``INPUT_LABELS`` order) and its columns: the

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import os
 import pickle
@@ -57,6 +58,12 @@ from matrix_oracle import plane_direction, plus_probability_cells, signed_direct
 
 #: The one message for a state outside ``INPUT_LABELS``, here ``'+c'``.
 UNKNOWN_STATE = r"^unknown state '\+c': states are \('\+a', '-a', '\+b', '-b'\)$"
+
+#: md5 of the estimates of a 7-angle per-shot plan, per readout flip.
+PER_SHOT_PINS = {
+    0.0: "8fca35cdf82c0beadd7ede0059034eec",
+    0.1: "c16eb25962eb15696d204546449a3cf4",
+}
 
 #: Angles for the geometry checks, from near the theta -> 0 end up to pi/2.
 FINE_THETAS = np.concatenate((np.geomspace(1e-6, 0.02, 40), theta_grid(101)))
@@ -584,31 +591,86 @@ class TestSampling:
         got = sample_run(numpy_shots, NoiseModel(0.05, 0.1)).outcomes
         assert np.array_equal(got, expected)
 
-    def test_run_allocates_no_chunk_buffer(self):
-        # the thread's buffer, made by the warm-up, is reused: the run
-        # allocates its outcomes and no 512 KB of uniforms
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_run_allocates_no_chunk_buffer(self, eps):
+        # the thread's buffers, made by the warm-up, are reused: the run
+        # allocates its outcomes and no 512 KB of uniforms, nor (eps > 0)
+        # a 64 KB flip mask per chunk
         plan = plan_experiment([0.8], shots=500_000, seed=9)
-        noise = NoiseModel(0.05, 0.0)
-        sample_run(plan.runs[0], noise)
-        tracemalloc.start()
-        try:
-            result = sample_run(plan.runs[1], noise)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, result = _traced_peak(plan, NoiseModel(0.05, eps))
         assert peak < result.outcomes.nbytes + 64 * 1024
 
-    def test_threads_sampling_at_once_match_sampling_in_turn(self):
-        plan = plan_experiment([0.6], shots=3 * CHUNK + 7, seed=12)
+    def test_small_runs_keep_small_buffers(self):
+        # a thread's buffers fit its largest run: CHUNK-sized blocks kept
+        # amid the heap raised the peak resident memory of small runs
+        plan = plan_experiment([0.8], shots=100, seed=9, basis_mode="per-shot")
         noise = NoiseModel(0.05, 0.1)
-        in_turn = [sample_run(run, noise).outcomes for run in plan.runs]
+        sample_run(plan.runs[0], noise)
+        peaks = []
+
+        def sample():
+            tracemalloc.start()
+            try:
+                sample_run(plan.runs[1], noise)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        thread = threading.Thread(target=sample)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert peaks[0] < 16 * 1024
+
+    def test_per_shot_run_holds_no_run_long_temporary(self):
+        # bases are read from raw words a chunk at a time and the Born
+        # probabilities go into a buffer of the thread, so no temporary
+        # lasts the run; within a chunk ``take`` makes 512 KB of indices
+        plan = plan_experiment([0.8], shots=250_000, seed=9, basis_mode="per-shot")
+        peak, result = _traced_peak(plan, NoiseModel(0.05, 0.1))
+        assert result.outcomes.nbytes == result.bases.nbytes == 500_000
+        held = result.outcomes.nbytes + result.bases.nbytes
+        assert peak < held + 640 * 1024
+
+    @pytest.mark.parametrize(
+        "shots", [0, 1, 2, 3, 199, 200, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3]
+    )
+    def test_bases_are_the_integers_stream(self, monkeypatch, shots):
+        # basis i is the top bit of the i-th 32-bit half of the raw words,
+        # which is integers(0, 2, n): the same bases from the same words
+        held = {}
+
+        def held_rng(run):
+            held[run.master_seed] = np.random.default_rng(run.master_seed)
+            return held[run.master_seed]
+
+        monkeypatch.setattr(RunSpec, "rng", held_rng)
+        for seed in range(50):
+            run = RunSpec(3, 0.7, ANTICIPATIVE, "+b", RANDOM_BASIS, shots, seed)
+            res = sample_run(run, NOISELESS)
+            reference = np.random.default_rng(seed)
+            bases = reference.integers(0, 2, shots).astype(np.uint8)
+            assert np.array_equal(res.bases, bases)
+            reference.random(shots)
+            assert _live_state(held[seed]) == _live_state(reference)
+            # and every later draw agrees, 64-bit and 32-bit
+            assert held[seed].random() == reference.random()
+            after = held[seed].integers(0, 1 << 32, 3)
+            assert np.array_equal(after, reference.integers(0, 1 << 32, 3))
+
+    @pytest.mark.parametrize("basis_mode", ["even", "per-shot"])
+    def test_threads_sampling_at_once_match_sampling_in_turn(self, basis_mode):
+        shots = 3 * CHUNK + 7
+        plan = plan_experiment([0.6], shots=shots, seed=12, basis_mode=basis_mode)
+        noise = NoiseModel(0.05, 0.1)
+        in_turn = [sample_run(run, noise) for run in plan.runs]
         at_once = [None] * len(plan.runs)
         start = threading.Barrier(2)
 
         def sample(first):
             start.wait()
             for i in range(first, len(plan.runs), 2):
-                at_once[i] = sample_run(plan.runs[i], noise).outcomes
+                at_once[i] = sample_run(plan.runs[i], noise)
 
         threads = [threading.Thread(target=sample, args=(i,)) for i in (0, 1)]
         for thread in threads:
@@ -617,7 +679,36 @@ class TestSampling:
             thread.join(timeout=60)
             assert not thread.is_alive()
         for got, expected in zip(at_once, in_turn):
-            assert np.array_equal(got, expected)
+            assert np.array_equal(got.outcomes, expected.outcomes)
+            if basis_mode == "per-shot":
+                assert np.array_equal(got.bases, expected.bases)
+
+
+def _traced_peak(plan: ExperimentPlan, noise: NoiseModel) -> tuple[int, RunResult]:
+    """Traced peak of sampling ``plan.runs[1]`` once ``runs[0]`` warmed the thread."""
+    sample_run(plan.runs[0], noise)
+    tracemalloc.start()
+    try:
+        result = sample_run(plan.runs[1], noise)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def _live_state(rng: np.random.Generator) -> dict:
+    """``bit_generator.state`` less a spent 32-bit half that no draw reads.
+
+    PCG64 hands out 32-bit draws a half word at a time.  After the high
+    half it clears ``has_uint32`` but leaves that half in ``uinteger``,
+    where only a set ``has_uint32`` lets a draw read it.  Reading whole
+    words raw leaves ``uinteger`` as it was, so after an even number of
+    bases only this dead copy differs from ``integers``.
+    """
+    state = rng.bit_generator.state
+    if not state["has_uint32"]:
+        del state["uinteger"]
+    return state
 
 
 #: Rows of a weight table (``INPUT_LABELS`` order) and its columns: the
@@ -785,6 +876,19 @@ class TestEstimation:
             }
 
         assert bits(curves) == bits(alone)
+
+    @pytest.mark.parametrize("eps", [0.0, 0.1])
+    def test_per_shot_estimates_pinned(self, eps):
+        # digests taken when per-shot bases were drawn with
+        # Generator.integers; the CLI only runs even mode, so no CSV pin
+        # covers this path
+        plan = plan_experiment(theta_grid(7), shots=100, seed=3, basis_mode="per-shot")
+        curves = simulate_curves(plan, NoiseModel(0.05, eps))
+        text = "\n".join(
+            f"{theta!r} {kind} {k} {e.value.hex()} {e.stderr.hex()} {e.shots}"
+            for (theta, kind, k), e in sorted(curves.items())
+        )
+        assert hashlib.md5(text.encode()).hexdigest() == PER_SHOT_PINS[eps]
 
     def test_simulate_curves_holds_one_run_at_a_time(self):
         # holding all 32 runs of 250 000 shots would keep 8 MB of outcomes

@@ -63,6 +63,7 @@ from .task import (
     K_VALUES,
     KIND_BASES,
     KINDS,
+    _one_angle,
     basis_vectors,
     check_theta,
     discrimination_game,
@@ -127,22 +128,6 @@ def _count(name: str, value, low: int) -> int:
     if count is None or count < low:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
     return count
-
-
-def _one_angle(theta: float) -> float:
-    """``float(theta)`` for the functions that take one angle.
-
-    :func:`~anticipative.task.check_theta` accepts an array of angles,
-    which these functions cannot use, so an array is rejected here with
-    one message; anything else converts (or fails to) as ``float`` does.
-    """
-    if isinstance(theta, float):
-        return theta
-    if np.ndim(theta):
-        raise ValueError(
-            f"theta must be one angle, got an array of shape {np.shape(theta)}"
-        )
-    return float(theta)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from anticipative import game as game_module
+from anticipative import task as task_module
 from anticipative.bloch import JointTable
 from anticipative.game import (
     NO_INFO,
@@ -368,6 +369,9 @@ class TestStructureCaches:
                 pipeline_success(s, theta)
         sizes = [cache.cache_info().currsize for cache in STRUCTURE_CACHES]
         assert max(sizes) <= 4, sizes
+        # the pipeline's memo holds one game per kind, of the last angle only
+        memo = task_module._LAST_GAME
+        assert len(memo) <= 2 and all(key == theta for key, _ in memo.values()), memo
 
 
 class TestStackedGames:

@@ -4,19 +4,23 @@ from __future__ import annotations
 
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from anticipative import task as task_module
 from anticipative.bloch import joint_table
-from anticipative.game import NO_INFO
+from anticipative.game import NO_INFO, PostProcessing
 from anticipative.task import (
     ANTICIPATIVE,
     INPUT_LABELS,
     K_VALUES,
     KIND_OUTCOMES,
+    KINDS,
     SCENARIOS,
     STANDARD,
     Scenario,
@@ -237,6 +241,22 @@ class TestClosedForms:
             Scenario(STANDARD, 3)
         assert len(SCENARIOS) == 6
 
+    @pytest.mark.parametrize("bad", [1.0, 1.5, "1", None], ids=repr)
+    def test_k_must_be_an_integer(self, bad):
+        # 1.0 == 1, but a float k used to reach the structure caches and
+        # fail or pass depending on what they held.
+        message = rf"^k must be one of \(0, 1, 2\), got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            Scenario(ANTICIPATIVE, bad)
+        with pytest.raises(ValueError, match=message):
+            priority_post(ANTICIPATIVE, bad)
+
+    def test_integer_k_stored_as_int(self):
+        for k in (np.int64(2), True):
+            scenario = Scenario(STANDARD, k)
+            assert type(scenario.k) is int and scenario == Scenario(STANDARD, int(k))
+        assert priority_post(STANDARD, np.int64(1)).sets == priority_post(STANDARD, 1).sets
+
 
 class TestPipeline:
     def test_matches_closed_forms_on_grid(self):
@@ -347,6 +367,135 @@ class TestStackedAngles:
             with pytest.raises(ValueError, match=message):
                 pipeline_success(SCENARIOS[0], bad)
         assert check_theta(np.array(0.5)) == 0.5 and type(check_theta(np.array(0.5))) is float
+
+
+class TestOneAngle:
+    @pytest.mark.parametrize("call", [pq_values, lambda t: closed_form(SCENARIOS[4], t)],
+                             ids=["pq_values", "closed_form"])
+    def test_array_rejected(self, call):
+        message = r"^theta must be one angle, got an array of shape \(2,\)$"
+        with pytest.raises(ValueError, match=message):
+            call(np.array([0.5, 0.7]))
+        assert call(np.array(0.7)) == call(0.7)
+
+    @pytest.mark.parametrize("bad", ["0.7", b"0.7", None, 0.7j, ["0.5", "0.7"]], ids=repr)
+    def test_non_numbers_rejected(self, bad):
+        message = r"^theta must be a real number or an array of them, got "
+        with pytest.raises(ValueError, match=message):
+            check_theta(bad)
+        with pytest.raises(ValueError, match=message):
+            pipeline_success(SCENARIOS[0], bad)
+        if np.ndim(bad) == 0:
+            with pytest.raises(ValueError, match=message):
+                closed_form(SCENARIOS[0], bad)
+
+
+@pytest.fixture
+def table_calls(monkeypatch):
+    """Empty the pipeline's game memo and record each Born table the task builds."""
+    task_module._LAST_GAME.clear()
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return joint_table(*args, **kwargs)
+
+    monkeypatch.setattr(task_module, "joint_table", counting)
+    return calls
+
+
+def _cold(scenario, theta):
+    """pipeline_success with an empty memo: the game is built afresh."""
+    task_module._LAST_GAME.clear()
+    return pipeline_success(scenario, theta)
+
+
+def _hexes(value) -> list[str]:
+    return [v.hex() for v in np.atleast_1d(value).tolist()]
+
+
+#: Call sequences over a grid: all six scenarios per angle; the kinds
+#: alternating at each k of an angle; and each scenario over the whole grid.
+LOOP_ORDERS = {
+    "scenario-inner": lambda grid: [(s, t) for t in grid for s in SCENARIOS],
+    "kind-interleaved": lambda grid: [
+        (Scenario(kind, k), t) for t in grid for k in K_VALUES for kind in KINDS
+    ],
+    "k-outer": lambda grid: [
+        (Scenario(kind, k), t) for k in K_VALUES for kind in KINDS for t in grid
+    ],
+}
+
+#: Angle grids of both forms: floats, and stacks of differing lengths
+#: whose bytes share prefixes.
+GRIDS = {
+    "floats": theta_grid(25).tolist(),
+    "arrays": [STACK[:5], STACK[:6], STACK[5:10], STACK[25:40], STACK[-3:]],
+}
+
+
+class TestGameMemo:
+    def test_six_scenarios_build_one_table_per_kind(self, table_calls, monkeypatch):
+        validated = []
+        original = PostProcessing.validate
+
+        def recording(self, *args, **kwargs):
+            validated.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PostProcessing, "validate", recording)
+        for s in SCENARIOS:
+            pipeline_success(s, 0.7)
+        assert len(table_calls) == 2
+        # the strategy of every call is still checked against its game
+        assert len(validated) == len(SCENARIOS)
+
+    def test_repeats_reuse_the_game_of_their_kind(self, table_calls):
+        for theta in (0.7, np.array([0.3, 0.7])):
+            for s in SCENARIOS + SCENARIOS:
+                pipeline_success(s, theta)
+        assert len(table_calls) == 4
+
+    def test_a_second_sweep_builds_as_many_tables(self, table_calls):
+        grid = theta_grid(30)
+        for _ in range(2):
+            for theta in grid:
+                for s in SCENARIOS:
+                    pipeline_success(s, theta)
+        assert len(table_calls) == 2 * 2 * len(grid)
+
+    @pytest.mark.parametrize("order", sorted(LOOP_ORDERS))
+    @pytest.mark.parametrize("form", sorted(GRIDS))
+    def test_bits_equal_an_empty_memo(self, order, form):
+        calls = LOOP_ORDERS[order](GRIDS[form])
+        cold = [_hexes(_cold(s, t)) for s, t in calls]
+        task_module._LAST_GAME.clear()
+        assert [_hexes(pipeline_success(s, t)) for s, t in calls] == cold
+
+    def test_two_threads_match_a_serial_sweep(self):
+        grid = theta_grid(40).tolist()
+        serial = {(s, t): pipeline_success(s, t).hex() for t in grid for s in SCENARIOS}
+        found = [{}, {}]
+        start = threading.Barrier(2)
+
+        def sweep(i):
+            start.wait()
+            for _ in range(3):
+                for t in grid[i::2]:
+                    for s in SCENARIOS:
+                        found[i][(s, t)] = pipeline_success(s, t).hex()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=sweep, args=(i,)) for i in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert {**found[0], **found[1]} == serial
 
 
 class TestPriorities:

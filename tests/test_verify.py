@@ -39,6 +39,16 @@ def _recording(fn, name: str, called: set[str]):
 
 
 def test_every_public_op_is_exercised(monkeypatch):
+    _assert_public_ops_called(monkeypatch)
+
+
+def test_every_public_op_is_exercised_after_a_warm_run(monkeypatch):
+    # A run at the same points leaves the pipeline's games in its memo.
+    assert run_verification(points=5).passed
+    _assert_public_ops_called(monkeypatch)
+
+
+def _assert_public_ops_called(monkeypatch) -> None:
     # Each registered function is replaced wherever a package module binds
     # it, so calls made through ``from .x import y`` names count as well.
     modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "anticipative"]
@@ -94,6 +104,14 @@ def test_closed_forms_take_one_pipeline_call_per_scenario(monkeypatch):
     calls = _recorded_calls(monkeypatch, task, "pipeline_success")
     assert run_verification().passed
     assert len(calls) == 6
+
+
+def test_closed_forms_build_one_born_table_per_kind(monkeypatch):
+    # The three scenarios of a kind share its game over the grid.
+    task._LAST_GAME.clear()
+    calls = _recorded_calls(monkeypatch, bloch, "joint_table")
+    assert verify._check_closed_forms(1e-12, task.theta_grid(25)).passed
+    assert len(calls) == 2
 
 
 def test_enumeration_takes_one_solver_call_per_k(monkeypatch):

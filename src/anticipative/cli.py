@@ -138,29 +138,29 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def emit_curves(cfg: RunConfig) -> list[str]:
     """Build the CSV lines for ``curves`` or ``simulate``.
 
-    One row per (theta, kind, k) in grid order; the empirical and stderr
-    columns stay empty unless the command simulates.  All numbers carry 12
-    significant digits, so reruns with one configuration are byte-stable.
+    One row per (theta, kind, k) in grid order, the analytic values from one
+    closed-form call per scenario; the empirical and stderr columns stay
+    empty unless the command simulates.  All numbers carry 12 significant
+    digits, so reruns with one configuration are byte-stable.
     """
     grid = cfg.grid()
     estimates = None
     if cfg.command == "simulate":
         plan = simulate.plan_experiment(grid, shots=cfg.shots, seed=cfg.seed)
         estimates = simulate.simulate_curves(plan, cfg.noise())
+    analytic = [task.closed_form(s, grid).tolist() for s in task.SCENARIOS]
     lines = [CSV_HEADER]
-    for theta in grid:
-        for kind in task.KINDS:
-            for k in task.K_VALUES:
-                analytic = task.closed_form(task.Scenario(kind, k), theta)
-                empirical = stderr = ""
-                if estimates is not None:
-                    est = estimates[(float(theta), kind, k)]
-                    empirical = _fmt(est.value)
-                    stderr = _fmt(est.stderr)
-                lines.append(
-                    f"{_fmt(theta)},{kind},{k},{_fmt(analytic)},"
-                    f"{empirical},{stderr},{cfg.shots},{cfg.seed}"
-                )
+    for i, theta in enumerate(grid):
+        for s, values in zip(task.SCENARIOS, analytic):
+            empirical = stderr = ""
+            if estimates is not None:
+                est = estimates[(float(theta), s.kind, s.k)]
+                empirical = _fmt(est.value)
+                stderr = _fmt(est.stderr)
+            lines.append(
+                f"{_fmt(theta)},{s.kind},{s.k},{_fmt(values[i])},"
+                f"{empirical},{stderr},{cfg.shots},{cfg.seed}"
+            )
     return lines
 
 

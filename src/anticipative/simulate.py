@@ -18,6 +18,8 @@ which draws its readout flips separately, and ``(1 - p)(1 - 2 eps)``
 uniforms only when ``eps > 0``, and always after all of a run's Born
 uniforms, so every noise model reads the same Born uniforms.  A
 circuit's measurement angle is the polar angle of the same axis.
+:func:`exact_success` takes one angle or a 1-D array of them, as the
+task's closed forms do; the other functions of an angle take one.
 
 Shots are counted per (state, outcome) cell, the outcome as column
 ``2 * i + bit`` for basis ``i`` of :data:`KIND_BASES` and bit 0 the ``+``
@@ -56,14 +58,14 @@ from typing import Iterable
 
 import numpy as np
 
-from .bloch import first_true, stack_note
+from .bloch import first_true, float_or_array, stack_note
 from .game import exclusion_info_map, no_exclusion_map, win_weights
 from .task import (
     INPUT_LABELS,
     K_VALUES,
     KIND_BASES,
     KINDS,
-    _one_angle,
+    _check_k,
     basis_vectors,
     check_theta,
     discrimination_game,
@@ -117,6 +119,21 @@ def _draw_bases(rng: np.random.Generator, n: int) -> np.ndarray:
     if n % 2:
         bases[-1] = rng.integers(0, 2)
     return bases
+
+
+def _one_angle(theta: float) -> float:
+    """``theta`` unchanged if it is a float, else :func:`check_theta` of it.
+
+    The callers take one angle, so an array is rejected with one message; a
+    float (a ``numpy.float64`` stays one) is left for the caller to range-check.
+    """
+    if isinstance(theta, float):
+        return theta
+    if np.ndim(theta):
+        raise ValueError(
+            f"theta must be one angle, got an array of shape {np.shape(theta)}"
+        )
+    return check_theta(theta)
 
 
 def _count(name: str, value, low: int) -> int:
@@ -626,7 +643,6 @@ class Estimate:
     shots: int
 
 
-@lru_cache(maxsize=None)
 def success_weights(kind: str, k: int) -> np.ndarray:
     """Exact per-shot success weights ``w[state, column]``.
 
@@ -639,7 +655,13 @@ def success_weights(kind: str, k: int) -> np.ndarray:
     sets.  Multiplying weights by observed counts reuses every shot for
     each ``k``.  The strategy and the leak do not depend on ``theta``, so
     the table is built once per ``(kind, k)`` and returned read-only.
+    ``k`` must be an integer of :data:`K_VALUES`, checked on every call.
     """
+    return _success_weights(kind, _check_k(k))
+
+
+@lru_cache(maxsize=None)
+def _success_weights(kind: str, k: int) -> np.ndarray:
     spec = discrimination_game(kind, math.pi / 2)
     alpha = no_exclusion_map(spec) if k == 0 else exclusion_info_map(spec, k)
     w = win_weights(spec, alpha, priority_post(kind, k))
@@ -705,16 +727,18 @@ def empirical_success(
 
 
 def exact_success(
-    theta: float, kind: str, k: int, noise: NoiseModel = NOISELESS
-) -> float:
+    theta: float | np.ndarray, kind: str, k: int, noise: NoiseModel = NOISELESS
+) -> float | np.ndarray:
     """Infinite-shot limit of the estimator, noise included.
 
     With no noise this equals the closed-form success probability of the
-    scenario, which pins the estimator to the analytic layer.
+    scenario, which pins the estimator to the analytic layer.  One angle
+    gives a float; a 1-D array of angles gives an array, each entry equal
+    to the float its angle gives alone.
     """
-    plus = _plus(_overlap_table(_one_angle(theta), kind), noise.shrink)
-    probs = np.stack((plus, 1.0 - plus), axis=-1).reshape(len(INPUT_LABELS), 4)
-    return 0.125 * float(np.sum(probs * success_weights(kind, k)))
+    plus = _plus(_overlaps(check_theta(theta), kind), noise.shrink)
+    probs = np.stack((plus, 1.0 - plus), axis=-1).reshape(plus.shape[:-2] + (4, 4))
+    return float_or_array(0.125 * np.sum(probs * success_weights(kind, k), axis=(-2, -1)))
 
 
 def simulate_curves(

@@ -38,6 +38,7 @@ from .task import (
     ANTICIPATIVE,
     INPUT_LABELS,
     KIND_OUTCOMES,
+    _check_k,
     basis_vectors,
     kind_axes,
     negate_label,
@@ -53,9 +54,7 @@ GAMMA_TOL = 1e-9
 
 def exclusion_sets(k: int) -> tuple[ExclusionSet, ...]:
     """Canonically ordered size-``k`` subsets of the answer alphabet."""
-    if k not in SOLVER_K:
-        raise ValueError(f"k must be one of {SOLVER_K}, got {k!r}")
-    return all_exclusion_sets(INPUT_LABELS, k)
+    return all_exclusion_sets(INPUT_LABELS, _check_k(k, SOLVER_K))
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -263,8 +262,7 @@ def build_auxiliary(theta: float | np.ndarray, k: int) -> AuxiliaryEnsemble:
     ``blochs[n, class, 3]`` and ``n`` values of ``lambda_max``.
     """
     a, b = basis_vectors(theta)
-    if k not in SOLVER_K:
-        raise ValueError(f"k must be one of {SOLVER_K}, got {k!r}")
+    k = _check_k(k, SOLVER_K)
     classes = count_classes(k)
     slots = classes.slots
     totals = slots.sum(axis=1)

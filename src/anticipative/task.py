@@ -8,11 +8,11 @@ the wrong answers leaked after the measurement (the anticipative
 measurement).  This module builds both setups and knows the exact success
 probabilities of all six scenarios.
 
-The geometry and the pipeline take one angle or a 1-D array of angles.
-An array runs through the same code with a leading stack axis: axes of
-shape ``[n, 3]``, ensembles and measurements stacked over the angles, one
-stacked Born table and one success value per angle, each equal to what
-that angle alone gives.
+The geometry, the pipeline, :func:`pq_values` and :func:`closed_form`
+take one angle or a 1-D array of angles.  An array runs through the same
+code with a leading stack axis: axes of shape ``[n, 3]``, ensembles and
+measurements stacked over the angles, one stacked Born table and one
+success value per angle, each equal to what that angle alone gives.
 
 The measurement is fixed before the leaked answers arrive, so the three
 scenarios of a kind share one Born table per angle and differ only in
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import Measurement, StateEnsemble, first_true, joint_table
+from .bloch import Measurement, StateEnsemble, first_true, float_or_array, joint_table
 from .game import (
     GameSpec,
     PostProcessing,
@@ -106,30 +106,13 @@ def _check_thetas(values: np.ndarray) -> np.ndarray:
     return thetas
 
 
-def _one_angle(theta: float) -> float:
-    """``theta`` itself if it is a float, else :func:`check_theta` of it.
-
-    :func:`check_theta` accepts an array of angles, which the functions
-    that take one angle cannot use, so an array is rejected here with one
-    message.  A float comes back unchanged (a ``numpy.float64`` stays one),
-    for the caller to range-check.
-    """
-    if isinstance(theta, float):
-        return theta
-    if np.ndim(theta):
-        raise ValueError(
-            f"theta must be one angle, got an array of shape {np.shape(theta)}"
-        )
-    return check_theta(theta)
-
-
 def _check_kind(kind: str) -> None:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def _check_k(k: int) -> int:
-    """``k`` as an ``int``; ValueError unless it is an integer in :data:`K_VALUES`.
+def _check_k(k: int, allowed: tuple[int, ...] = K_VALUES) -> int:
+    """``k`` as an ``int``; ValueError unless it is an integer in ``allowed``.
 
     A float such as ``1.0`` is rejected, as ``operator.index`` rejects it.
     """
@@ -137,8 +120,8 @@ def _check_k(k: int) -> int:
         index = operator.index(k)
     except TypeError:
         index = None
-    if index not in K_VALUES:
-        raise ValueError(f"k must be one of {K_VALUES}, got {k!r}")
+    if index not in allowed:
+        raise ValueError(f"k must be one of {allowed}, got {k!r}")
     return index
 
 
@@ -282,38 +265,37 @@ class PQValues(NamedTuple):
     q_minus: float
 
 
-def pq_values(theta: float) -> PQValues:
-    theta = check_theta(_one_angle(theta))
-    c = math.cos(theta)
-    root = math.sqrt(10.0 + 6.0 * c)
+def pq_values(theta: float | np.ndarray) -> PQValues:
+    """The four values: floats at one angle, arrays over a 1-D array of angles."""
+    c = np.cos(check_theta(theta))
+    root = np.sqrt(10.0 + 6.0 * c)
     p = (1.0 + 3.0 * c) / root
     q = (c + 3.0) / root
-    return PQValues(
-        p_plus=(1.0 + p) / 16.0,
-        p_minus=(1.0 - p) / 16.0,
-        q_plus=(1.0 + q) / 16.0,
-        q_minus=(1.0 - q) / 16.0,
-    )
+    values = (1.0 + p, 1.0 - p, 1.0 + q, 1.0 - q)
+    return PQValues(*(float_or_array(v / 16.0) for v in values))
 
 
-def closed_form(scenario: Scenario, theta: float) -> float:
+def closed_form(scenario: Scenario, theta: float | np.ndarray) -> float | np.ndarray:
     """Exact success probability of a scenario at angle ``theta``.
 
-    Standard: ``1/2``, ``(3 + cos^2(theta/2))/6``, ``(4 + cos^2(theta/2))/6``
-    for ``k = 0, 1, 2``.  Anticipative: ``4 q_plus`` for ``k = 0`` and
-    ``(4 + r)/12``, ``(6 + r)/12`` with ``r = sqrt(10 + 6 cos(theta))`` for
-    ``k = 1, 2``.
+    Standard: ``1/2`` for ``k = 0`` and ``(2 + k + cos^2(theta/2))/6`` for
+    ``k = 1, 2``.  Anticipative: ``4 q_plus`` for ``k = 0`` and
+    ``(2 + 2k + r)/12`` with ``r = sqrt(10 + 6 cos(theta))`` for ``k = 1, 2``.
+    One angle gives a float; a 1-D array of angles gives an array, each
+    entry equal to the float its angle gives alone.
     """
-    theta = check_theta(_one_angle(theta))
+    theta = check_theta(theta)
     if scenario.kind == STANDARD:
         if scenario.k == 0:
-            return 0.5
-        cos_sq = math.cos(theta / 2.0) ** 2
-        return (3.0 + cos_sq) / 6.0 if scenario.k == 1 else (4.0 + cos_sq) / 6.0
+            return float_or_array(np.full(np.shape(theta), 0.5))
+        # C pow, as Python's ``** 2``: an array's ``** 2`` is ``x * x``,
+        # which differs from it by an ulp at some angles.
+        cos_sq = np.float_power(np.cos(theta / 2.0), 2)
+        return float_or_array((2 + scenario.k + cos_sq) / 6.0)
     if scenario.k == 0:
         return 4.0 * pq_values(theta).q_plus
-    root = math.sqrt(10.0 + 6.0 * math.cos(theta))
-    return (4.0 + root) / 12.0 if scenario.k == 1 else (6.0 + root) / 12.0
+    root = np.sqrt(10.0 + 6.0 * np.cos(theta))
+    return float_or_array((2 + 2 * scenario.k + root) / 12.0)
 
 
 def priority_table(kind: str) -> dict[str, tuple[str, str, str, str]]:

@@ -7,6 +7,7 @@ import hashlib
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import threading
@@ -17,6 +18,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from anticipative import simulate as simulate_module
 from anticipative.simulate import (
     CHUNK,
     ExperimentPlan,
@@ -433,23 +435,29 @@ ONE_ANGLE_CALLS = {
     "outcome_probability": lambda theta: outcome_probability(
         theta, "+a", STANDARD, "a"
     ),
-    "exact_success": lambda theta: exact_success(theta, ANTICIPATIVE, 1),
     "plan_experiment": lambda theta: plan_experiment([theta]),
 }
 
+#: The same, plus exact_success, which also takes a 1-D array of angles.
+ANGLE_CALLS = {
+    **ONE_ANGLE_CALLS,
+    "exact_success": lambda theta: exact_success(theta, ANTICIPATIVE, 1),
+}
 
-@pytest.mark.parametrize("name", sorted(ONE_ANGLE_CALLS))
+
 class TestOneAngle:
+    @pytest.mark.parametrize("name", sorted(ONE_ANGLE_CALLS))
     def test_array_rejected(self, name):
         message = r"^theta must be one angle, got an array of shape \(2,\)$"
         with pytest.raises(ValueError, match=message):
             ONE_ANGLE_CALLS[name](np.array([0.3, 0.5]))
 
+    @pytest.mark.parametrize("name", sorted(ANGLE_CALLS))
     def test_float_message_unchanged(self, name):
         # a float still gets check_theta's message
         message = r"^theta must lie in \(0, pi/2\], got 2.0$"
         with pytest.raises(ValueError, match=message):
-            ONE_ANGLE_CALLS[name](2.0)
+            ANGLE_CALLS[name](2.0)
 
 
 class TestSampling:
@@ -751,6 +759,22 @@ class TestWeights:
                 assert w.shape == (len(INPUT_LABELS), 4)
                 for x in range(len(INPUT_LABELS)):
                     assert sum(w[x].tolist()) == pytest.approx(total, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [1.0, 5, "1"], ids=repr)
+    def test_k_checked_before_the_cache(self, bad):
+        # A float k used to hit the table of its integer once that was built.
+        message = rf"^k must be one of \(0, 1, 2\), got {re.escape(repr(bad))}$"
+        plan = plan_experiment([1.0], shots=10, seed=0)
+        results = [sample_run(run) for run in plan.runs]
+        simulate_module._success_weights.cache_clear()
+        for _ in range(2):  # with no table built, then with the k = 1 table
+            with pytest.raises(ValueError, match=message):
+                success_weights(STANDARD, bad)
+            with pytest.raises(ValueError, match=message):
+                exact_success(1.0, STANDARD, bad)
+            with pytest.raises(ValueError, match=message):
+                empirical_success(results, ks=(bad,))
+            success_weights(STANDARD, 1)
 
     def test_built_once_and_read_only(self):
         w = success_weights(STANDARD, 1)

@@ -235,6 +235,21 @@ class TestGamma:
 
 
 class TestBuildAuxiliary:
+    @pytest.mark.parametrize(
+        "call", [lambda k: build_auxiliary(0.7, k), exclusion_sets],
+        ids=["build_auxiliary", "exclusion_sets"],
+    )
+    def test_float_k_rejected_whatever_the_cache(self, call):
+        # 1.0 == 1: it used to fail in a fresh state and reuse the k = 1
+        # structures once they were built.
+        count_classes.cache_clear()
+        enumerate_functions.cache_clear()
+        for _ in range(2):  # with nothing built, then after a k = 1 call
+            with pytest.raises(ValueError, match=r"^k must be one of \(1, 2\), got 1\.0$"):
+                call(1.0)
+            call(1)
+        assert type(build_auxiliary(0.7, np.int64(2)).k) is int
+
     def test_normalization_constants(self):
         assert build_auxiliary(1.0, 1).normalization == pytest.approx(64.0)
         assert build_auxiliary(1.0, 2).normalization == pytest.approx(1024.0)

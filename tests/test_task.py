@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from anticipative import task as task_module
 from anticipative.bloch import joint_table
 from anticipative.game import NO_INFO, PostProcessing
+from anticipative.simulate import NOISELESS, NoiseModel, exact_success
 from anticipative.task import (
     ANTICIPATIVE,
     INPUT_LABELS,
@@ -296,6 +297,15 @@ PINNED = (
 )
 
 
+#: The functions that take one angle or a 1-D array of them, each given ``theta``.
+ANGLE_CALLS = (
+    lambda theta: pipeline_success(SCENARIOS[1], theta),
+    lambda theta: closed_form(SCENARIOS[4], theta),
+    pq_values,
+    lambda theta: exact_success(theta, ANTICIPATIVE, 1),
+)
+
+
 class TestStackedAngles:
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=str)
     def test_stack_equals_scalar_calls(self, scenario):
@@ -313,11 +323,56 @@ class TestStackedAngles:
                 assert value.hex() == float(stacked[j]).hex() == bits[i], (scenario, theta)
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=str)
+    def test_closed_form_stack_equals_scalar_calls(self, scenario):
+        stacked = closed_form(scenario, STACK)
+        assert stacked.shape == STACK.shape
+        alone = [closed_form(scenario, t) for t in STACK.tolist()]
+        assert all(type(v) is float for v in alone)
+        assert [v.hex() for v in stacked.tolist()] == [v.hex() for v in alone]
+        assert closed_form(scenario, np.array(0.7)) == closed_form(scenario, 0.7)
+
+    def test_pq_values_stack_equals_scalar_calls(self):
+        stacked = pq_values(STACK)
+        alone = [pq_values(t) for t in STACK.tolist()]
+        for field, values in zip(stacked._fields, stacked):
+            column = [getattr(pq, field) for pq in alone]
+            assert all(type(v) is float for v in column)
+            assert [v.hex() for v in values.tolist()] == [v.hex() for v in column], field
+        assert pq_values(np.array(0.7)) == pq_values(0.7)
+
+    @pytest.mark.parametrize(
+        "noise", [NOISELESS, NoiseModel(0.02, 0.023)], ids=["noiseless", "noisy"]
+    )
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=str)
+    def test_exact_success_stack_equals_scalar_calls(self, scenario, noise):
+        def call(theta):
+            return exact_success(theta, scenario.kind, scenario.k, noise)
+
+        thetas = STACK[::4]
+        stacked = call(thetas)
+        assert stacked.shape == thetas.shape
+        alone = [call(t) for t in thetas.tolist()]
+        assert all(type(v) is float for v in alone)
+        assert [v.hex() for v in stacked.tolist()] == [v.hex() for v in alone]
+        assert call(np.array(0.7)) == call(0.7)
+
+    @pytest.mark.parametrize(
+        ("k", "theta", "bits"),
+        [(1, 0.5482722305896336, "0x1.4f145ba70448ap-1"),
+         (2, 1.5522906201177793, "0x1.80ca1ec0bfd41p-1")],
+    )
+    def test_closed_form_squares_with_c_pow(self, k, theta, bits):
+        # cos^2(theta/2) as C pow gives these bits; cos * cos is an ulp off here.
+        scenario = Scenario(STANDARD, k)
+        assert closed_form(scenario, theta).hex() == bits
+        assert float(closed_form(scenario, np.array([theta]))[0]).hex() == bits
+
+    @pytest.mark.parametrize("scenario", SCENARIOS, ids=str)
     def test_degenerate_geometry_matches_closed_forms(self, scenario):
         # theta -> 0, where the anticipative advantage vanishes, and the tie at pi/2
-        closed = np.array([closed_form(scenario, t) for t in STACK[25:]])
-        gap = np.abs(pipeline_success(scenario, STACK[25:]) - closed)
-        assert gap.max() <= 1e-15, STACK[25:][gap.argmax()]
+        thetas = STACK[25:]
+        gap = np.abs(pipeline_success(scenario, thetas) - closed_form(scenario, thetas))
+        assert gap.max() <= 1e-15, thetas[gap.argmax()]
 
     def test_geometry_rows_equal_scalar_calls(self):
         a, b = basis_vectors(STACK)
@@ -349,8 +404,9 @@ class TestStackedAngles:
         message = rf"^theta must lie in \(0, pi/2\], got {re.escape(first)}$"
         with pytest.raises(ValueError, match=message):
             check_theta(np.array(bad))
-        with pytest.raises(ValueError, match=message):
-            pipeline_success(SCENARIOS[1], bad)
+        for call in ANGLE_CALLS:
+            with pytest.raises(ValueError, match=message):
+                call(bad)
 
     @pytest.mark.parametrize(
         "bad", [np.array([]), [], np.full((2, 3), 0.5)], ids=["empty", "empty-list", "2-d"]
@@ -358,8 +414,9 @@ class TestStackedAngles:
     def test_empty_or_2d_angle_array_rejected(self, bad):
         shape = re.escape(str(np.shape(bad)))
         message = rf"^theta must be a float or a non-empty 1-D array, got shape {shape}$"
-        with pytest.raises(ValueError, match=message):
-            pipeline_success(SCENARIOS[0], bad)
+        for call in ANGLE_CALLS:
+            with pytest.raises(ValueError, match=message):
+                call(bad)
 
     def test_float_messages_unchanged(self):
         for bad in (float("nan"), 0.0, -0.3, np.float64(2.0), np.array(3.0)):
@@ -370,14 +427,6 @@ class TestStackedAngles:
 
 
 class TestOneAngle:
-    @pytest.mark.parametrize("call", [pq_values, lambda t: closed_form(SCENARIOS[4], t)],
-                             ids=["pq_values", "closed_form"])
-    def test_array_rejected(self, call):
-        message = r"^theta must be one angle, got an array of shape \(2,\)$"
-        with pytest.raises(ValueError, match=message):
-            call(np.array([0.5, 0.7]))
-        assert call(np.array(0.7)) == call(0.7)
-
     @pytest.mark.parametrize("bad", ["0.7", b"0.7", None, 0.7j, ["0.5", "0.7"]], ids=repr)
     def test_non_numbers_rejected(self, bad):
         message = r"^theta must be a real number or an array of them, got "
@@ -385,9 +434,8 @@ class TestOneAngle:
             check_theta(bad)
         with pytest.raises(ValueError, match=message):
             pipeline_success(SCENARIOS[0], bad)
-        if np.ndim(bad) == 0:
-            with pytest.raises(ValueError, match=message):
-                closed_form(SCENARIOS[0], bad)
+        with pytest.raises(ValueError, match=message):
+            closed_form(SCENARIOS[0], bad)
 
 
 @pytest.fixture

@@ -131,6 +131,30 @@ def test_enumeration_takes_one_solver_call_per_k(monkeypatch):
     ]
 
 
+def test_closed_forms_and_exact_values_take_stacked_calls(monkeypatch):
+    # Each check calls these once per scenario or per k over its angles,
+    # never angle by angle.
+    functions = ((task, "closed_form"), (task, "pq_values"), (simulate, "exact_success"))
+    calls = {name: _recorded_calls(monkeypatch, module, name) for module, name in functions}
+    assert run_verification().passed
+    assert all(calls.values())
+    for name, recorded in calls.items():
+        thetas = [args[1] if name == "closed_form" else args[0] for args in recorded]
+        assert all(np.ndim(theta) == 1 for theta in thetas), name
+    # closed forms, enumeration (per k), ordering and simulator checks
+    assert len(calls["closed_form"]) == 6 + 2 + 6 + 6
+    assert len(calls["exact_success"]) == 6
+
+
+def test_emit_curves_takes_one_closed_form_call_per_scenario(monkeypatch, capsys):
+    calls = _recorded_calls(monkeypatch, task, "closed_form")
+    assert cli.main(["curves", "--points", "7"]) == 0
+    capsys.readouterr()
+    assert [(scenario, len(grid)) for scenario, grid in calls] == [
+        (scenario, 7) for scenario in task.SCENARIOS
+    ]
+
+
 def test_certificates_and_reduction_take_stacked_calls(monkeypatch):
     # Per k, the certificate check takes two paired measurements and three
     # residuals over five angles; the reduction check two paired

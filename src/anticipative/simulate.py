@@ -361,10 +361,10 @@ def check_distinct_thetas(thetas: Iterable[float]) -> None:
 class ExperimentPlan:
     """Full factorial sweep over angles, kinds, states and bases.
 
-    Angles must be distinct (:func:`check_distinct_thetas`).  The plan
-    hashes every run's seeding words in one pass and builds the overlaps
-    of all its angles in one stacked product per kind, and hands each run
-    its own.
+    Angles must be distinct (:func:`check_distinct_thetas`); they are kept
+    as Python floats, whatever the input type.  The plan hashes every run's
+    seeding words in one pass, builds the overlaps of all its angles in one
+    stacked product per kind, and hands each run its own.
     """
 
     thetas: tuple[float, ...]
@@ -375,7 +375,7 @@ class ExperimentPlan:
     basis_mode: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "thetas", tuple(_one_angle(t) for t in self.thetas))
+        object.__setattr__(self, "thetas", tuple(float(_one_angle(t)) for t in self.thetas))
         object.__setattr__(self, "kinds", tuple(self.kinds))
         object.__setattr__(self, "states", tuple(self.states))
         if not self.thetas:
@@ -717,10 +717,10 @@ def empirical_success(
         shots = int(counts.sum())
         if shots == 0:
             raise ValueError(f"no shots for theta={theta!r}, kind={kind!r}")
-        for k, row in zip(ks, (weights[kind] * counts.ravel()).tolist()):
-            # Summed left to right in row-major order: np.sum adds pairwise,
-            # which moves some estimates by an ulp and with them CSV digits.
-            value = sum(row) / shots
+        # Accumulated left to right in row-major order: np.sum adds pairwise and
+        # sum() compensates from Python 3.12, and either moves CSV digits.
+        sums = np.add.accumulate(weights[kind] * counts.ravel(), axis=1)[:, -1]
+        for k, value in zip(ks, (sums / shots).tolist()):
             stderr = math.sqrt(max(value * (1.0 - value), 0.0) / shots)
             out[(theta, kind, k)] = Estimate(value=value, stderr=stderr, shots=shots)
     return out

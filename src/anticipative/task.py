@@ -15,10 +15,11 @@ measurements stacked over the angles, one stacked Born table and one
 success value per angle, each equal to what that angle alone gives.
 
 The measurement is fixed before the leaked answers arrive, so the three
-scenarios of a kind share one Born table per angle and differ only in
-their classical post-processing.  :func:`pipeline_success` keeps each
-kind's most recent game and reuses it while calls stay at the same angle
-(or the same stack of angles).
+scenarios of a kind differ only in their classical post-processing, and
+both kinds' Born tables at an angle come from one stacked contraction.
+:func:`pipeline_success` keeps the last angle's pair of games and reuses
+it while calls stay at that angle (or stack of angles); a caller that
+needs one kind pays for the other half.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import Measurement, StateEnsemble, first_true, float_or_array, joint_table
+from .bloch import JointTable, Measurement, StateEnsemble
+from .bloch import first_true, float_or_array, joint_table
 from .game import (
     GameSpec,
     PostProcessing,
@@ -228,10 +230,14 @@ def make_ensemble(theta: float | np.ndarray) -> StateEnsemble:
     return _ensemble(*basis_vectors(theta))
 
 
-def _measurement(kind: str, a: np.ndarray, b: np.ndarray) -> Measurement:
-    """Even mixture of the projective measurements along the kind's axes."""
-    blochs = 0.25 * signed_axes(*kind_axes(kind, a, b))
-    return Measurement(KIND_OUTCOMES[kind], _filled(blochs.shape[:-1], 0.25), blochs)
+def _measurements(a: np.ndarray, b: np.ndarray) -> Measurement:
+    """Both kinds' measurements as one stack ``blochs[kind, ..., 4, 3]``.
+
+    Kinds follow :data:`KINDS`, outcomes the columns ``2 * basis index + bit``;
+    each kind is checked as its own POVM, a failure naming its stack index.
+    """
+    blochs = 0.25 * np.array([signed_axes(*kind_axes(kind, a, b)) for kind in KINDS])
+    return Measurement((0, 1, 2, 3), _filled(blochs.shape[:-1], 0.25), blochs)
 
 
 def anticipative_directions(theta: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +253,9 @@ def measurement_for(kind: str, theta: float | np.ndarray) -> Measurement:
     input labels, the anticipative ones are ``+-m, +-n``.
     """
     _check_kind(kind)
-    return _measurement(kind, *basis_vectors(theta))
+    pair = _measurements(*basis_vectors(theta))
+    i = KINDS.index(kind)
+    return Measurement(KIND_OUTCOMES[kind], pair.scalars[i], pair.blochs[i])
 
 
 class PQValues(NamedTuple):
@@ -323,25 +331,31 @@ def priority_table(kind: str) -> dict[str, tuple[str, str, str, str]]:
     return table
 
 
+def _games(theta: float | np.ndarray) -> dict[str, GameSpec]:
+    """Both kinds' games at ``theta``: each a slice of one :func:`joint_table` call."""
+    a, b = basis_vectors(theta)
+    tables = joint_table(_ensemble(a, b), _measurements(a, b)).probs
+    games = {}
+    for kind, probs in zip(KINDS, tables):
+        joint = JointTable(INPUT_LABELS, KIND_OUTCOMES[kind], probs)
+        games[kind] = GameSpec(INPUT_LABELS, INPUT_LABELS, operator.eq, joint)
+    return games
+
+
 def discrimination_game(kind: str, theta: float | np.ndarray) -> GameSpec:
     """State discrimination as a guessing game: answer the input label.
 
-    The state axes are computed once and shared by the ensemble and the
-    measurement.  An array of angles gives one game over the stack of their
-    joint tables.
+    Both kinds' games come from one Born table (:func:`_games`), so a
+    caller that needs one kind also pays for the other half.  An array of
+    angles gives one game over the stack of their joint tables.
     """
-    a, b = basis_vectors(theta)
-    return GameSpec(
-        inputs=INPUT_LABELS,
-        answers=INPUT_LABELS,
-        correctness=operator.eq,
-        joint=joint_table(_ensemble(a, b), _measurement(kind, a, b)),
-    )
+    _check_kind(kind)
+    return _games(theta)[kind]
 
 
-#: Per kind, ``(angle key, game)`` of the last game :func:`pipeline_success`
-#: built: one angle or one stack per kind, never a sweep.
-_LAST_GAME: dict[str, tuple[object, GameSpec]] = {}
+#: ``(angle key, games by kind)`` of the last angle or stack :func:`pipeline_success`
+#: saw, read and replaced as one tuple, so no thread pairs a key with other games.
+_LAST_GAMES: tuple[object, dict[str, GameSpec]] = (None, {})
 
 
 def pipeline_success(
@@ -355,21 +369,21 @@ def pipeline_success(
     a float; a 1-D array of angles gives an array of the same length, each
     entry equal to the float its angle gives alone.
 
-    The game of each kind is kept until a call of that kind comes at
-    another angle: the validated float, or the shape and bytes of the
-    validated array.  So the ``k = 1, 2`` calls at an angle (and any repeat)
-    skip the ensemble, the measurement and the Born table and their checks,
-    and run only the leak, the Bayes strategy and the functional, whose
-    checks run on every call.  The kept game and its table are read-only.
+    Both kinds' games of the last angle are kept until a call comes at
+    another angle (the validated float, or the shape and bytes of the
+    validated array), so the other five scenarios at an angle and any
+    repeat skip the ensemble, the measurements, the Born table and their
+    checks; only the leak, the Bayes strategy and the functional run, with
+    their checks.  A one-kind caller builds both tables; all are read-only.
     """
+    global _LAST_GAMES
     theta = check_theta(theta)
     key = theta if isinstance(theta, float) else (theta.shape, theta.tobytes())
-    last = _LAST_GAME.get(scenario.kind)
-    if last is not None and last[0] == key:
-        game = last[1]
-    else:
-        game = discrimination_game(scenario.kind, theta)
-        _LAST_GAME[scenario.kind] = (key, game)
+    last_key, games = _LAST_GAMES
+    if last_key != key:
+        games = _games(theta)
+        _LAST_GAMES = (key, games)
+    game = games[scenario.kind]
     if scenario.k == 0:
         alpha = no_exclusion_map(game)
         return success_no_cpost(game, bayes_optimal_post(game, alpha))

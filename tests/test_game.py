@@ -369,9 +369,9 @@ class TestStructureCaches:
                 pipeline_success(s, theta)
         sizes = [cache.cache_info().currsize for cache in STRUCTURE_CACHES]
         assert max(sizes) <= 4, sizes
-        # the pipeline's memo holds one game per kind, of the last angle only
-        memo = task_module._LAST_GAME
-        assert len(memo) <= 2 and all(key == theta for key, _ in memo.values()), memo
+        # the pipeline's memo holds both kinds' games of the last angle only
+        key, games = task_module._LAST_GAMES
+        assert key == theta and list(games) == list(task_module.KINDS), (key, games)
 
 
 class TestStackedGames:

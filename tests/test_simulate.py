@@ -63,8 +63,8 @@ UNKNOWN_STATE = r"^unknown state '\+c': states are \('\+a', '-a', '\+b', '-b'\)$
 
 #: md5 of the estimates of a 7-angle per-shot plan, per readout flip.
 PER_SHOT_PINS = {
-    0.0: "8fca35cdf82c0beadd7ede0059034eec",
-    0.1: "c16eb25962eb15696d204546449a3cf4",
+    0.0: "1ba3a64e5b2501f3f700052c929807da",
+    0.1: "18f925b17c8c8722a7dca85658a3f882",
 }
 
 #: Angles for the geometry checks, from near the theta -> 0 end up to pi/2.
@@ -166,6 +166,19 @@ class TestPlan:
         seq = plan.runs[3].seed_sequence()
         assert seq.entropy == 99
         assert seq.spawn_key == (3,)
+
+    def test_angles_kept_as_floats(self):
+        # numpy angles, Python floats and integers give the same plan
+        grid = theta_grid(3)
+        plans = [plan_experiment(thetas, shots=2, basis_mode="per-shot")
+                 for thetas in (grid, grid.tolist(), list(map(np.float64, grid)))]
+        for plan in plans:
+            assert all(type(theta) is float for theta in plan.thetas)
+            assert all(type(run.theta) is float for run in plan.runs)
+            assert list(map(repr, plan.runs)) == list(map(repr, plans[1].runs))
+            curves = simulate_curves(plan, NOISELESS)
+            assert all(type(theta) is float for theta, _, _ in curves)
+        assert plan_experiment([1], shots=2).thetas == (1.0,)
 
 
 def _rebuilt(run: RunSpec) -> RunSpec:
@@ -783,6 +796,18 @@ class TestWeights:
             w[PA, PLUS_1] = 0.5
 
 
+class _Tallied:
+    """A per-shot run result reduced to what the estimator reads."""
+
+    bases = ()
+
+    def __init__(self, run: RunSpec, counts: np.ndarray) -> None:
+        self.run, self.counts = run, counts
+
+    def tallies(self) -> np.ndarray:
+        return self.counts
+
+
 class TestEstimation:
     def test_exact_success_matches_closed_forms(self):
         for scenario in SCENARIOS:
@@ -900,6 +925,26 @@ class TestEstimation:
             }
 
         assert bits(curves) == bits(alone)
+
+    def test_rows_summed_left_to_right(self):
+        # At these tallies the weighted row of the standard k=1 estimate sums
+        # to one float left to right and to another correctly rounded
+        # (math.fsum, as sum() nearly does from Python 3.12 on); the
+        # estimate is the left-to-right one on every interpreter.
+        tallies = np.array([
+            [885441, 403959, 794773, 933489],
+            [441002, 42451, 271494, 536111],
+            [509533, 424605, 962839, 821873],
+            [870164, 318047, 499749, 375442],
+        ])
+        runs = plan_experiment([0.7], shots=1, kinds=(STANDARD,), basis_mode="per-shot").runs
+        row = (success_weights(STANDARD, 1) * tallies).ravel().tolist()
+        left = 0.0
+        for term in row:
+            left += term
+        assert left != math.fsum(row)
+        estimates = empirical_success(map(_Tallied, runs, tallies), (1,))
+        assert estimates[(0.7, STANDARD, 1)].value.hex() == (left / tallies.sum()).hex()
 
     @pytest.mark.parametrize("eps", [0.0, 0.1])
     def test_per_shot_estimates_pinned(self, eps):

@@ -438,10 +438,15 @@ class TestOneAngle:
             closed_form(SCENARIOS[0], bad)
 
 
+def _forget_games():
+    """Empty the pipeline's memo of the last angle's games."""
+    task_module._LAST_GAMES = (None, {})
+
+
 @pytest.fixture
 def table_calls(monkeypatch):
     """Empty the pipeline's game memo and record each Born table the task builds."""
-    task_module._LAST_GAME.clear()
+    _forget_games()
     calls = []
 
     def counting(*args, **kwargs):
@@ -453,8 +458,8 @@ def table_calls(monkeypatch):
 
 
 def _cold(scenario, theta):
-    """pipeline_success with an empty memo: the game is built afresh."""
-    task_module._LAST_GAME.clear()
+    """pipeline_success with an empty memo: the games are built afresh."""
+    _forget_games()
     return pipeline_success(scenario, theta)
 
 
@@ -483,7 +488,7 @@ GRIDS = {
 
 
 class TestGameMemo:
-    def test_six_scenarios_build_one_table_per_kind(self, table_calls, monkeypatch):
+    def test_six_scenarios_build_one_table(self, table_calls, monkeypatch):
         validated = []
         original = PostProcessing.validate
 
@@ -494,15 +499,21 @@ class TestGameMemo:
         monkeypatch.setattr(PostProcessing, "validate", recording)
         for s in SCENARIOS:
             pipeline_success(s, 0.7)
-        assert len(table_calls) == 2
+        # one stacked contraction holds both kinds' tables
+        assert len(table_calls) == 1
+        assert table_calls[0][1].stack == (len(KINDS),)
         # the strategy of every call is still checked against its game
         assert len(validated) == len(SCENARIOS)
 
-    def test_repeats_reuse_the_game_of_their_kind(self, table_calls):
+    def test_repeats_reuse_the_games(self, table_calls):
         for theta in (0.7, np.array([0.3, 0.7])):
             for s in SCENARIOS + SCENARIOS:
                 pipeline_success(s, theta)
-        assert len(table_calls) == 4
+        assert len(table_calls) == 2
+        # the memo holds the last angle (here a stack) and both its games
+        key, games = task_module._LAST_GAMES
+        assert key == ((2,), np.array([0.3, 0.7]).tobytes())
+        assert list(games) == list(KINDS)
 
     def test_a_second_sweep_builds_as_many_tables(self, table_calls):
         grid = theta_grid(30)
@@ -510,14 +521,14 @@ class TestGameMemo:
             for theta in grid:
                 for s in SCENARIOS:
                     pipeline_success(s, theta)
-        assert len(table_calls) == 2 * 2 * len(grid)
+        assert len(table_calls) == 2 * len(grid)
 
     @pytest.mark.parametrize("order", sorted(LOOP_ORDERS))
     @pytest.mark.parametrize("form", sorted(GRIDS))
     def test_bits_equal_an_empty_memo(self, order, form):
         calls = LOOP_ORDERS[order](GRIDS[form])
         cold = [_hexes(_cold(s, t)) for s, t in calls]
-        task_module._LAST_GAME.clear()
+        _forget_games()
         assert [_hexes(pipeline_success(s, t)) for s, t in calls] == cold
 
     def test_two_threads_match_a_serial_sweep(self):
@@ -544,6 +555,52 @@ class TestGameMemo:
         finally:
             sys.setswitchinterval(interval)
         assert {**found[0], **found[1]} == serial
+
+
+class TestGamePair:
+    @pytest.mark.parametrize(
+        "theta", [0.7, 1e-6, math.pi / 2, STACK], ids=["0.7", "1e-6", "pi/2", "stack"]
+    )
+    def test_each_kind_equals_its_own_table(self, theta):
+        # The slice of the two-kind contraction is the kind's own Born table.
+        _forget_games()
+        pipeline_success(SCENARIOS[0], theta)
+        kept = task_module._LAST_GAMES[1]
+        for kind in KINDS:
+            alone = joint_table(make_ensemble(theta), measurement_for(kind, theta))
+            for game in (discrimination_game(kind, theta), kept[kind]):
+                assert game.outcomes == KIND_OUTCOMES[kind]
+                assert game.joint.probs.shape == alone.probs.shape
+                assert game.joint.probs.tobytes() == alone.probs.tobytes()
+
+    def test_measurement_is_the_kinds_own(self):
+        for theta in (0.7, STACK):
+            a, b = basis_vectors(theta)
+            for kind in KINDS:
+                m = measurement_for(kind, theta)
+                assert m.outcomes == KIND_OUTCOMES[kind]
+                assert m.stack == np.shape(theta)
+                expected = 0.25 * signed_axes(*kind_axes(kind, a, b))
+                assert m.blochs.tobytes() == np.ascontiguousarray(expected).tobytes()
+                assert m.scalars.tolist() == np.full(m.stack + (4,), 0.25).tolist()
+
+    @pytest.mark.parametrize("broken", KINDS)
+    @pytest.mark.parametrize(("theta", "where"), [(0.7, "{i}"), (STACK[:5], r"\({i}, 0\)")])
+    def test_each_kind_checked_as_its_own_povm(self, monkeypatch, broken, theta, where):
+        original = task_module.kind_axes
+
+        def stretched(kind, a, b):
+            u, v = original(kind, a, b)
+            return (1.01 * u, 1.01 * v) if kind == broken else (u, v)
+
+        monkeypatch.setattr(task_module, "kind_axes", stretched)
+        _forget_games()
+        at = where.format(i=KINDS.index(broken))
+        message = rf"^invalid measurement: 0 not positive \(.*\) at stack index {at}$"
+        for scenario in SCENARIOS:
+            with pytest.raises(ValueError, match=message):
+                pipeline_success(scenario, theta)
+        assert task_module._LAST_GAMES == (None, {})
 
 
 class TestPriorities:

@@ -106,12 +106,13 @@ def test_closed_forms_take_one_pipeline_call_per_scenario(monkeypatch):
     assert len(calls) == 6
 
 
-def test_closed_forms_build_one_born_table_per_kind(monkeypatch):
-    # The three scenarios of a kind share its game over the grid.
-    task._LAST_GAME.clear()
+def test_closed_forms_build_one_born_table(monkeypatch):
+    # The six scenarios share both kinds' games over the grid, one table stack.
+    monkeypatch.setattr(task, "_LAST_GAMES", (None, {}))
     calls = _recorded_calls(monkeypatch, bloch, "joint_table")
     assert verify._check_closed_forms(1e-12, task.theta_grid(25)).passed
-    assert len(calls) == 2
+    assert len(calls) == 1
+    assert calls[0][1].stack == (len(task.KINDS), 25)
 
 
 def test_enumeration_takes_one_solver_call_per_k(monkeypatch):

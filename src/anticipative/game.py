@@ -16,10 +16,14 @@ against the channel that always leaks the empty set.
 Only the joint table depends on the measured angle.  What a game's
 structure ``(inputs, answers, correctness)`` fixes is built and checked
 once and shared: the ``correct`` table, the leaks of each ``k`` and each
-leak's validation against that structure.  A game may hold a stack of
-joint tables, ``probs[..., x, z]`` (one per angle, say); strategies,
-weights and success values then carry the same leading axes, and each
-entry is computed exactly as for its table alone.
+leak's validation against that structure.  So is what an unstacked
+strategy's content fixes: the Bayes strategy of each choice of guesses,
+each strategy's validation against a leak's sets and a game's labels,
+and its win weights against a leak and game structure.  A game may hold
+a stack of joint tables, ``probs[..., x, z]`` (one per angle, say);
+strategies, weights and success values then carry the same leading axes,
+each entry is computed exactly as for its table alone, and nothing
+stacked is kept.
 """
 
 from __future__ import annotations
@@ -260,30 +264,47 @@ class PostProcessing:
         """Raise unless every leaked set and game outcome has a rule.
 
         Sets, outcomes and answers must be those of the leak and the game,
-        in order, and each rule a distribution over the answers.
+        in order, and each rule a distribution over the answers.  A
+        strategy and its array are immutable, so an unstacked strategy's
+        pass is remembered per strategy object, leaked sets, game outcomes
+        and answers and ``tol``; a failure, or a stacked strategy, is
+        checked again on every call.
         """
-        if (self.sets, self.outcomes) != (sets, game.outcomes):
-            raise ValueError(
-                f"post-processing has no rule for some leaked set {sets!r} or "
-                f"outcome {game.outcomes!r}; it has {self.sets!r}, {self.outcomes!r}"
-            )
-        if self.answers != game.answers:
-            raise ValueError(
-                f"post-processing guesses unknown answers {self.answers!r}; "
-                f"the game's are {game.answers!r}"
-            )
-        totals = np.add.reduce(self.guess, axis=-1)
-        off = np.abs(totals - 1.0)
-        if not (
-            np.minimum.reduce(self.guess, axis=None) >= -tol
-            and np.maximum.reduce(off, axis=None) <= tol
-        ):
-            negative = np.logical_or.reduce(~(self.guess >= -tol), axis=-1)
-            *at, j, o = bad = first_true(~(off <= tol) | negative)
-            raise ValueError(
-                f"rule for ({self.sets[j]!r}, {self.outcomes[o]!r}) is not a "
-                f"distribution (sum {totals[bad]}){stack_note(tuple(at))}"
-            )
+        check = _check_post if self.guess.ndim == 3 else _check_post.__wrapped__
+        check(self, sets, game.outcomes, game.answers, tol)
+
+
+@lru_cache(maxsize=64)
+def _check_post(
+    nu: PostProcessing,
+    sets: tuple[ExclusionSet, ...],
+    outcomes: tuple[Label, ...],
+    answers: tuple[Label, ...],
+    tol: float,
+) -> None:
+    """:meth:`PostProcessing.validate`, keyed on the strategy object's identity."""
+    if (nu.sets, nu.outcomes) != (sets, outcomes):
+        raise ValueError(
+            f"post-processing has no rule for some leaked set {sets!r} or "
+            f"outcome {outcomes!r}; it has {nu.sets!r}, {nu.outcomes!r}"
+        )
+    if nu.answers != answers:
+        raise ValueError(
+            f"post-processing guesses unknown answers {nu.answers!r}; "
+            f"the game's are {answers!r}"
+        )
+    totals = np.add.reduce(nu.guess, axis=-1)
+    off = np.abs(totals - 1.0)
+    if not (
+        np.minimum.reduce(nu.guess, axis=None) >= -tol
+        and np.maximum.reduce(off, axis=None) <= tol
+    ):
+        negative = np.logical_or.reduce(~(nu.guess >= -tol), axis=-1)
+        *at, j, o = bad = first_true(~(off <= tol) | negative)
+        raise ValueError(
+            f"rule for ({nu.sets[j]!r}, {nu.outcomes[o]!r}) is not a "
+            f"distribution (sum {totals[bad]}){stack_note(tuple(at))}"
+        )
 
 
 def exclusion_info_map(game: GameSpec, k: int) -> PartialInfoMap:
@@ -342,13 +363,33 @@ def win_weights(
     nu(y | z, S)``, indexed by ``game.inputs`` and ``game.outcomes``, with
     the stack axes of ``nu``.  ``nu`` must have a rule for every outcome of
     the game, whatever its probability, and exactly the leaked sets of
-    ``alpha``, in its order.
+    ``alpha``, in its order.  Both are checked on every call.  The weights
+    do not depend on the joint table, so an unstacked strategy's are built
+    once per leak, game structure and strategy object and returned
+    read-only; a stacked strategy's are built on every call.
     """
     alpha.validate(game, tol)
     nu.validate(game, alpha.sets, tol)
-    table = _leak_correct(alpha, game.inputs, game.answers, game.correctness)
+    weigh = _shared_win_weights if nu.guess.ndim == 3 else _win_weights
+    return weigh(alpha, nu, game.inputs, game.answers, game.correctness)
+
+
+def _win_weights(
+    alpha: PartialInfoMap,
+    nu: PostProcessing,
+    inputs: tuple[Label, ...],
+    answers: tuple[Label, ...],
+    correctness: Callable[[Label, Label], bool],
+) -> np.ndarray:
+    table = _leak_correct(alpha, inputs, answers, correctness)
     rules = nu.guess.mT  # [..., s, y, z]
     return table.T @ rules.reshape(rules.shape[:-3] + (-1, rules.shape[-1]))
+
+
+@lru_cache(maxsize=64)
+def _shared_win_weights(*structure) -> np.ndarray:
+    """:func:`_win_weights` of an unstacked strategy; read-only."""
+    return _frozen(_win_weights(*structure))
 
 
 def success_with_cpost(
@@ -385,13 +426,31 @@ def bayes_optimal_post(
     For each leaked set and outcome it scores every answer by
     ``sum_x correctness(x, y) alpha(S | x) p(x, z)`` and puts all mass on
     the best one.  Ties resolve to the earliest answer in the game's
-    answer order, which makes the output deterministic.  A stacked game
-    gives the stack of each table's strategy.
+    answer order, which makes the output deterministic.  The scores and
+    their argmax run on every call; an unstacked game then gets the one
+    shared, read-only strategy of its sets, outcomes, answers and picks,
+    so its checks and win weights are remembered too.  A stacked game
+    gives a new stack of each table's strategy.
     """
     alpha.validate(game, tol)
     table = _leak_correct(alpha, game.inputs, game.answers, game.correctness)
     scores = table @ game.joint.probs  # [..., s * len(answers) + y, z]
     n_answers = len(game.answers)
     scores = scores.reshape(scores.shape[:-2] + (len(alpha.sets), n_answers, -1))
-    guess = _identity(n_answers)[scores.argmax(axis=-2)]
+    picks = scores.argmax(axis=-2)
+    if picks.ndim == 2:
+        return _shared_post(alpha.sets, game.outcomes, game.answers, picks.tobytes())
+    guess = _identity(n_answers)[picks]
     return PostProcessing(alpha.sets, game.outcomes, game.answers, guess)
+
+
+@lru_cache(maxsize=64)
+def _shared_post(
+    sets: tuple[ExclusionSet, ...],
+    outcomes: tuple[Label, ...],
+    answers: tuple[Label, ...],
+    picks: bytes,
+) -> PostProcessing:
+    """The strategy guessing ``answers[picks[s, z]]``, ``picks`` an intp array's bytes."""
+    picks = np.frombuffer(picks, dtype=np.intp).reshape(len(sets), len(outcomes))
+    return PostProcessing(sets, outcomes, answers, _identity(len(answers))[picks])

@@ -664,9 +664,7 @@ def success_weights(kind: str, k: int) -> np.ndarray:
 def _success_weights(kind: str, k: int) -> np.ndarray:
     spec = discrimination_game(kind, math.pi / 2)
     alpha = no_exclusion_map(spec) if k == 0 else exclusion_info_map(spec, k)
-    w = win_weights(spec, alpha, priority_post(kind, k))
-    w.setflags(write=False)
-    return w
+    return win_weights(spec, alpha, priority_post(kind, k))
 
 
 def empirical_success(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,14 +290,24 @@ class TestInputIndependentLeak:
             assert with_info == pytest.approx(without, abs=1e-12)
 
 
-#: The caches of what a game's structure fixes, none of them keyed on theta.
+#: The caches of what an unstacked strategy's content fixes.
+STRATEGY_CACHES = (
+    game_module._shared_post,
+    game_module._check_post,
+    game_module._shared_win_weights,
+)
+
+#: Every cache of the game module, none of them keyed on theta.
 STRUCTURE_CACHES = (
+    game_module.all_exclusion_sets,
+    game_module._identity,
     game_module._correct_table,
+    game_module._membership,
     game_module._leak_correct,
     game_module._exclusion_map,
     game_module._no_exclusion_map,
     game_module._check_leak,
-)
+) + STRATEGY_CACHES
 
 
 def _clear_structure_caches() -> None:
@@ -304,6 +316,14 @@ def _clear_structure_caches() -> None:
 
 
 class TestStructureCaches:
+    def test_every_cache_of_the_module_is_listed(self):
+        defined = [
+            value for value in vars(game_module).values()
+            if hasattr(value, "cache_clear") and value.__module__ == game_module.__name__
+        ]
+        assert set(defined) == set(STRUCTURE_CACHES)
+        assert len(STRUCTURE_CACHES) == len(set(STRUCTURE_CACHES))
+
     def test_correct_table_per_correctness(self):
         table = JointTable(("x", "w"), ("z",), np.array([[0.5], [0.5]]))
         same = GameSpec(("x", "w"), ("x", "w"), equality, table)
@@ -367,11 +387,143 @@ class TestStructureCaches:
         for theta in np.linspace(0.01, math.pi / 2, 300):
             for s in SCENARIOS:
                 pipeline_success(s, theta)
-        sizes = [cache.cache_info().currsize for cache in STRUCTURE_CACHES]
-        assert max(sizes) <= 4, sizes
+        sizes = {cache: cache.cache_info().currsize for cache in STRUCTURE_CACHES}
+        # one shared strategy per scenario, with its check and win weights
+        assert max(sizes[cache] for cache in STRATEGY_CACHES) <= len(SCENARIOS), sizes
+        assert max(sizes[cache] for cache in sizes if cache not in STRATEGY_CACHES) <= 4, sizes
         # the pipeline's memo holds both kinds' games of the last angle only
         key, games = task_module._LAST_GAMES
         assert key == theta and list(games) == list(task_module.KINDS), (key, games)
+
+
+    def test_stacked_call_keeps_no_stacked_array(self, monkeypatch):
+        thetas = np.geomspace(1e-7, math.pi / 2, 2026)
+        monkeypatch.setattr(task_module, "_LAST_GAMES", (None, {}))
+        for s in SCENARIOS:
+            pipeline_success(s, 0.7)  # fills every cache a stacked call reads
+        sizes = [cache.cache_info().currsize for cache in STRUCTURE_CACHES]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for s in SCENARIOS:
+                pipeline_success(s, thetas)
+            task_module._LAST_GAMES = (None, {})  # the pipeline's own memo
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert [cache.cache_info().currsize for cache in STRUCTURE_CACHES] == sizes
+        # one stacked float per angle would be 16 KB; a stacked strategy 2 MB
+        assert kept < 8 * len(thetas), kept
+
+
+#: Angles at the edges of the range and one inside, where the Bayes
+#: strategies follow the priority order.
+DEGENERATE = (1e-7, 1e-6, 0.7, math.pi / 2)
+
+#: Angles so small that answers tie and the Bayes picks leave the priority order.
+TIES = (1e-12, 1e-8)
+
+
+def _strategies(theta) -> dict:
+    """``(game, leak, Bayes strategy)`` of each scenario at ``theta``."""
+    found = {}
+    for s in SCENARIOS:
+        game = discrimination_game(s.kind, theta)
+        alpha = no_exclusion_map(game) if s.k == 0 else exclusion_info_map(game, s.k)
+        found[s] = (game, alpha, bayes_optimal_post(game, alpha))
+    return found
+
+
+class TestSharedStrategies:
+    @pytest.mark.parametrize("theta", DEGENERATE + TIES)
+    def test_bayes_strategy_equals_a_memo_free_build(self, theta):
+        for game, alpha, nu in _strategies(theta).values():
+            table = game_module._leak_correct.__wrapped__(
+                alpha, game.inputs, game.answers, game.correctness
+            )
+            n = len(game.answers)
+            scores = (table @ game.joint.probs).reshape(len(alpha.sets), n, -1)
+            guess = game_module._identity.__wrapped__(n)[scores.argmax(axis=-2)]
+            assert nu.guess.shape == guess.shape
+            assert nu.guess.tobytes() == guess.tobytes()
+            assert bayes_optimal_post(game, alpha) is nu
+
+    def test_each_choice_of_picks_has_its_own_strategy(self):
+        shared = {}
+        for theta in DEGENERATE + TIES:
+            for s, (_, _, nu) in _strategies(theta).items():
+                key = (s, nu.guess.argmax(axis=-1).tobytes())
+                assert shared.setdefault(key, nu) is nu, (theta, s)
+        # the tie region picks otherwise for every scenario
+        assert len(shared) == 2 * len(SCENARIOS)
+        assert len({id(nu) for nu in shared.values()}) == len(shared)
+
+    @pytest.mark.parametrize("inner", [True, False], ids=["scenario-inner", "scenario-outer"])
+    def test_pipeline_bits_equal_emptied_memos(self, inner):
+        angles = DEGENERATE + TIES
+        if inner:
+            calls = [(s, t) for t in angles for s in SCENARIOS]
+        else:
+            calls = [(s, t) for s in SCENARIOS for t in angles]
+        cold = []
+        for s, t in calls:
+            _clear_structure_caches()
+            task_module._LAST_GAMES = (None, {})
+            cold.append(pipeline_success(s, t).hex())
+        for _ in range(2):
+            assert [pipeline_success(s, t).hex() for s, t in calls] == cold
+
+    def test_strategy_valid_for_one_game_is_checked_for_another(self):
+        four = discrimination_game(STANDARD, 0.7)
+        alpha = exclusion_info_map(four, 1)
+        nu = bayes_optimal_post(four, alpha)
+        tilted = discrimination_game(ANTICIPATIVE, 0.7)
+        backwards = GameSpec(INPUT_LABELS, INPUT_LABELS[::-1], equality, four.joint)
+        checks = {
+            "no rule": lambda: win_weights(tilted, exclusion_info_map(tilted, 1), nu),
+            "unknown answers": lambda: nu.validate(backwards, alpha.sets),
+            "no rule for some leaked set": lambda: win_weights(
+                four, exclusion_info_map(four, 2), nu
+            ),
+        }
+        for match, check in checks.items():
+            messages = set()
+            for _ in range(3):
+                win_weights(four, alpha, nu)  # passes, and is remembered
+                with pytest.raises(ValueError, match=match) as err:
+                    check()
+                messages.add(str(err.value))
+            assert len(messages) == 1, messages
+
+    def test_bad_strategy_raises_on_every_call(self):
+        game = discrimination_game(STANDARD, 1.0)
+        nan = np.eye(4)[None].copy()
+        nan[0, 3, 2] = float("nan")
+        short = np.zeros((1, 4, 4))
+        short[..., 0] = 0.7
+        for guess in (nan, short):
+            nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
+            checks = (
+                lambda: success_no_cpost(game, nu0),
+                lambda: win_weights(game, no_exclusion_map(game), nu0),
+                lambda: nu0.validate(game, (NO_INFO,)),
+            )
+            messages = set()
+            for check in checks * 2:
+                with pytest.raises(ValueError, match="not a distribution") as err:
+                    check()
+                messages.add(str(err.value))
+            assert len(messages) == 1, messages
+
+    def test_shared_arrays_reject_writes(self):
+        for game, alpha, nu in _strategies(0.7).values():
+            weights = win_weights(game, alpha, nu)
+            assert win_weights(game, alpha, nu) is weights
+            for arr in (nu.guess, weights):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 0.5
 
 
 class TestStackedGames:

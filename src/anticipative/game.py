@@ -16,14 +16,15 @@ against the channel that always leaks the empty set.
 Only the joint table depends on the measured angle.  What a game's
 structure ``(inputs, answers, correctness)`` fixes is built and checked
 once and shared: the ``correct`` table, the leaks of each ``k`` and each
-leak's validation against that structure.  So is what an unstacked
-strategy's content fixes: the Bayes strategy of each choice of guesses,
-each strategy's validation against a leak's sets and a game's labels,
-and its win weights against a leak and game structure.  A game may hold
-a stack of joint tables, ``probs[..., x, z]`` (one per angle, say);
-strategies, weights and success values then carry the same leading axes,
-each entry is computed exactly as for its table alone, and nothing
-stacked is kept.
+leak's validation against that structure.  A strategy is checked to be a
+distribution when it is built; only its labels are checked against a
+game and leak, on every call.  Every strategy the package builds is
+deterministic and comes from :func:`deterministic_post`: one shared,
+read-only object per choice of guesses, whose win weights against a leak
+and game structure are built once too.  A game may hold a stack of joint
+tables, ``probs[..., x, z]`` (one per angle, say); strategies, weights
+and success values then carry the same leading axes, each entry is
+computed exactly as for its table alone, and nothing stacked is kept.
 """
 
 from __future__ import annotations
@@ -67,12 +68,6 @@ def _frozen(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
-
-
-@lru_cache(maxsize=64)
-def _identity(n: int) -> np.ndarray:
-    """Read-only ``n x n`` identity: row ``y`` is the rule that guesses ``y``."""
-    return _frozen(np.eye(n))
 
 
 # The checks below reduce with ``np.add.reduce`` and test with
@@ -186,15 +181,16 @@ class PartialInfoMap:
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _frozen(self.weights))
 
-    def validate(self, game: GameSpec, tol: float = DEFAULT_TOL) -> None:
+    def validate(self, game: GameSpec) -> None:
         """Raise unless weights are a proper conditional distribution.
 
         For each input the weights must sum to one and put zero mass on any
-        set containing a correct answer for that input.  A leak and its
-        arrays are immutable, so a pass is remembered per leak object, game
-        structure and ``tol``; a failure raises again on every call.
+        set containing a correct answer for that input, within
+        ``DEFAULT_TOL``.  A leak and its arrays are immutable, so a pass is
+        remembered per leak object and game structure; a failure raises
+        again on every call.
         """
-        _check_leak(self, game.inputs, game.answers, game.correctness, tol)
+        _check_leak(self, game.inputs, game.answers, game.correctness)
 
 
 @lru_cache(maxsize=64)
@@ -203,7 +199,6 @@ def _check_leak(
     inputs: tuple[Label, ...],
     answers: tuple[Label, ...],
     correctness: Callable[[Label, Label], bool],
-    tol: float,
 ) -> None:
     """:meth:`PartialInfoMap.validate`, keyed on the leak object's identity."""
     w = alpha.weights
@@ -213,8 +208,8 @@ def _check_leak(
             f"{len(inputs)} game inputs x {len(alpha.sets)} sets"
         )
     correct = _correct_table(inputs, answers, correctness)
-    negative = w < -tol
-    leaks_correct = (w > tol) & _holds_correct(correct, answers, alpha.sets)
+    negative = w < -DEFAULT_TOL
+    leaks_correct = (w > DEFAULT_TOL) & _holds_correct(correct, answers, alpha.sets)
     if np.count_nonzero(negative):
         i, j = np.argwhere(negative)[0]
         raise ValueError(
@@ -229,7 +224,7 @@ def _check_leak(
             f"correct answer for {x!r}"
         )
     for x, total in zip(inputs, np.add.reduce(w, axis=1).tolist()):
-        if abs(total - 1.0) > tol:
+        if not abs(total - 1.0) <= DEFAULT_TOL:  # a NaN total fails too
             raise ValueError(f"alpha(. | {x!r}) sums to {total}, expected 1")
 
 
@@ -238,12 +233,13 @@ class PostProcessing:
     """Guessing strategy ``nu(y | z, S)``.
 
     ``guess[..., j, o, a]`` is ``nu(answers[a] | outcomes[o], sets[j])``;
-    each ``guess[..., j, o]`` is a distribution over answers.  Leading axes
-    hold a stack of strategies, one per table of a stacked game.
-    Strategies that ignore the posterior information have the single set
-    ``NO_INFO``.  The labels travel with the array, so a strategy is only
-    scored against a game and leak with the same outcomes, answers and
-    sets.
+    each ``guess[..., j, o]`` is a distribution over answers, within
+    ``DEFAULT_TOL``, or construction raises naming the first bad rule (and
+    its stack index).  Leading axes hold a stack of strategies, one per
+    table of a stacked game.  Strategies that ignore the posterior
+    information have the single set ``NO_INFO``.  The labels travel with
+    the array, so a strategy is only scored against a game and leak with
+    the same outcomes, answers and sets.
     """
 
     sets: tuple[ExclusionSet, ...]
@@ -256,55 +252,37 @@ class PostProcessing:
         shape = (len(self.sets), len(self.outcomes), len(self.answers))
         if guess.shape[-3:] != shape:
             raise ValueError(f"guess has shape {guess.shape}, expected {shape}")
+        totals = np.add.reduce(guess, axis=-1)
+        off = np.abs(totals - 1.0)
+        if not (
+            np.minimum.reduce(guess, axis=None) >= -DEFAULT_TOL
+            and np.maximum.reduce(off, axis=None) <= DEFAULT_TOL
+        ):
+            negative = np.logical_or.reduce(~(guess >= -DEFAULT_TOL), axis=-1)
+            *at, j, o = bad = first_true(~(off <= DEFAULT_TOL) | negative)
+            raise ValueError(
+                f"rule for ({self.sets[j]!r}, {self.outcomes[o]!r}) is not a "
+                f"distribution (sum {totals[bad]}){stack_note(tuple(at))}"
+            )
         object.__setattr__(self, "guess", guess)
 
-    def validate(
-        self, game: GameSpec, sets: tuple[ExclusionSet, ...], tol: float = DEFAULT_TOL
-    ) -> None:
+    def validate(self, game: GameSpec, sets: tuple[ExclusionSet, ...]) -> None:
         """Raise unless every leaked set and game outcome has a rule.
 
         Sets, outcomes and answers must be those of the leak and the game,
-        in order, and each rule a distribution over the answers.  A
-        strategy and its array are immutable, so an unstacked strategy's
-        pass is remembered per strategy object, leaked sets, game outcomes
-        and answers and ``tol``; a failure, or a stacked strategy, is
-        checked again on every call.
+        in order.  Checked on every call; the rules were checked when the
+        strategy was built.
         """
-        check = _check_post if self.guess.ndim == 3 else _check_post.__wrapped__
-        check(self, sets, game.outcomes, game.answers, tol)
-
-
-@lru_cache(maxsize=64)
-def _check_post(
-    nu: PostProcessing,
-    sets: tuple[ExclusionSet, ...],
-    outcomes: tuple[Label, ...],
-    answers: tuple[Label, ...],
-    tol: float,
-) -> None:
-    """:meth:`PostProcessing.validate`, keyed on the strategy object's identity."""
-    if (nu.sets, nu.outcomes) != (sets, outcomes):
-        raise ValueError(
-            f"post-processing has no rule for some leaked set {sets!r} or "
-            f"outcome {outcomes!r}; it has {nu.sets!r}, {nu.outcomes!r}"
-        )
-    if nu.answers != answers:
-        raise ValueError(
-            f"post-processing guesses unknown answers {nu.answers!r}; "
-            f"the game's are {answers!r}"
-        )
-    totals = np.add.reduce(nu.guess, axis=-1)
-    off = np.abs(totals - 1.0)
-    if not (
-        np.minimum.reduce(nu.guess, axis=None) >= -tol
-        and np.maximum.reduce(off, axis=None) <= tol
-    ):
-        negative = np.logical_or.reduce(~(nu.guess >= -tol), axis=-1)
-        *at, j, o = bad = first_true(~(off <= tol) | negative)
-        raise ValueError(
-            f"rule for ({nu.sets[j]!r}, {nu.outcomes[o]!r}) is not a "
-            f"distribution (sum {totals[bad]}){stack_note(tuple(at))}"
-        )
+        if (self.sets, self.outcomes) != (sets, game.outcomes):
+            raise ValueError(
+                f"post-processing has no rule for some leaked set {sets!r} or "
+                f"outcome {game.outcomes!r}; it has {self.sets!r}, {self.outcomes!r}"
+            )
+        if self.answers != game.answers:
+            raise ValueError(
+                f"post-processing guesses unknown answers {self.answers!r}; "
+                f"the game's are {game.answers!r}"
+            )
 
 
 def exclusion_info_map(game: GameSpec, k: int) -> PartialInfoMap:
@@ -352,10 +330,7 @@ def _no_exclusion_map(n_inputs: int) -> PartialInfoMap:
 
 
 def win_weights(
-    game: GameSpec,
-    alpha: PartialInfoMap,
-    nu: PostProcessing,
-    tol: float = DEFAULT_TOL,
+    game: GameSpec, alpha: PartialInfoMap, nu: PostProcessing
 ) -> np.ndarray:
     """Winning probability of ``nu`` per input and outcome.
 
@@ -363,13 +338,15 @@ def win_weights(
     nu(y | z, S)``, indexed by ``game.inputs`` and ``game.outcomes``, with
     the stack axes of ``nu``.  ``nu`` must have a rule for every outcome of
     the game, whatever its probability, and exactly the leaked sets of
-    ``alpha``, in its order.  Both are checked on every call.  The weights
-    do not depend on the joint table, so an unstacked strategy's are built
-    once per leak, game structure and strategy object and returned
-    read-only; a stacked strategy's are built on every call.
+    ``alpha``, in its order.  Both are checked on every call: the leak as
+    :meth:`PartialInfoMap.validate` does, the strategy's labels as
+    :meth:`PostProcessing.validate` does.  The weights do not depend on
+    the joint table, so an unstacked strategy's are built once per leak,
+    game structure and strategy object and returned read-only; a stacked
+    strategy's are built on every call.
     """
-    alpha.validate(game, tol)
-    nu.validate(game, alpha.sets, tol)
+    alpha.validate(game)
+    nu.validate(game, alpha.sets)
     weigh = _shared_win_weights if nu.guess.ndim == 3 else _win_weights
     return weigh(alpha, nu, game.inputs, game.answers, game.correctness)
 
@@ -393,10 +370,7 @@ def _shared_win_weights(*structure) -> np.ndarray:
 
 
 def success_with_cpost(
-    game: GameSpec,
-    alpha: PartialInfoMap,
-    nu: PostProcessing,
-    tol: float = DEFAULT_TOL,
+    game: GameSpec, alpha: PartialInfoMap, nu: PostProcessing
 ) -> float | np.ndarray:
     """Average winning probability when guesses may use the leaked set.
 
@@ -404,44 +378,64 @@ def success_with_cpost(
     inputs, outcomes, leaked sets and answers: the joint table weighted by
     :func:`win_weights`.  A float, or one value per entry of a stack.
     """
-    weighted = game.joint.probs * win_weights(game, alpha, nu, tol)
+    weighted = game.joint.probs * win_weights(game, alpha, nu)
     return float_or_array(np.add.reduce(weighted, axis=(-2, -1)))
 
 
-def success_no_cpost(
-    game: GameSpec, nu0: PostProcessing, tol: float = DEFAULT_TOL
-) -> float | np.ndarray:
+def success_no_cpost(game: GameSpec, nu0: PostProcessing) -> float | np.ndarray:
     """Average winning probability of a strategy that sees only ``z``.
 
     The strategy's only set must be ``NO_INFO``.
     """
-    return success_with_cpost(game, no_exclusion_map(game), nu0, tol)
+    return success_with_cpost(game, no_exclusion_map(game), nu0)
 
 
-def bayes_optimal_post(
-    game: GameSpec, alpha: PartialInfoMap, tol: float = DEFAULT_TOL
-) -> PostProcessing:
+def bayes_optimal_post(game: GameSpec, alpha: PartialInfoMap) -> PostProcessing:
     """Deterministic strategy maximizing the success functional.
 
     For each leaked set and outcome it scores every answer by
     ``sum_x correctness(x, y) alpha(S | x) p(x, z)`` and puts all mass on
     the best one.  Ties resolve to the earliest answer in the game's
     answer order, which makes the output deterministic.  The scores and
-    their argmax run on every call; an unstacked game then gets the one
+    their argmax run on every call; the strategy is then the
+    :func:`deterministic_post` of the picks: for an unstacked game the one
     shared, read-only strategy of its sets, outcomes, answers and picks,
-    so its checks and win weights are remembered too.  A stacked game
-    gives a new stack of each table's strategy.
+    so its win weights are remembered too, and for a stacked game a new
+    stack of each table's strategy.
     """
-    alpha.validate(game, tol)
+    alpha.validate(game)
     table = _leak_correct(alpha, game.inputs, game.answers, game.correctness)
     scores = table @ game.joint.probs  # [..., s * len(answers) + y, z]
     n_answers = len(game.answers)
     scores = scores.reshape(scores.shape[:-2] + (len(alpha.sets), n_answers, -1))
     picks = scores.argmax(axis=-2)
-    if picks.ndim == 2:
+    if picks.ndim == 2:  # deterministic_post's shared path, without its overhead
         return _shared_post(alpha.sets, game.outcomes, game.answers, picks.tobytes())
-    guess = _identity(n_answers)[picks]
-    return PostProcessing(alpha.sets, game.outcomes, game.answers, guess)
+    return deterministic_post(alpha.sets, game.outcomes, game.answers, picks)
+
+
+def deterministic_post(
+    sets: tuple[ExclusionSet, ...],
+    outcomes: tuple[Label, ...],
+    answers: tuple[Label, ...],
+    picks,
+) -> PostProcessing:
+    """The strategy guessing ``answers[picks[..., s, z]]`` on set ``s`` and outcome ``z``.
+
+    ``picks`` holds integer indices into ``answers``.  Picks of shape
+    ``(len(sets), len(outcomes))`` give the one shared, read-only strategy
+    of ``(sets, outcomes, answers, picks)``; a stack of them gives a new
+    stack of strategies.
+    """
+    picks = np.asarray(picks)
+    if picks.dtype.kind not in "iu" or (
+        picks.size and not 0 <= picks.min() <= picks.max() < len(answers)
+    ):
+        raise ValueError(f"picks must be integer indices into {len(answers)} answers")
+    picks = picks.astype(np.intp, copy=False)
+    if picks.shape == (len(sets), len(outcomes)):
+        return _shared_post(sets, outcomes, answers, picks.tobytes())
+    return PostProcessing(sets, outcomes, answers, np.eye(len(answers))[picks])
 
 
 @lru_cache(maxsize=64)
@@ -453,4 +447,4 @@ def _shared_post(
 ) -> PostProcessing:
     """The strategy guessing ``answers[picks[s, z]]``, ``picks`` an intp array's bytes."""
     picks = np.frombuffer(picks, dtype=np.intp).reshape(len(sets), len(outcomes))
-    return PostProcessing(sets, outcomes, answers, _identity(len(answers))[picks])
+    return PostProcessing(sets, outcomes, answers, np.eye(len(answers))[picks])

@@ -284,14 +284,6 @@ def _overlaps(theta: float | np.ndarray, kind: str) -> np.ndarray:
     return signed_axes(a, b) @ np.stack(kind_axes(kind, a, b), axis=-1)
 
 
-@lru_cache(maxsize=256)
-def _overlap_table(theta: float, kind: str) -> np.ndarray:
-    """:func:`_overlaps` of one angle, read-only and built once per ``(theta, kind)``."""
-    table = _overlaps(theta, kind)
-    table.setflags(write=False)
-    return table
-
-
 def _plus(overlap, shrink: float):
     """Probability of the ``+`` outcome, ``(1 + s overlap)/2``.
 
@@ -309,9 +301,9 @@ class RunSpec:
     run built by :class:`ExperimentPlan` also carries its seeding words,
     which only :func:`sample_run` reads, and its row of noise-free
     overlaps, both computed once for the whole plan; a run constructed on
-    its own is sampled from :meth:`rng`, reads its row from a table
-    cached per ``(theta, kind)``, and has its shots and angle checked only
-    then.  Neither field takes part in equality, hashing or repr.
+    its own is sampled from :meth:`rng`, computes its row of overlaps
+    when asked, and has its shots and angle checked only then.  Neither
+    field takes part in equality, hashing or repr.
     """
 
     index: int
@@ -336,8 +328,7 @@ class RunSpec:
         """Noise-free overlaps of the run's state with its kind's two basis axes."""
         if self._overlap is not None:
             return self._overlap
-        row = _overlap_table(_one_angle(self.theta), self.kind)
-        row = row[_state_index(self.state)]
+        row = _overlaps(_one_angle(self.theta), self.kind)[_state_index(self.state)]
         return tuple(row.tolist())
 
 
@@ -517,7 +508,7 @@ def outcome_probability(
     rule and the readout flip mixes the recorded bit; both enter as the
     one factor :attr:`NoiseModel.shrink` on the overlap.
     """
-    table = _overlap_table(_one_angle(theta), kind)
+    table = _overlaps(_one_angle(theta), kind)
     overlap = table[_state_index(state), _basis_index(kind, basis)]
     return _plus(float(overlap), noise.shrink)
 

@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .bloch import DEFAULT_TOL, Measurement, float_or_array, operator_product
-from .game import ExclusionSet, PostProcessing, all_exclusion_sets
+from .game import ExclusionSet, PostProcessing, all_exclusion_sets, deterministic_post
 from .task import (
     ANTICIPATIVE,
     INPUT_LABELS,
@@ -288,21 +288,21 @@ def build_auxiliary(theta: float | np.ndarray, k: int) -> AuxiliaryEnsemble:
 
 
 def lambda_argmax(
-    aux: AuxiliaryEnsemble, tol: float = GAMMA_TOL
+    aux: AuxiliaryEnsemble,
 ) -> tuple[float | np.ndarray, frozenset[int] | tuple[frozenset[int], ...]]:
     """Best member score and the set of members attaining it.
 
     Each count class is scored once and only the winning classes expand
-    back to outcome functions.  The tie tolerance applies on the
-    unnormalized (gamma) scale, where distinct scores are well separated;
-    degenerate geometries such as ``a . b = 0`` then report every
-    maximizer.  A stacked ensemble gives one score per angle and a tuple
+    back to outcome functions.  The tie tolerance :data:`GAMMA_TOL`
+    applies on the unnormalized (gamma) scale, where distinct scores are
+    well separated; degenerate geometries such as ``a . b = 0`` then
+    report every maximizer.  A stacked ensemble gives one score per angle and a tuple
     of the angles' maximizer sets.
     """
     scale = 24.0 * aux.normalization
     scores = aux.scores
     best = np.maximum.reduce(scores, axis=-1)
-    wins = scores * scale >= best[..., None] * scale - tol
+    wins = scores * scale >= best[..., None] * scale - GAMMA_TOL
     chosen = wins[..., count_classes(aux.k).class_of]
     sets = tuple(
         frozenset(np.flatnonzero(row).tolist())
@@ -448,19 +448,20 @@ def reduce_to_povm(
     aux: AuxiliaryEnsemble,
     m_ab: Measurement,
     m_ba: Measurement,
-    tol: float = DEFAULT_TOL,
 ) -> tuple[Measurement, PostProcessing]:
     """Average the two paired measurements into the four-outcome POVM.
 
     Outcomes relabel as ``phi_ab(+-) -> +-n`` and ``phi_ba(+-) -> +-m``;
     the returned post-processing guesses what the underlying outcome
-    function dictates, which reproduces the priority-table strategy.  Both
-    inputs must pass the optimality certificate at every entry of a stack;
-    the POVM then carries their stack axes and the strategy serves them all.
+    function dictates: the shared :func:`~anticipative.game.deterministic_post`
+    of those picks, the priority-table strategy itself.  Both inputs must
+    pass the optimality certificate at ``DEFAULT_TOL`` at every entry of a
+    stack; the POVM then carries their stack axes and the strategy serves
+    them all.
     """
     k = aux.k
     for name, m in (("m_ab", m_ab), ("m_ba", m_ba)):
-        if not np.logical_and.reduce(certify_optimal(aux, m, tol), axis=None):
+        if not np.logical_and.reduce(certify_optimal(aux, m), axis=None):
             raise ValueError(f"{name} does not certify as optimal")
     layout = {
         "+n": (m_ab, fallback_function(k, +1, "ab")),
@@ -482,9 +483,8 @@ def reduce_to_povm(
             ) from None
         scalars[..., j], blochs[..., j, :] = m.scalars[..., i], m.blochs[..., i, :]
     picks = enumerate_functions(k)[[layout[z][1] for z in outcomes]]
-    guess = np.eye(len(INPUT_LABELS))[picks.T]
     povm = Measurement(outcomes, 0.5 * scalars, 0.5 * blochs)
-    return povm, PostProcessing(exclusion_sets(k), outcomes, INPUT_LABELS, guess)
+    return povm, deterministic_post(exclusion_sets(k), outcomes, INPUT_LABELS, picks.T)
 
 
 def anticipative_success(aux: AuxiliaryEnsemble) -> float:

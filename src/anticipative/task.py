@@ -38,6 +38,7 @@ from .game import (
     PostProcessing,
     all_exclusion_sets,
     bayes_optimal_post,
+    deterministic_post,
     exclusion_info_map,
     no_exclusion_map,
     success_no_cpost,
@@ -399,7 +400,9 @@ def priority_post(kind: str, k: int) -> PostProcessing:
     ``NO_INFO`` key, so it guesses the head of the row.  Coincides with
     the Bayes-optimal strategy for every ``theta`` >= 1e-6 in the task's
     range; closer to 0 the answers tie.  Outcomes follow
-    :data:`KIND_OUTCOMES`, the game's order.
+    :data:`KIND_OUTCOMES`, the game's order.  The table is read on every
+    call; the strategy is the one shared :func:`deterministic_post` of its
+    picks, the very object the Bayes strategy is where they coincide.
     """
     k = _check_k(k)
     table = priority_table(kind)
@@ -409,5 +412,4 @@ def priority_post(kind: str, k: int) -> PostProcessing:
         [INPUT_LABELS.index(next(y for y in table[z] if y not in s)) for z in outcomes]
         for s in sets
     ]
-    guess = np.eye(len(INPUT_LABELS))[picks]
-    return PostProcessing(sets, outcomes, INPUT_LABELS, guess)
+    return deterministic_post(sets, outcomes, INPUT_LABELS, picks)

@@ -3,14 +3,20 @@
 from __future__ import annotations
 
 import gc
+import importlib
 import math
+import pkgutil
 import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+import anticipative
+from anticipative import cli as cli_module
 from anticipative import game as game_module
+from anticipative import simulate as simulate_module
+from anticipative import solver as solver_module
 from anticipative import task as task_module
 from anticipative.bloch import JointTable
 from anticipative.game import (
@@ -20,6 +26,7 @@ from anticipative.game import (
     PostProcessing,
     all_exclusion_sets,
     bayes_optimal_post,
+    deterministic_post,
     exclusion_info_map,
     no_exclusion_map,
     success_no_cpost,
@@ -135,6 +142,18 @@ class TestExclusionInfoMap:
         )
         with pytest.raises(ValueError, match="negative weight"):
             negative.validate(game)
+        # a NaN weight fails the row sum, however the leak is used
+        weights = alpha.weights.copy()
+        weights[0, 1] = float("nan")
+        nan = PartialInfoMap(alpha.sets, weights)
+        message = r"^alpha\(\. \| '\+a'\) sums to nan, expected 1$"
+        for check in (
+            nan.validate,
+            lambda g: bayes_optimal_post(g, nan),
+            lambda g: success_with_cpost(g, nan, priority_post(STANDARD, 1)),
+        ):
+            with pytest.raises(ValueError, match=message):
+                check(game)
 
 
 class TestSuccessFunctionals:
@@ -203,14 +222,12 @@ class TestSuccessFunctionals:
         game = discrimination_game(STANDARD, 1.0)
         guess = np.zeros((1, 4, 4))
         guess[..., 0] = 0.7
-        nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
         with pytest.raises(ValueError, match="not a distribution"):
-            success_no_cpost(game, nu0)
+            PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
         # every row sums to 1, through a negative entry
         guess = np.tile([1.5, -0.5, 0.0, 0.0], (1, 4, 1))
-        nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
         with pytest.raises(ValueError, match="not a distribution"):
-            success_no_cpost(game, nu0)
+            PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
 
     def test_unknown_answer_is_error(self):
         game = discrimination_game(STANDARD, 1.0)
@@ -293,14 +310,12 @@ class TestInputIndependentLeak:
 #: The caches of what an unstacked strategy's content fixes.
 STRATEGY_CACHES = (
     game_module._shared_post,
-    game_module._check_post,
     game_module._shared_win_weights,
 )
 
 #: Every cache of the game module, none of them keyed on theta.
 STRUCTURE_CACHES = (
     game_module.all_exclusion_sets,
-    game_module._identity,
     game_module._correct_table,
     game_module._membership,
     game_module._leak_correct,
@@ -310,6 +325,19 @@ STRUCTURE_CACHES = (
 ) + STRATEGY_CACHES
 
 
+#: Every ``lru_cache`` of the package, so that a cache added or removed
+#: shows up in this list.
+PACKAGE_CACHES = STRUCTURE_CACHES + (
+    solver_module.enumerate_functions,
+    solver_module._allowed,
+    solver_module.count_classes,
+    solver_module.fallback_function,
+    simulate_module._words_seed_type,
+    simulate_module._success_weights,
+    cli_module._parser,
+)
+
+
 def _clear_structure_caches() -> None:
     for cache in STRUCTURE_CACHES:
         cache.cache_clear()
@@ -317,12 +345,15 @@ def _clear_structure_caches() -> None:
 
 class TestStructureCaches:
     def test_every_cache_of_the_module_is_listed(self):
-        defined = [
-            value for value in vars(game_module).values()
-            if hasattr(value, "cache_clear") and value.__module__ == game_module.__name__
-        ]
-        assert set(defined) == set(STRUCTURE_CACHES)
-        assert len(STRUCTURE_CACHES) == len(set(STRUCTURE_CACHES))
+        defined = []
+        for info in pkgutil.iter_modules(anticipative.__path__, "anticipative."):
+            module = importlib.import_module(info.name)
+            defined += [
+                value for value in vars(module).values()
+                if hasattr(value, "cache_clear") and value.__module__ == module.__name__
+            ]
+        assert set(defined) == set(PACKAGE_CACHES)
+        assert len(PACKAGE_CACHES) == len(set(PACKAGE_CACHES))
 
     def test_correct_table_per_correctness(self):
         table = JointTable(("x", "w"), ("z",), np.array([[0.5], [0.5]]))
@@ -445,10 +476,30 @@ class TestSharedStrategies:
             )
             n = len(game.answers)
             scores = (table @ game.joint.probs).reshape(len(alpha.sets), n, -1)
-            guess = game_module._identity.__wrapped__(n)[scores.argmax(axis=-2)]
+            guess = np.eye(n)[scores.argmax(axis=-2)]
             assert nu.guess.shape == guess.shape
             assert nu.guess.tobytes() == guess.tobytes()
             assert bayes_optimal_post(game, alpha) is nu
+
+    @pytest.mark.parametrize("theta", (1e-6, 0.7, math.pi / 2))
+    def test_bayes_strategy_is_the_priority_strategy(self, theta):
+        for s, (_, _, nu) in _strategies(theta).items():
+            assert nu is priority_post(s.kind, s.k), s
+
+    def test_deterministic_post_shares_unstacked_picks(self):
+        sets, outcomes, answers = (NO_INFO,), ("z0", "z1"), ("y0", "y1", "y2")
+        nu = deterministic_post(sets, outcomes, answers, [[2, 0]])
+        assert deterministic_post(sets, outcomes, answers, np.array([[2, 0]])) is nu
+        assert nu.guess.tolist() == [[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]]
+        stack = [[[2, 0]], [[1, 1]]]
+        stacked = deterministic_post(sets, outcomes, answers, stack)
+        assert deterministic_post(sets, outcomes, answers, stack) is not stacked
+        assert stacked.guess[0].tolist() == nu.guess.tolist()
+        for bad in ([[3, 0]], [[-1, 0]], [[1.5, 0]]):
+            with pytest.raises(ValueError, match="integer indices into 3 answers"):
+                deterministic_post(sets, outcomes, answers, bad)
+        with pytest.raises(ValueError, match="guess has shape"):
+            deterministic_post(sets, outcomes, answers, [[0, 1, 2]])
 
     def test_each_choice_of_picks_has_its_own_strategy(self):
         shared = {}
@@ -491,7 +542,7 @@ class TestSharedStrategies:
         for match, check in checks.items():
             messages = set()
             for _ in range(3):
-                win_weights(four, alpha, nu)  # passes, and is remembered
+                win_weights(four, alpha, nu)  # passes; its weights are remembered
                 with pytest.raises(ValueError, match=match) as err:
                     check()
                 messages.add(str(err.value))
@@ -504,16 +555,10 @@ class TestSharedStrategies:
         short = np.zeros((1, 4, 4))
         short[..., 0] = 0.7
         for guess in (nan, short):
-            nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
-            checks = (
-                lambda: success_no_cpost(game, nu0),
-                lambda: win_weights(game, no_exclusion_map(game), nu0),
-                lambda: nu0.validate(game, (NO_INFO,)),
-            )
             messages = set()
-            for check in checks * 2:
+            for _ in range(3):
                 with pytest.raises(ValueError, match="not a distribution") as err:
-                    check()
+                    PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
                 messages.add(str(err.value))
             assert len(messages) == 1, messages
 
@@ -577,27 +622,24 @@ class TestStackedGames:
         game = discrimination_game(STANDARD, theta_grid(3))
         guess = np.tile(np.eye(4), (3, 1, 1, 1))
         guess[2, 0, 1] = [0.5, 0.0, 0.0, 0.0]
-        nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
         message = r"^rule for \(\(\), '-a'\) is not a distribution \(sum 0.5\) at stack index 2$"
         with pytest.raises(ValueError, match=message):
-            success_no_cpost(game, nu0)
+            PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
 
     def test_unstacked_rule_message_unchanged(self):
         game = discrimination_game(STANDARD, 1.0)
         guess = np.zeros((1, 4, 4))
         guess[..., 0] = 0.7
-        nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
         message = r"^rule for \(\(\), '\+a'\) is not a distribution \(sum 0.7\)$"
         with pytest.raises(ValueError, match=message):
-            success_no_cpost(game, nu0)
+            PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
 
     def test_nan_rule_is_not_a_distribution(self):
         game = discrimination_game(STANDARD, 1.0)
         guess = np.eye(4)[None].copy()
         guess[0, 3, 2] = float("nan")
-        nu0 = PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
         with pytest.raises(ValueError, match=r"'-b'\) is not a distribution \(sum nan\)$"):
-            success_no_cpost(game, nu0)
+            PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
 
     def test_stacked_strategy_shape_checked(self):
         with pytest.raises(ValueError, match="guess has shape"):

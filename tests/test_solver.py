@@ -800,6 +800,16 @@ class TestReduction:
                 assert nu.sets == expected.sets
                 assert np.array_equal(nu.guess, expected.guess)
 
+    def test_strategy_is_the_shared_priority_strategy(self):
+        for k in (1, 2):
+            for theta in (0.7, theta_grid(3)):
+                _, nu = reduce_to_povm(
+                    build_auxiliary(theta, k),
+                    paired_measurement(theta, k, "ab"),
+                    paired_measurement(theta, k, "ba"),
+                )
+                assert nu is priority_post(ANTICIPATIVE, k), (k, theta)
+
     def test_reduced_strategy_achieves_solver_value(self):
         for k in (1, 2):
             theta = 0.9

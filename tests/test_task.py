@@ -536,8 +536,7 @@ class TestGameMemo:
         # below 1e-7 the answers tie and the Bayes strategies differ
         grid = theta_grid(40).tolist() + [1e-12, 1e-8]
         serial = {(s, t): pipeline_success(s, t).hex() for t in grid for s in SCENARIOS}
-        for cache in (game_module._shared_post, game_module._check_post,
-                      game_module._shared_win_weights):
+        for cache in (game_module._shared_post, game_module._shared_win_weights):
             cache.cache_clear()  # the threads race to build the shared strategies
         found = [{}, {}]
         start = threading.Barrier(2)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from anticipative import bloch, cli, simulate, solver, task, verify
+from anticipative import bloch, cli, game, simulate, solver, task, verify
 from anticipative.bloch import Measurement, StateEnsemble
 from anticipative.verify import (
     FAULTS,
@@ -28,6 +28,18 @@ def test_all_checks_pass(report):
     assert len(report.checks) == 8
     for check in report.checks:
         assert check.passed, f"{check.name}: {check.detail}"
+
+
+def test_repeated_runs_reuse_the_shared_strategies():
+    # The sweep builds every strategy a run scores unstacked, and its weights.
+    for theta in task.theta_grid(25):
+        for s in task.SCENARIOS:
+            task.pipeline_success(s, theta)
+    before = game._shared_win_weights.cache_info()
+    for _ in range(5):
+        assert run_verification(points=5).passed
+    after = game._shared_win_weights.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 def _recording(fn, name: str, called: set[str]):

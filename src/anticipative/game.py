@@ -409,8 +409,6 @@ def bayes_optimal_post(game: GameSpec, alpha: PartialInfoMap) -> PostProcessing:
     n_answers = len(game.answers)
     scores = scores.reshape(scores.shape[:-2] + (len(alpha.sets), n_answers, -1))
     picks = scores.argmax(axis=-2)
-    if picks.ndim == 2:  # deterministic_post's shared path, without its overhead
-        return _shared_post(alpha.sets, game.outcomes, game.answers, picks.tobytes())
     return deterministic_post(alpha.sets, game.outcomes, game.answers, picks)
 
 
@@ -428,14 +426,12 @@ def deterministic_post(
     stack of strategies.
     """
     picks = np.asarray(picks)
-    if picks.dtype.kind not in "iu" or (
-        picks.size and not 0 <= picks.min() <= picks.max() < len(answers)
-    ):
+    if picks.dtype.kind not in "iu":
         raise ValueError(f"picks must be integer indices into {len(answers)} answers")
     picks = picks.astype(np.intp, copy=False)
     if picks.shape == (len(sets), len(outcomes)):
         return _shared_post(sets, outcomes, answers, picks.tobytes())
-    return PostProcessing(sets, outcomes, answers, np.eye(len(answers))[picks])
+    return _one_hot_post(sets, outcomes, answers, picks)
 
 
 @lru_cache(maxsize=64)
@@ -447,4 +443,15 @@ def _shared_post(
 ) -> PostProcessing:
     """The strategy guessing ``answers[picks[s, z]]``, ``picks`` an intp array's bytes."""
     picks = np.frombuffer(picks, dtype=np.intp).reshape(len(sets), len(outcomes))
+    return _one_hot_post(sets, outcomes, answers, picks)
+
+
+def _one_hot_post(sets, outcomes, answers, picks: np.ndarray) -> PostProcessing:
+    """A new strategy guessing ``answers[picks[..., s, z]]``, range-checked.
+
+    A shared strategy's picks are checked here when it is first built, so a
+    cache hit, whose bytes match those of checked picks, skips the check.
+    """
+    if picks.size and not 0 <= picks.min() <= picks.max() < len(answers):
+        raise ValueError(f"picks must be integer indices into {len(answers)} answers")
     return PostProcessing(sets, outcomes, answers, np.eye(len(answers))[picks])

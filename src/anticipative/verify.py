@@ -347,6 +347,7 @@ PUBLIC_OPS = {
         "success_with_cpost",
         "success_no_cpost",
         "bayes_optimal_post",
+        "deterministic_post",
         "win_weights",
     ),
     "solver": (

@@ -495,7 +495,7 @@ class TestSharedStrategies:
         stacked = deterministic_post(sets, outcomes, answers, stack)
         assert deterministic_post(sets, outcomes, answers, stack) is not stacked
         assert stacked.guess[0].tolist() == nu.guess.tolist()
-        for bad in ([[3, 0]], [[-1, 0]], [[1.5, 0]]):
+        for bad in ([[3, 0]], [[-1, 0]], [[1.5, 0]], [[[2, 0]], [[0, 3]]]):
             with pytest.raises(ValueError, match="integer indices into 3 answers"):
                 deterministic_post(sets, outcomes, answers, bad)
         with pytest.raises(ValueError, match="guess has shape"):

@@ -248,6 +248,9 @@ class PostProcessing:
     guess: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("sets", "outcomes", "answers"):
+            if not getattr(self, name):
+                raise ValueError(f"post-processing has no {name}: every rule needs one")
         guess = _frozen(self.guess)
         shape = (len(self.sets), len(self.outcomes), len(self.answers))
         if guess.shape[-3:] != shape:

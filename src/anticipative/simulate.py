@@ -12,39 +12,29 @@ each kind's basis axes from the task (:func:`~anticipative.task.signed_axes`,
 :func:`~anticipative.task.kind_axes`).  The ``+`` probability of every
 (state, basis) cell is ``(1 + s x . u)/2`` from those axes, with noise
 entering only as the shrink factor ``s``: ``1 - p`` for the sampler,
-which draws its readout flips separately, and ``(1 - p)(1 - 2 eps)``
-(:attr:`NoiseModel.shrink`) for :func:`outcome_probability` and
-:func:`exact_success`, which fold the flip in.  The sampler draws flip
-uniforms only when ``eps > 0``, and always after all of a run's Born
-uniforms, so every noise model reads the same Born uniforms.  A
-circuit's measurement angle is the polar angle of the same axis.
+which draws its readout flips separately (:func:`sample_run`), and
+``(1 - p)(1 - 2 eps)`` (:attr:`NoiseModel.shrink`) for
+:func:`outcome_probability` and :func:`exact_success`, which fold the flip
+in.  A circuit's measurement angle is the polar angle of the same axis.
 :func:`exact_success` takes one angle or a 1-D array of them, as the
 task's closed forms do; the other functions of an angle take one.
 
 Shots are counted per (state, outcome) cell, the outcome as column
 ``2 * i + bit`` for basis ``i`` of :data:`KIND_BASES` and bit 0 the ``+``
-outcome: the game layer's outcome order.  Each cell is scored with an
-exact weight from the game layer, the winning probability of the
-priority strategy averaged over the leaked exclusion sets
-(:func:`success_weights`).  So one set of shots estimates every
-exclusion count ``k``.
-
-Memory: :func:`simulate_curves` streams.  Each run draws its uniforms
-into the chunk buffer of the thread sampling it (:func:`_chunk_buffer`),
-is tallied once into the count table of its (theta, kind) and is
-dropped, so a plan of any size holds the thread's chunk buffers plus one
-run's outcomes (and, in per-shot mode, its bases) at a time: 250 000-shot
-runs peak near 0.25 MB of traced memory, per-shot ones near 1.03 MB.
+outcome: the game layer's outcome order.  :func:`simulate_curves` streams:
+each run's four counts go into the 16 int cells of its (theta, kind), the
+run is dropped, and every group is then scored in one pass with exact
+weights from the game layer (:func:`success_weights`), so one set of shots
+estimates every ``k``.  Beside the sampling thread's buffers
+(:func:`_chunk_buffer`), 250 000-shot runs peak near 0.25 MB of traced
+memory, per-shot ones near 1.03 MB.
 
 Seed lineage: run ``i`` of a plan with master seed ``s`` uses
 ``numpy.random.SeedSequence(s, spawn_key=(i,))``, where ``i`` is the run's
 position in the plan's canonical order (theta, then kind, then state, then
-basis).  :meth:`RunSpec.seed_sequence` is that contract, and
-:meth:`RunSpec.rng` is ``default_rng`` of it for every run.  A plan
-computes the state every run's sequence hands its generator once for all
-runs, which only :func:`sample_run` seeds from, and each run's noise-free
-Born overlaps once for all angles, so neither is rebuilt per run; the
-streams are those of the contract.
+basis): :meth:`RunSpec.seed_sequence`, and :meth:`RunSpec.rng` is
+``default_rng`` of it.  A plan hashes every run's seeding words and builds
+its noise-free Born overlaps once for all runs; the streams are the same.
 """
 
 from __future__ import annotations
@@ -88,10 +78,9 @@ _per_thread = threading.local()
 def _chunk_buffer(name: str, dtype, n: int) -> np.ndarray:
     """The first ``min(n, CHUNK)`` elements of the calling thread's buffer ``name``.
 
-    Kept across the thread's runs, so a run does not allocate (and the
-    heap does not trim and re-fault) its own, and grown only for a larger
-    run: long-lived ``CHUNK``-sized blocks raised the peak resident memory
-    of small runs.  Threads sampling at once each use their own buffers.
+    Kept across the thread's runs, so a run does not allocate its own, and
+    grown only for a larger run: long-lived ``CHUNK``-sized blocks raised the
+    peak resident memory of small runs.  Each thread has its own buffers.
     """
     size = min(n, CHUNK)
     buf = getattr(_per_thread, name, None)
@@ -101,21 +90,26 @@ def _chunk_buffer(name: str, dtype, n: int) -> np.ndarray:
     return buf[:size]
 
 
+def _top_bits(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Top bits of the next ``n`` (even) 32-bit halves of raw words, low half first."""
+    halves = rng.bit_generator.random_raw(n // 2).astype("<u8", copy=False).view("<u4")
+    halves >>= 31
+    return halves
+
+
 def _draw_bases(rng: np.random.Generator, n: int) -> np.ndarray:
     """``rng.integers(0, 2, n).astype(np.uint8)`` from raw words (:func:`sample_run`).
 
-    ``integers(0, 2)`` keeps the top bit of one 32-bit draw, and ``PCG64``
-    hands out the low half of each word first; an odd last basis goes
-    through ``integers``, leaving the same half in the 32-bit buffer.
+    An even ``n`` up to :data:`CHUNK` is one draw, cast whole; an odd last
+    basis goes through ``integers``, leaving the same half in its buffer.
     """
-    bases = np.empty(n, dtype=np.uint8)
     whole = n - n % 2
+    if n == whole and n <= CHUNK:
+        return _top_bits(rng, n).astype(np.uint8)
+    bases = np.empty(n, dtype=np.uint8)
     for lo in range(0, whole, CHUNK):  # CHUNK is even: no word spans two chunks
         hi = min(lo + CHUNK, whole)
-        words = rng.bit_generator.random_raw((hi - lo) // 2)
-        halves = words.astype("<u8", copy=False).view("<u4")  # low half first
-        halves >>= 31
-        bases[lo:hi] = halves
+        bases[lo:hi] = _top_bits(rng, hi - lo)
     if n % 2:
         bases[-1] = rng.integers(0, 2)
     return bases
@@ -287,8 +281,7 @@ def _overlaps(theta: float | np.ndarray, kind: str) -> np.ndarray:
 def _plus(overlap, shrink: float):
     """Probability of the ``+`` outcome, ``(1 + s overlap)/2``.
 
-    The one Born formula of the module: an overlap may be a float or an
-    array of them, and ``s`` is the noise's shrink factor.
+    The module's one Born formula, for a float or an array of overlaps.
     """
     return 0.5 * (1.0 + shrink * overlap)
 
@@ -298,12 +291,10 @@ class RunSpec:
     """One circuit: a (theta, kind, state, basis) cell of the plan.
 
     :meth:`rng` is ``default_rng(self.seed_sequence())`` for every run.  A
-    run built by :class:`ExperimentPlan` also carries its seeding words,
-    which only :func:`sample_run` reads, and its row of noise-free
-    overlaps, both computed once for the whole plan; a run constructed on
-    its own is sampled from :meth:`rng`, computes its row of overlaps
-    when asked, and has its shots and angle checked only then.  Neither
-    field takes part in equality, hashing or repr.
+    plan's run also carries its seeding words, which only :func:`sample_run`
+    reads, and its noise-free overlaps, neither part of equality, hashing
+    or repr; a run built alone is sampled from :meth:`rng`, computes its
+    overlaps when asked, and has its shots and angle checked only then.
     """
 
     index: int
@@ -505,8 +496,8 @@ def outcome_probability(
     """Probability of recording the ``+`` outcome of the basis.
 
     Depolarizing noise contracts the state's Bloch vector before the Born
-    rule and the readout flip mixes the recorded bit; both enter as the
-    one factor :attr:`NoiseModel.shrink` on the overlap.
+    rule and the readout flip mixes the recorded bit: both enter as the
+    factor :attr:`NoiseModel.shrink` on the overlap.
     """
     table = _overlaps(_one_angle(theta), kind)
     overlap = table[_state_index(state), _basis_index(kind, basis)]
@@ -514,11 +505,10 @@ def outcome_probability(
 
 
 class RunResult:
-    """Outcomes of one run.
+    """Outcomes of one run, read-only.
 
-    Bit 0 means the ``+`` outcome of the shot's basis.  Per-shot-basis
-    runs also store which basis each shot drew, as its index in
-    :data:`KIND_BASES`.
+    Bit 0 means the ``+`` outcome of the shot's basis.  Per-shot-basis runs
+    also store each shot's basis, as its index in :data:`KIND_BASES`.
     """
 
     def __init__(
@@ -535,24 +525,19 @@ class RunResult:
         """Shot counts per outcome column ``2 * basis index + bit``.
 
         The four columns follow the outcome order of the kind's
-        discrimination game (``+a, -a, +b, -b`` or ``+m, -m, +n, -n``).
-        A fixed-basis run fills the two columns of its basis from one
-        ``count_nonzero``; a per-shot-basis run from three, on the bases,
-        the outcomes and both at once.
+        discrimination game (``+a, -a, +b, -b`` or ``+m, -m, +n, -n``).  A
+        fixed-basis run fills its basis's two from one ``count_nonzero``; a
+        per-shot run all four from three, as one int64 array.
         """
-        counts = np.zeros(4, dtype=np.int64)
         if self.bases is not None:
             second = np.count_nonzero(self.bases)
             minus = np.count_nonzero(self.outcomes)
             second_minus = np.count_nonzero(self.bases & self.outcomes)
             first_minus = minus - second_minus
-            counts[:] = (
-                len(self.outcomes) - second - first_minus,
-                first_minus,
-                second - second_minus,
-                second_minus,
-            )
-            return counts
+            first_plus = len(self.outcomes) - second - first_minus
+            counts = (first_plus, first_minus, second - second_minus, second_minus)
+            return np.array(counts, dtype=np.int64)
+        counts = np.zeros(4, dtype=np.int64)
         column = 2 * _basis_index(self.run.kind, self.run.basis)
         minus = np.count_nonzero(self.outcomes)
         counts[column : column + 2] = (len(self.outcomes) - minus, minus)
@@ -562,9 +547,8 @@ class RunResult:
 def _run_rng(run: RunSpec) -> np.random.Generator:
     """The generator :func:`sample_run` draws from, equal to :meth:`RunSpec.rng`.
 
-    A plan run seeds ``PCG64`` from the words its plan hashed, which skips
-    building its ``SeedSequence``; a run constructed on its own calls
-    :meth:`RunSpec.rng`.
+    A plan run seeds ``PCG64`` from the words its plan hashed, skipping its
+    ``SeedSequence``; a run built alone calls :meth:`RunSpec.rng`.
     """
     if run._words is None:
         return run.rng()
@@ -574,48 +558,44 @@ def _run_rng(run: RunSpec) -> np.random.Generator:
 def sample_run(run: RunSpec, noise: NoiseModel = NOISELESS) -> RunResult:
     """Sample every shot of a run from its own stream, :meth:`RunSpec.rng`.
 
-    The stream layout is fixed: per-shot basis draws (per-shot mode only),
-    then one uniform per shot against the Born probability, then, only
-    when the readout flip ``eps`` is above 0, one uniform per shot for the
-    flip.  At ``eps = 0`` every flip would be false, so none is drawn; the
-    outcomes are those the flip pass would leave, and a run's bases and
-    Born uniforms are the same prefix of its stream under every noise
-    model.  The Born draw uses the probability before readout (the
-    overlap shrunk by ``1 - p`` only), so the flip is applied exactly once.
-    Identical inputs give bit-identical outcomes.
+    The stream layout is fixed: per-shot bases (per-shot mode only), then
+    a uniform per shot against the Born probability ``(1 + (1 - p)
+    overlap)/2`` of :meth:`RunSpec.overlap`, then, only when the readout
+    flip ``eps`` is above 0, a uniform per shot for the flip.  So the flip
+    is applied once and a run's bases and Born uniforms are the same prefix
+    of its stream under every noise model.  Basis ``i`` is the top bit of
+    the ``i``-th 32-bit half of the raw ``PCG64`` words, low half first,
+    as in ``integers(0, 2, n)``: NEP 19 covers bit generators, not
+    ``Generator`` methods.
 
-    Basis ``i`` is the top bit of the ``i``-th 32-bit half of the raw
-    ``PCG64`` words, low half first: the bases and words of
-    ``integers(0, 2, n)``, kept if numpy changes ``integers``, as its
-    stream policy (NEP 19) covers bit generators, not ``Generator`` methods.
-
-    Bases, then uniforms, are drawn :data:`CHUNK` at a time, the uniforms
-    into a buffer of the calling thread reused across runs: a Born pass
-    over all chunks compares them into the outcome array, then a flip pass
-    XORs the flips into it.  The per-shot Born probabilities and the flip
-    mask also go into buffers of the thread.  The Born probability of
-    each basis is ``(1 + (1 - p) overlap)/2`` from :meth:`RunSpec.overlap`.
+    Uniforms go into a buffer of the calling thread, reused across runs.
+    A run of at most :data:`CHUNK` shots is one chunk: one raw draw of
+    bases, one ``take`` of per-shot Born probabilities and one compare.  A
+    longer run goes a chunk at a time, its probabilities and flip mask in
+    buffers of the thread too.
     """
     rng = _run_rng(run)
     # a plan checked its runs' shots; a run built alone is checked here
     n = run.shots if run._words is not None else _count("shots", run.shots, 0)
     shrink = 1.0 - noise.depolarizing
     overlap = run.overlap()
+    buf = _chunk_buffer("uniforms", float, n)
     if run.basis == RANDOM_BASIS:
         bases = _draw_bases(rng, n)
-        p_pair = np.array([_plus(cell, shrink) for cell in overlap])
-        p_buf = _chunk_buffer("born", float, n)
+        p_pair = np.array((_plus(overlap[0], shrink), _plus(overlap[1], shrink)))
     else:
         bases = None
         p = _plus(overlap[_basis_index(run.kind, run.basis)], shrink)
-    buf = _chunk_buffer("uniforms", float, n)
-    outcomes = np.empty(n, dtype=bool)
-    for lo in range(0, n, CHUNK):
-        u = rng.random(out=buf[: n - lo])
-        hi = lo + len(u)
-        if bases is not None:  # mode="raise" would copy ``out`` via a temporary
-            p = p_pair.take(bases[lo:hi], out=p_buf[: len(u)], mode="clip")
-        np.greater_equal(u, p, out=outcomes[lo:hi])
+    if n <= CHUNK:  # one chunk: the run's own arrays, no slices
+        outcomes = _born(rng, buf, p if bases is None else p_pair.take(bases))
+    else:
+        outcomes = np.empty(n, dtype=bool)
+        p_buf = None if bases is None else _chunk_buffer("born", float, n)
+        for lo in range(0, n, CHUNK):
+            hi = min(lo + CHUNK, n)
+            if bases is not None:  # mode="raise" would copy ``out`` via a temporary
+                p = p_pair.take(bases[lo:hi], out=p_buf[: hi - lo], mode="clip")
+            _born(rng, buf[: hi - lo], p, outcomes[lo:hi])
     if noise.readout_flip > 0.0:
         mask = _chunk_buffer("flips", bool, n)
         for lo in range(0, n, CHUNK):
@@ -623,6 +603,11 @@ def sample_run(run: RunSpec, noise: NoiseModel = NOISELESS) -> RunResult:
             hi = lo + len(u)
             outcomes[lo:hi] ^= np.less(u, noise.readout_flip, out=mask[: len(u)])
     return RunResult(run, outcomes.view(np.uint8), bases)
+
+
+def _born(rng, u: np.ndarray, p, out: np.ndarray | None = None) -> np.ndarray:
+    """One chunk's outcomes: a uniform per shot into ``u``, bit 1 unless below ``p``."""
+    return np.greater_equal(rng.random(out=u), p, out=out)
 
 
 @dataclass(frozen=True)
@@ -637,15 +622,12 @@ class Estimate:
 def success_weights(kind: str, k: int) -> np.ndarray:
     """Exact per-shot success weights ``w[state, column]``.
 
-    Rows follow ``INPUT_LABELS`` and columns the outcome order of the
-    kind's discrimination game, which is the column ``2 * basis index +
-    bit`` of :meth:`RunResult.tallies`.  The weight is the game layer's
-    :func:`~anticipative.game.win_weights` of the priority strategy
-    against a uniformly drawn exclusion set: the chance that a shot with
-    that state and outcome wins, averaged exactly over all admissible
-    sets.  Multiplying weights by observed counts reuses every shot for
-    each ``k``.  The strategy and the leak do not depend on ``theta``, so
-    the table is built once per ``(kind, k)`` and returned read-only.
+    Rows follow ``INPUT_LABELS`` and columns the columns of
+    :meth:`RunResult.tallies`.  The weight is the game layer's
+    :func:`~anticipative.game.win_weights` of the priority strategy: the
+    chance that a shot with that state and outcome wins, averaged exactly
+    over all admissible exclusion sets.  It does not depend on ``theta``,
+    so the table is built once per ``(kind, k)`` and returned read-only.
     ``k`` must be an integer of :data:`K_VALUES`, checked on every call.
     """
     return _success_weights(kind, _check_k(k))
@@ -658,6 +640,25 @@ def _success_weights(kind: str, k: int) -> np.ndarray:
     return win_weights(spec, alpha, priority_post(kind, k))
 
 
+def _weighted_sums(groups: dict, weights: dict, n_ks: int) -> np.ndarray:
+    """``sums[g, j]``: group ``g``'s 16 counts times its kind's weights of the ``j``-th k.
+
+    Each kind's groups are scored at once from one int64 array of counts,
+    adding the cells left to right (np.sum adds pairwise and sum()
+    compensates from Python 3.12: either moves CSV digits).
+    """
+    counts = np.array(list(groups.values()), dtype=np.int64)
+    kinds = np.array([kind for _, kind in groups])
+    sums = np.empty((len(groups), n_ks))
+    for kind, w in weights.items():
+        c = counts[kinds == kind]
+        acc = c[:, :1] * w[:, 0]
+        for j in range(1, c.shape[1]):
+            acc += c[:, j : j + 1] * w[:, j]
+        sums[kinds == kind] = acc
+    return sums
+
+
 def empirical_success(
     results: Iterable[RunResult],
     ks: Iterable[int] = K_VALUES,
@@ -665,36 +666,37 @@ def empirical_success(
     """Per-(theta, kind, k) success estimates for every exclusion count in ``ks``.
 
     Makes one pass over ``results`` and one over ``ks`` (generators will
-    do) and keeps no run: each run's :meth:`RunResult.tallies` are added
-    once into the ``counts[state, column]`` table of its (theta, kind).
-    Each table is then scored with the exact weights of
-    :func:`success_weights`, the tables of all ``ks`` stacked once per
-    kind, and the standard error is bounded by the binomial formula (the
-    weights lie in [0, 1], so the bound is conservative).  Fixed-basis
-    groups must cover both bases of their kind with equal shot counts for
-    every state they contain; groups with a per-shot-basis run are exempt
-    because their balance is stochastic by design.  Every group must hold
-    a shot, and ``ks`` at least one exclusion count.
+    do) and keeps no run: each run's :meth:`RunResult.tallies` are added,
+    as Python ints, into the 16 ``state x column`` cells of its (theta,
+    kind).  The groups are then checked in arrival order and scored in one
+    pass (:func:`_weighted_sums`) with the exact weights of
+    :func:`success_weights`; the standard error is bounded by the binomial
+    formula (the weights lie in [0, 1], so the bound is conservative).
+    Fixed-basis groups must cover both bases of their kind with equal shot
+    counts for every state they contain; groups with a per-shot-basis run
+    are exempt because their balance is stochastic by design.  Every group
+    must hold a shot, and ``ks`` at least one exclusion count.
     """
     ks = tuple(ks)
     if not ks:
         raise ValueError("ks must name at least one exclusion count")
-    tables: dict[tuple[float, str], np.ndarray] = {}
+    groups: dict[tuple[float, str], list[int]] = {}
     per_shot: set[tuple[float, str]] = set()
     for res in results:
         key = (res.run.theta, res.run.kind)
-        if key not in tables:
-            tables[key] = np.zeros((len(INPUT_LABELS), 4), dtype=np.int64)
-        tables[key][_state_index(res.run.state)] += res.tallies()
+        cells = groups.setdefault(key, [0] * 16)
+        row = 4 * _state_index(res.run.state)
+        for column, count in enumerate(res.tallies().tolist(), row):
+            cells[column] += count
         if res.bases is not None:
             per_shot.add(key)
         del res  # drop this run's outcomes before the next run is sampled
     weights: dict[str, np.ndarray] = {}
-    out: dict[tuple[float, str, int], Estimate] = {}
-    for (theta, kind), counts in tables.items():
+    shots: list[int] = []
+    for (theta, kind), cells in groups.items():
         if (theta, kind) not in per_shot:
-            per_basis = (counts[:, 0::2] + counts[:, 1::2]).tolist()
-            for state, totals in zip(INPUT_LABELS, per_basis):
+            for row, state in zip(range(0, 16, 4), INPUT_LABELS):
+                totals = [cells[row] + cells[row + 1], cells[row + 2] + cells[row + 3]]
                 if totals[0] != totals[1]:
                     raise ValueError(
                         f"unbalanced basis counts for theta={theta!r}, "
@@ -703,15 +705,15 @@ def empirical_success(
                     )
         if kind not in weights:
             weights[kind] = np.stack([success_weights(kind, k).ravel() for k in ks])
-        shots = int(counts.sum())
-        if shots == 0:
+        shots.append(sum(cells))
+        if shots[-1] == 0:
             raise ValueError(f"no shots for theta={theta!r}, kind={kind!r}")
-        # Accumulated left to right in row-major order: np.sum adds pairwise and
-        # sum() compensates from Python 3.12, and either moves CSV digits.
-        sums = np.add.accumulate(weights[kind] * counts.ravel(), axis=1)[:, -1]
-        for k, value in zip(ks, (sums / shots).tolist()):
-            stderr = math.sqrt(max(value * (1.0 - value), 0.0) / shots)
-            out[(theta, kind, k)] = Estimate(value=value, stderr=stderr, shots=shots)
+    values = _weighted_sums(groups, weights, len(ks)) / np.array(shots)[:, None]
+    out: dict[tuple[float, str, int], Estimate] = {}
+    for (theta, kind), n, row in zip(groups, shots, values):
+        for k, value in zip(ks, row.tolist()):
+            stderr = math.sqrt(max(value * (1.0 - value), 0.0) / n)
+            out[(theta, kind, k)] = Estimate(value, stderr, n)
     return out
 
 
@@ -722,8 +724,7 @@ def exact_success(
 
     With no noise this equals the closed-form success probability of the
     scenario, which pins the estimator to the analytic layer.  One angle
-    gives a float; a 1-D array of angles gives an array, each entry equal
-    to the float its angle gives alone.
+    gives a float; a 1-D array of angles gives each angle's float.
     """
     plus = _plus(_overlaps(check_theta(theta), kind), noise.shrink)
     probs = np.stack((plus, 1.0 - plus), axis=-1).reshape(plus.shape[:-2] + (4, 4))
@@ -733,11 +734,10 @@ def exact_success(
 def simulate_curves(
     plan: ExperimentPlan, noise: NoiseModel = NOISELESS
 ) -> dict[tuple[float, str, int], Estimate]:
-    """Sample the whole plan and estimate every scenario on it.
+    """Sample the whole plan and estimate every ``k`` of :data:`K_VALUES` on it.
 
-    Every ``k`` of :data:`K_VALUES` is estimated.  Runs are sampled one
-    at a time as the estimator asks for them, so only one run's outcomes
-    are alive at once.
+    Runs are sampled one at a time as the estimator asks for them, so only
+    one run's outcomes are alive at once.
     """
     return empirical_success(sample_run(run, noise) for run in plan.runs)
 

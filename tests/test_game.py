@@ -641,6 +641,22 @@ class TestStackedGames:
         with pytest.raises(ValueError, match=r"'-b'\) is not a distribution \(sum nan\)$"):
             PostProcessing((NO_INFO,), game.outcomes, game.answers, guess)
 
+    @pytest.mark.parametrize(
+        "sets, outcomes, answers, empty",
+        [
+            ((), ("z",), ("a",), "sets"),
+            ((NO_INFO,), (), ("a",), "outcomes"),
+            ((NO_INFO,), ("z",), (), "answers"),
+        ],
+        ids=["no-sets", "no-outcomes", "no-answers"],
+    )
+    def test_empty_labels_named(self, sets, outcomes, answers, empty):
+        # a zero-size guess has no rule to check, so the empty labels are named
+        guess = np.ones((len(sets), len(outcomes), len(answers)))
+        message = rf"^post-processing has no {empty}: every rule needs one$"
+        with pytest.raises(ValueError, match=message):
+            PostProcessing(sets, outcomes, answers, guess)
+
     def test_stacked_strategy_shape_checked(self):
         with pytest.raises(ValueError, match="guess has shape"):
             PostProcessing((NO_INFO,), ("z",), ("y",), np.ones((3, 1, 2, 1)))

@@ -854,6 +854,70 @@ class TestEstimation:
         with pytest.raises(ValueError, match=message):
             empirical_success(sample_run(run) for run in runs)
 
+    def test_first_bad_group_in_arrival_order_named(self):
+        # groups are checked in the order their first run arrives, each
+        # for balance and then for shots, so the first bad group is named
+        one_basis = [RunSpec(0, 0.4, STANDARD, "+a", "a", 3, 0)]
+        other_basis = [RunSpec(1, 1.2, ANTICIPATIVE, "-b", "n", 2, 0)]
+        empty = [RunSpec(2, 0.9, STANDARD, "+a", basis, 0, 0) for basis in "ab"]
+        unbalanced = r"^unbalanced basis counts for theta={}, kind='{}', state='{}': {}$"
+        named = {
+            "one": unbalanced.format(r"0\.4", STANDARD, r"\+a", r"\{'a': 3, 'b': 0\}"),
+            "other": unbalanced.format(r"1\.2", ANTICIPATIVE, "-b", r"\{'m': 0, 'n': 2\}"),
+            "empty": r"^no shots for theta=0\.9, kind='standard'$",
+        }
+        orders = [
+            (one_basis + empty, "one"),
+            (empty + one_basis, "empty"),
+            (one_basis + other_basis, "one"),
+            (other_basis + empty + one_basis, "other"),
+            (empty[:1] + one_basis + empty[1:], "empty"),
+        ]
+        for runs, first in orders:
+            with pytest.raises(ValueError, match=named[first]):
+                empirical_success(sample_run(run) for run in runs)
+
+    def test_imbalance_reported_before_no_shots(self):
+        # a group can fail both checks only with a negative tally, which
+        # pins their order within the group
+        run = RunSpec(0, 0.7, STANDARD, "+a", "a", 0, 0)
+        fake = _Tallied(run, np.array([1, 0, -1, 0]))
+        fake.bases = None
+        message = r"^unbalanced basis counts .* state='\+a': \{'a': 1, 'b': -1\}$"
+        with pytest.raises(ValueError, match=message):
+            empirical_success([fake])
+
+    def test_estimates_match_a_plain_python_fold(self):
+        # an independent estimator: pooled tallies per (theta, kind), each k
+        # scored by a left-to-right fold over the 16 cells, then math.sqrt
+        noise = NoiseModel(0.05, 0.1)
+        even = plan_experiment([0.4, 0.9], shots=300, seed=5)
+        per_shot = plan_experiment([0.6, 1.3], shots=150, seed=6, basis_mode="per-shot")
+        runs = [run for pair in zip(even.runs, per_shot.runs) for run in pair]
+        runs += even.runs[len(per_shot.runs) :]
+        results = [sample_run(run, noise) for run in runs]
+        ks = (2, 0)
+        estimates = empirical_success(results, ks)
+        pooled: dict[tuple[float, str], list[int]] = {}
+        for res in results:
+            cells = pooled.setdefault((res.run.theta, res.run.kind), [0] * 16)
+            row = 4 * INPUT_LABELS.index(res.run.state)
+            for column, count in enumerate(res.tallies().tolist()):
+                cells[row + column] += count
+        assert len(pooled) == 2 * 2 * 2
+        assert list(estimates) == [group + (k,) for group in pooled for k in ks]
+        for (theta, kind), cells in pooled.items():
+            shots = sum(cells)
+            for k in ks:
+                total = 0.0
+                for count, weight in zip(cells, success_weights(kind, k).ravel().tolist()):
+                    total += count * weight
+                value = total / shots
+                stderr = math.sqrt(max(value * (1.0 - value), 0.0) / shots)
+                est = estimates[(theta, kind, k)]
+                assert (est.value.hex(), est.stderr.hex()) == (value.hex(), stderr.hex())
+                assert est.shots == shots
+
     def test_no_exclusion_count_rejected(self):
         results = [sample_run(run) for run in plan_experiment([1.0], shots=5).runs]
         message = r"^ks must name at least one exclusion count$"
@@ -976,6 +1040,20 @@ class TestEstimation:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+    def test_wide_per_shot_plan_keeps_a_small_peak(self):
+        # 3 200 per-shot runs of 200 shots: each group's 16 cells are pooled
+        # as ints and scored with groups x k temporaries, not groups x k x 16
+        plan = plan_experiment(theta_grid(400), shots=100, seed=3, basis_mode="per-shot")
+        noise = NoiseModel(0.05, 0.0)
+        simulate_curves(plan, noise)  # warm the thread's buffers and the weights
+        tracemalloc.start()
+        try:
+            simulate_curves(plan, noise)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.9e6
 
 
 class TestGateDecomposition:

@@ -710,8 +710,8 @@ def empirical_success(
             raise ValueError(f"no shots for theta={theta!r}, kind={kind!r}")
     values = _weighted_sums(groups, weights, len(ks)) / np.array(shots)[:, None]
     out: dict[tuple[float, str, int], Estimate] = {}
-    for (theta, kind), n, row in zip(groups, shots, values):
-        for k, value in zip(ks, row.tolist()):
+    for (theta, kind), n, by_k in zip(groups, shots, values):
+        for k, value in zip(ks, by_k.tolist()):
             stderr = math.sqrt(max(value * (1.0 - value), 0.0) / n)
             out[(theta, kind, k)] = Estimate(value, stderr, n)
     return out

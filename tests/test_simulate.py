@@ -1043,7 +1043,8 @@ class TestEstimation:
 
     def test_wide_per_shot_plan_keeps_a_small_peak(self):
         # 3 200 per-shot runs of 200 shots: each group's 16 cells are pooled
-        # as ints and scored with groups x k temporaries, not groups x k x 16
+        # as ints and scored with groups x k temporaries (~0.71 MB); a
+        # groups x k x 16 product per kind reads ~0.90 MB
         plan = plan_experiment(theta_grid(400), shots=100, seed=3, basis_mode="per-shot")
         noise = NoiseModel(0.05, 0.0)
         simulate_curves(plan, noise)  # warm the thread's buffers and the weights
@@ -1053,7 +1054,7 @@ class TestEstimation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.9e6
+        assert peak < 0.85e6
 
 
 class TestGateDecomposition:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import simulate, solver, task, verify
@@ -22,31 +21,6 @@ CSV_HEADER = "theta,kind,k,analytic,empirical,stderr,shots,seed"
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings of one CLI invocation."""
-
-    command: str
-    theta_min: float = math.pi / 50
-    theta_max: float = math.pi / 2
-    points: int = 25
-    shots: int = 20000
-    seed: int = 0
-    noise_depol: float = 0.0
-    noise_readout: float = 0.023
-    output: str | None = None
-    tol: float = 1e-12
-    theta: float = math.pi / 2
-    k: int = 1
-    fault: str | None = None
-
-    def grid(self):
-        return task.theta_grid(self.points, self.theta_min, self.theta_max)
-
-    def noise(self) -> simulate.NoiseModel:
-        return simulate.NoiseModel(self.noise_depol, self.noise_readout)
 
 
 def _fmt(x: float) -> str:
@@ -114,28 +88,38 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(**vars(args))
+def _grid(args: argparse.Namespace):
+    return task.theta_grid(args.points, args.theta_min, args.theta_max)
+
+
+def _noise(args: argparse.Namespace) -> simulate.NoiseModel:
+    return simulate.NoiseModel(args.noise_depol, args.noise_readout)
+
+
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Return the parsed arguments once valid; ConfigError names the first fault."""
     try:
-        if cfg.command in ("curves", "simulate", "verify"):
-            cfg.grid()
-        if cfg.command == "simulate":
-            cfg.noise()
-            simulate.check_distinct_thetas(cfg.grid())
-        if cfg.command in ("curves", "simulate") and cfg.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {cfg.shots}")
-        if cfg.command == "solve":
-            task.check_theta(cfg.theta)
-        if cfg.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {cfg.seed}")
-        if not (math.isfinite(cfg.tol) and cfg.tol > 0.0):
-            raise ValueError(f"tol must be finite and positive, got {cfg.tol!r}")
+        if args.command == "verify":
+            task.theta_grid(args.points)
+        elif args.command != "solve":
+            grid = _grid(args)
+        if args.command == "simulate":
+            _noise(args)
+            simulate.check_distinct_thetas(grid)
+        if args.command in ("curves", "simulate") and args.shots < 1:
+            raise ValueError(f"shots must be >= 1, got {args.shots}")
+        if args.command == "solve":
+            task.check_theta(args.theta)
+        elif args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
+        if args.command == "verify" and not 0.0 < args.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {args.tol!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return cfg
+    return args
 
 
-def emit_curves(cfg: RunConfig) -> list[str]:
+def emit_curves(args: argparse.Namespace) -> list[str]:
     """Build the CSV lines for ``curves`` or ``simulate``.
 
     One row per (theta, kind, k) in grid order, the analytic values from one
@@ -143,11 +127,11 @@ def emit_curves(cfg: RunConfig) -> list[str]:
     empty unless the command simulates.  All numbers carry 12 significant
     digits, so reruns with one configuration are byte-stable.
     """
-    grid = cfg.grid()
+    grid = _grid(args)
     estimates = None
-    if cfg.command == "simulate":
-        plan = simulate.plan_experiment(grid, shots=cfg.shots, seed=cfg.seed)
-        estimates = simulate.simulate_curves(plan, cfg.noise())
+    if args.command == "simulate":
+        plan = simulate.plan_experiment(grid, shots=args.shots, seed=args.seed)
+        estimates = simulate.simulate_curves(plan, _noise(args))
     analytic = [task.closed_form(s, grid).tolist() for s in task.SCENARIOS]
     lines = [CSV_HEADER]
     for i, theta in enumerate(grid):
@@ -159,7 +143,7 @@ def emit_curves(cfg: RunConfig) -> list[str]:
                 stderr = _fmt(est.stderr)
             lines.append(
                 f"{_fmt(theta)},{s.kind},{s.k},{_fmt(values[i])},"
-                f"{empirical},{stderr},{cfg.shots},{cfg.seed}"
+                f"{empirical},{stderr},{args.shots},{args.seed}"
             )
     return lines
 
@@ -173,13 +157,13 @@ def _write_lines(lines: list[str], output: str | None) -> None:
             fh.write(text)
 
 
-def run_solve(cfg: RunConfig) -> list[str]:
-    aux = solver.build_auxiliary(cfg.theta, cfg.k)
+def run_solve(args: argparse.Namespace) -> list[str]:
+    aux = solver.build_auxiliary(args.theta, args.k)
     best, winners = solver.lambda_argmax(aux)
-    m_dir, n_dir = task.anticipative_directions(cfg.theta)
+    m_dir, n_dir = task.anticipative_directions(args.theta)
     lines = [
-        f"theta = {_fmt(cfg.theta)}",
-        f"k = {cfg.k}",
+        f"theta = {_fmt(args.theta)}",
+        f"k = {args.k}",
         f"C = {_fmt(aux.normalization)}",
         f"Lambda = {_fmt(best)}",
         f"maximizers = {len(winners)}",
@@ -194,23 +178,23 @@ def run_solve(cfg: RunConfig) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
+        config_from_args(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if cfg.command in ("curves", "simulate"):
+    if args.command in ("curves", "simulate"):
         try:
-            _write_lines(emit_curves(cfg), cfg.output)
+            _write_lines(emit_curves(args), args.output)
         except OSError as exc:
-            print(f"error: cannot write {cfg.output}: {exc.strerror}", file=sys.stderr)
+            print(f"error: cannot write {args.output}: {exc.strerror}", file=sys.stderr)
             return 2
         return 0
-    if cfg.command == "solve":
-        _write_lines(run_solve(cfg), None)
+    if args.command == "solve":
+        _write_lines(run_solve(args), None)
         return 0
     report = verify.run_verification(
-        tol=cfg.tol, points=cfg.points, seed=cfg.seed, fault=cfg.fault
+        tol=args.tol, points=args.points, seed=args.seed, fault=args.fault
     )
     _write_lines(report.lines(), None)
     return 0 if report.passed else 1

@@ -52,7 +52,6 @@ ExclusionSet = tuple[Label, ...]
 NO_INFO: ExclusionSet = ()
 
 
-@lru_cache(maxsize=64)
 def all_exclusion_sets(answers: tuple[Label, ...], k: int) -> tuple[ExclusionSet, ...]:
     """All size-``k`` subsets of ``answers`` in lexicographic index order.
 
@@ -133,7 +132,6 @@ class GameSpec:
         return self.joint.outcomes
 
 
-@lru_cache(maxsize=64)
 def _membership(
     answers: tuple[Label, ...], sets: tuple[ExclusionSet, ...]
 ) -> np.ndarray:

@@ -141,6 +141,16 @@ def _count(name: str, value, low: int) -> int:
     return count
 
 
+def _check_probability(name: str, value, high: float) -> None:
+    """ValueError unless ``value`` is a real number in ``[0, high]``."""
+    try:
+        ok = 0.0 <= value <= high
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must lie in [0, {high:g}], got {value!r}")
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Depolarizing strength plus readout flip probability.
@@ -153,14 +163,8 @@ class NoiseModel:
     readout_flip: float = 0.023
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.depolarizing <= 1.0:
-            raise ValueError(
-                f"depolarizing strength must lie in [0, 1], got {self.depolarizing!r}"
-            )
-        if not 0.0 <= self.readout_flip <= 0.5:
-            raise ValueError(
-                f"readout flip must lie in [0, 0.5], got {self.readout_flip!r}"
-            )
+        _check_probability("depolarizing strength", self.depolarizing, 1.0)
+        _check_probability("readout flip", self.readout_flip, 0.5)
 
     @property
     def shrink(self) -> float:

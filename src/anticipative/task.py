@@ -149,6 +149,10 @@ def theta_grid(
     theta_max: float = math.pi / 2,
 ) -> np.ndarray:
     """Evenly spaced angles; the default grid is ``i * pi/50, i = 1..25``."""
+    try:
+        points = operator.index(points)
+    except TypeError:
+        raise ValueError(f"points must be an integer, got {points!r}") from None
     if points < 1:
         raise ValueError(f"points must be >= 1, got {points}")
     check_theta(theta_min)

@@ -1,10 +1,11 @@
 """End-to-end self-checks tying the analytic, solver and simulator layers.
 
 Every public operation of the package is exercised by at least one check:
-the test suite records the calls a verification run makes to each
-function in the registry at the bottom.  Checks are pure functions of the
-tolerance and seed, so a verification run is reproducible.  Each check
-passes its angles as one stack, once per scenario or per ``k``.
+the test suite records the calls a verification run makes and requires
+every function the package exports to be called.  Checks are pure
+functions of the tolerance and seed, so a verification run is
+reproducible.  Each check passes its angles as one stack, once per
+scenario or per ``k``.
 """
 
 from __future__ import annotations
@@ -337,46 +338,4 @@ def run_verification(
         _check_simulator(tol, seed),
     )
     return VerificationReport(checks=checks, tolerance=tol)
-
-
-#: Public operations per module; a verification run must call all of them.
-PUBLIC_OPS = {
-    "bloch": ("joint_table",),
-    "game": (
-        "exclusion_info_map",
-        "success_with_cpost",
-        "success_no_cpost",
-        "bayes_optimal_post",
-        "deterministic_post",
-        "win_weights",
-    ),
-    "solver": (
-        "enumerate_functions",
-        "counts",
-        "gamma",
-        "build_auxiliary",
-        "lambda_argmax",
-        "paired_measurement",
-        "certify_optimal",
-        "reduce_to_povm",
-        "anticipative_success",
-    ),
-    "task": (
-        "kind_axes",
-        "signed_axes",
-        "make_ensemble",
-        "measurement_for",
-        "anticipative_directions",
-        "pq_values",
-        "closed_form",
-        "priority_table",
-    ),
-    "simulate": (
-        "plan_experiment",
-        "sample_run",
-        "empirical_success",
-        "angle_schedule",
-        "native_decomposition_check",
-    ),
-}
 

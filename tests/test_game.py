@@ -315,9 +315,7 @@ STRATEGY_CACHES = (
 
 #: Every cache of the game module, none of them keyed on theta.
 STRUCTURE_CACHES = (
-    game_module.all_exclusion_sets,
     game_module._correct_table,
-    game_module._membership,
     game_module._leak_correct,
     game_module._exclusion_map,
     game_module._no_exclusion_map,

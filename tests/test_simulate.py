@@ -88,6 +88,18 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(readout_flip=-0.01)
 
+    @pytest.mark.parametrize("value", ["0.1", None, 0.1j])
+    def test_depolarizing_must_be_a_real_number(self, value):
+        message = f"depolarizing strength must lie in [0, 1], got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoiseModel(value, 0.0)
+
+    @pytest.mark.parametrize("value", ["0.1", None, 0.1j])
+    def test_readout_flip_must_be_a_real_number(self, value):
+        message = f"readout flip must lie in [0, 0.5], got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoiseModel(0.0, value)
+
 
 class TestPlan:
     def test_full_grid_run_count(self):

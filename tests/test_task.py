@@ -82,12 +82,19 @@ class TestGeometry:
 
     def test_theta_grid_validation(self):
         assert theta_grid(1).tolist() == [math.pi / 50]
-        with pytest.raises(ValueError):
+        assert theta_grid(np.int64(2)).tolist() == theta_grid(2).tolist()
+        with pytest.raises(ValueError, match="^points must be >= 1, got 0$"):
             theta_grid(0)
         with pytest.raises(ValueError):
             theta_grid(5, theta_min=1.0, theta_max=0.5)
         with pytest.raises(ValueError):
             theta_grid(5, theta_min=0.0)
+
+    @pytest.mark.parametrize("points", [2.5, 3.0, "3", None])
+    def test_theta_grid_rejects_a_non_integer_count(self, points):
+        message = f"points must be an integer, got {points!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            theta_grid(points)
 
 
 class TestSetups:

@@ -110,10 +110,10 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError(f"shots must be >= 1, got {args.shots}")
         if args.command == "solve":
             task.check_theta(args.theta)
-        elif args.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {args.seed}")
-        if args.command == "verify" and not 0.0 < args.tol < math.inf:
-            raise ValueError(f"tol must be finite and positive, got {args.tol!r}")
+        else:
+            task.check_count("seed", args.seed, 0)
+        if args.command == "verify":
+            verify.check_tol(args.tol)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return args

@@ -30,11 +30,14 @@ estimates every ``k``.  Beside the sampling thread's buffers
 memory, per-shot ones near 1.03 MB.
 
 Seed lineage: run ``i`` of a plan with master seed ``s`` uses
-``numpy.random.SeedSequence(s, spawn_key=(i,))``, where ``i`` is the run's
-position in the plan's canonical order (theta, then kind, then state, then
-basis): :meth:`RunSpec.seed_sequence`, and :meth:`RunSpec.rng` is
-``default_rng`` of it.  A plan hashes every run's seeding words and builds
-its noise-free Born overlaps once for all runs; the streams are the same.
+``numpy.random.SeedSequence(s, spawn_key=(i,))`` (:meth:`RunSpec.seed_sequence`;
+:meth:`RunSpec.rng` is ``default_rng`` of it).  Every plan is the full
+factorial, theta outermost and basis innermost: angle ``t`` of the plan,
+kind ``c`` of :data:`KINDS`, state ``x`` of :data:`INPUT_LABELS` and basis
+``j`` of :data:`KIND_BASES` is run ``i = 2 (4 (2 t + c) + x) + j`` in even
+mode and ``i = 4 (2 t + c) + x`` in per-shot mode.  A plan hashes every
+run's seeding words and builds its noise-free Born overlaps once for all
+runs; the streams are the same.
 """
 
 from __future__ import annotations
@@ -345,7 +348,7 @@ def check_distinct_thetas(thetas: Iterable[float]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentPlan:
-    """Full factorial sweep over angles, kinds, states and bases.
+    """Full factorial sweep: every kind, state and basis at each angle.
 
     Angles must be distinct (:func:`check_distinct_thetas`); they are kept
     as Python floats, whatever the input type.  The plan hashes every run's
@@ -354,26 +357,17 @@ class ExperimentPlan:
     """
 
     thetas: tuple[float, ...]
-    kinds: tuple[str, ...]
-    states: tuple[str, ...]
     shots_per_run: int
     master_seed: int
     basis_mode: str
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "thetas", tuple(float(_one_angle(t)) for t in self.thetas))
-        object.__setattr__(self, "kinds", tuple(self.kinds))
-        object.__setattr__(self, "states", tuple(self.states))
         if not self.thetas:
             raise ValueError("plan needs at least one theta")
         for t in self.thetas:
             check_theta(t)
         check_distinct_thetas(self.thetas)
-        for kind in self.kinds:
-            if kind not in KIND_BASES:
-                raise ValueError(f"unknown kind {kind!r}")
-        for state in self.states:
-            _state_index(state)
         for name, low in (("shots_per_run", 1), ("master_seed", 0)):
             object.__setattr__(self, name, _count(name, getattr(self, name), low))
         if self.basis_mode not in BASIS_MODES:
@@ -381,16 +375,15 @@ class ExperimentPlan:
         even = self.basis_mode == "even"
         shots = self.shots_per_run if even else 2 * self.shots_per_run
         per_cell = 2 if even else 1  # every kind has two bases
-        n_runs = len(self.thetas) * len(self.kinds) * len(self.states) * per_cell
+        n_runs = len(self.thetas) * len(KINDS) * len(INPUT_LABELS) * per_cell
         seed = self.master_seed
         words = _spawn_words(seed, np.arange(n_runs, dtype=np.uint32))
         thetas = np.array(self.thetas)
-        rows = {kind: _overlaps(thetas, kind).tolist() for kind in self.kinds}
+        rows = {kind: _overlaps(thetas, kind).tolist() for kind in KINDS}
         runs: list[RunSpec] = []
         for t, theta in enumerate(self.thetas):
-            for kind in self.kinds:
-                for state in self.states:
-                    overlap = tuple(rows[kind][t][INPUT_LABELS.index(state)])
+            for kind in KINDS:
+                for state, overlap in zip(INPUT_LABELS, map(tuple, rows[kind][t])):
                     for basis in KIND_BASES[kind] if even else (RANDOM_BASIS,):
                         i = len(runs)
                         run = RunSpec(i, theta, kind, state, basis, shots, seed)
@@ -407,20 +400,17 @@ def plan_experiment(
     thetas: Iterable[float],
     shots: int = 20000,
     seed: int = 0,
-    kinds: Iterable[str] = KINDS,
     basis_mode: str = "even",
 ) -> ExperimentPlan:
-    """Build the canonical plan: every state and basis at every angle.
+    """Build the canonical plan: every kind, state and basis at every angle.
 
     In the default even mode each basis of a kind gets its own run of
-    ``shots`` shots, so a two-kind plan has ``len(thetas) * 4 * 2 * 2``
-    runs.  In per-shot mode the basis is drawn per shot instead and each
-    (theta, kind, state) cell is a single run of ``2 * shots`` shots.
+    ``shots`` shots, so a plan has ``len(thetas) * 2 * 4 * 2`` runs.  In
+    per-shot mode the basis is drawn per shot instead and each (theta,
+    kind, state) cell is a single run of ``2 * shots`` shots.
     """
     return ExperimentPlan(
         thetas=tuple(thetas),
-        kinds=tuple(kinds),
-        states=INPUT_LABELS,
         shots_per_run=shots,
         master_seed=seed,
         basis_mode=basis_mode,
@@ -644,8 +634,8 @@ def _success_weights(kind: str, k: int) -> np.ndarray:
     return win_weights(spec, alpha, priority_post(kind, k))
 
 
-def _weighted_sums(groups: dict, weights: dict, n_ks: int) -> np.ndarray:
-    """``sums[g, j]``: group ``g``'s 16 counts times its kind's weights of the ``j``-th k.
+def _weighted_sums(groups: dict, weights: dict) -> np.ndarray:
+    """``sums[g, k]``: group ``g``'s 16 counts times its kind's weights for ``k``.
 
     Each kind's groups are scored at once from one int64 array of counts,
     adding the cells left to right (np.sum adds pairwise and sum()
@@ -653,7 +643,7 @@ def _weighted_sums(groups: dict, weights: dict, n_ks: int) -> np.ndarray:
     """
     counts = np.array(list(groups.values()), dtype=np.int64)
     kinds = np.array([kind for _, kind in groups])
-    sums = np.empty((len(groups), n_ks))
+    sums = np.empty((len(groups), len(K_VALUES)))
     for kind, w in weights.items():
         c = counts[kinds == kind]
         acc = c[:, :1] * w[:, 0]
@@ -665,25 +655,21 @@ def _weighted_sums(groups: dict, weights: dict, n_ks: int) -> np.ndarray:
 
 def empirical_success(
     results: Iterable[RunResult],
-    ks: Iterable[int] = K_VALUES,
 ) -> dict[tuple[float, str, int], Estimate]:
-    """Per-(theta, kind, k) success estimates for every exclusion count in ``ks``.
+    """Per-(theta, kind, k) success estimates for every ``k`` of :data:`K_VALUES`.
 
-    Makes one pass over ``results`` and one over ``ks`` (generators will
-    do) and keeps no run: each run's :meth:`RunResult.tallies` are added,
-    as Python ints, into the 16 ``state x column`` cells of its (theta,
-    kind).  The groups are then checked in arrival order and scored in one
-    pass (:func:`_weighted_sums`) with the exact weights of
+    Makes one pass over ``results`` (a generator will do) and keeps no run:
+    each run's :meth:`RunResult.tallies` are added, as Python ints, into
+    the 16 ``state x column`` cells of its (theta, kind).  The groups are
+    then checked in arrival order and scored in one pass
+    (:func:`_weighted_sums`) with the exact weights of
     :func:`success_weights`; the standard error is bounded by the binomial
     formula (the weights lie in [0, 1], so the bound is conservative).
     Fixed-basis groups must cover both bases of their kind with equal shot
     counts for every state they contain; groups with a per-shot-basis run
     are exempt because their balance is stochastic by design.  Every group
-    must hold a shot, and ``ks`` at least one exclusion count.
+    must hold a shot.
     """
-    ks = tuple(ks)
-    if not ks:
-        raise ValueError("ks must name at least one exclusion count")
     groups: dict[tuple[float, str], list[int]] = {}
     per_shot: set[tuple[float, str]] = set()
     for res in results:
@@ -708,14 +694,14 @@ def empirical_success(
                         f"{dict(zip(KIND_BASES[kind], totals))!r}"
                     )
         if kind not in weights:
-            weights[kind] = np.stack([success_weights(kind, k).ravel() for k in ks])
+            weights[kind] = np.stack([success_weights(kind, k).ravel() for k in K_VALUES])
         shots.append(sum(cells))
         if shots[-1] == 0:
             raise ValueError(f"no shots for theta={theta!r}, kind={kind!r}")
-    values = _weighted_sums(groups, weights, len(ks)) / np.array(shots)[:, None]
+    values = _weighted_sums(groups, weights) / np.array(shots)[:, None]
     out: dict[tuple[float, str, int], Estimate] = {}
     for (theta, kind), n, by_k in zip(groups, shots, values):
-        for k, value in zip(ks, by_k.tolist()):
+        for k, value in zip(K_VALUES, by_k.tolist()):
             stderr = math.sqrt(max(value * (1.0 - value), 0.0) / n)
             out[(theta, kind, k)] = Estimate(value, stderr, n)
     return out

@@ -416,31 +416,24 @@ def certify_optimal(
     return valid & (residual <= tol) & (aux.dual_gap <= tol)
 
 
-def convex_combination(
-    measurements: Iterable[Measurement], weights: Iterable[float] | None = None
-) -> Measurement:
-    """Outcome-wise convex mix of measurements over a shared label space.
+def convex_combination(measurements: Iterable[Measurement]) -> Measurement:
+    """Outcome-wise even mix of measurements over a shared label space.
 
-    Stacked measurements mix entry by entry; their stack axes broadcast.
+    Each of the ``n`` measurements weighs ``1/n``.  Stacked measurements
+    mix entry by entry; their stack axes broadcast.
     """
     measurements = list(measurements)
     if not measurements:
         raise ValueError("convex_combination needs at least one measurement")
-    if weights is None:
-        weights = [1.0 / len(measurements)] * len(measurements)
-    weights = list(weights)
-    if not all(0.0 <= w < np.inf for w in weights):
-        raise ValueError(f"weights must be finite and non-negative, got {weights}")
-    if len(weights) != len(measurements) or abs(sum(weights) - 1.0) > DEFAULT_TOL:
-        raise ValueError("weights must match the measurements and sum to 1")
+    weight = 1.0 / len(measurements)
     labels = tuple(dict.fromkeys(z for m in measurements for z in m))
     stack = np.broadcast_shapes(*(m.stack for m in measurements))
     scalars = np.zeros(stack + (len(labels),))
     blochs = np.zeros(stack + (len(labels), 3))
-    for w, m in zip(weights, measurements):
+    for m in measurements:
         rows = [labels.index(z) for z in m]
-        scalars[..., rows] += w * m.scalars
-        blochs[..., rows, :] += w * m.blochs
+        scalars[..., rows] += weight * m.scalars
+        blochs[..., rows, :] += weight * m.blochs
     return Measurement(labels, scalars, blochs)
 
 

@@ -143,18 +143,24 @@ class Scenario:
 SCENARIOS = tuple(Scenario(kind, k) for kind in KINDS for k in K_VALUES)
 
 
+def check_count(name: str, value, low: int) -> int:
+    """``value`` as an ``int``; ValueError, in the CLI's wording, unless an integer >= ``low``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if count < low:
+        raise ValueError(f"{name} must be >= {low}, got {count}")
+    return count
+
+
 def theta_grid(
     points: int = 25,
     theta_min: float = math.pi / 50,
     theta_max: float = math.pi / 2,
 ) -> np.ndarray:
     """Evenly spaced angles; the default grid is ``i * pi/50, i = 1..25``."""
-    try:
-        points = operator.index(points)
-    except TypeError:
-        raise ValueError(f"points must be an integer, got {points!r}") from None
-    if points < 1:
-        raise ValueError(f"points must be >= 1, got {points}")
+    points = check_count("points", points, 1)
     check_theta(theta_min)
     check_theta(theta_max)
     if theta_max < theta_min:

@@ -313,6 +313,16 @@ def _check_simulator(tol: float, seed: int) -> CheckResult:
     )
 
 
+def check_tol(tol: float) -> None:
+    """ValueError unless ``tol`` is finite and positive; the CLI checks ``--tol`` here."""
+    try:
+        ok = 0.0 < tol < math.inf
+    except TypeError:
+        ok = False
+    if not ok:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+
+
 def run_verification(
     tol: float = 1e-12,
     points: int = 25,
@@ -322,8 +332,11 @@ def run_verification(
     """Run every check and collect the results.
 
     ``fault`` optionally injects a known defect (see :data:`FAULTS`) to
-    confirm the suite catches it; the affected check then fails.
+    confirm the suite catches it; the affected check then fails.  ``tol``
+    and ``seed`` are checked, as the CLI checks them, before any check runs.
     """
+    check_tol(tol)
+    seed = task.check_count("seed", seed, 0)
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}, supported: {FAULTS}")
     thetas = task.theta_grid(points)

@@ -243,8 +243,8 @@ def test_criterion_7_monte_carlo():
     plan = plan_experiment([math.pi / 2], shots=shots, seed=1)
     results = [sample_run(run, noise) for run in plan.runs]
     advantage_ok = True
+    est = empirical_success(results)
     for k in (1, 2):
-        est = empirical_success(results, (k,))
         advantage_ok = advantage_ok and (
             est[(math.pi / 2, ANTICIPATIVE, k)].value > est[(math.pi / 2, STANDARD, k)].value
         )

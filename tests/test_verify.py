@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -12,6 +13,7 @@ import anticipative
 from anticipative import bloch, cli, game, simulate, solver, task, verify
 from anticipative.bloch import Measurement, StateEnsemble
 from anticipative.verify import FAULTS, run_verification
+from test_game import PACKAGE_CACHES
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +49,11 @@ def _recording(fn, name: str, called: set[str]):
 
 
 def test_every_public_op_is_exercised(monkeypatch):
+    # Cold: earlier tests of the same run leave the caches and the
+    # pipeline's memo warm, and a warm cache skips calls this test must see.
+    for cache in PACKAGE_CACHES:
+        cache.cache_clear()
+    monkeypatch.setattr(task, "_LAST_GAMES", (None, {}))
     _assert_public_ops_called(monkeypatch)
 
 
@@ -250,6 +257,36 @@ def test_a_nan_in_an_early_gap_fails_the_check(monkeypatch):
         verify._check_simulator(1e-12, 2026),
     ):
         assert not check.passed and "= nan" in check.detail, check
+
+
+#: Arguments ``run_verification`` rejects, with the CLI's message for each.
+BAD_ARGUMENTS = [
+    ({"tol": math.nan}, "tol must be finite and positive, got nan"),
+    ({"tol": -1.0}, "tol must be finite and positive, got -1.0"),
+    ({"tol": 0.0}, "tol must be finite and positive, got 0.0"),
+    ({"tol": math.inf}, "tol must be finite and positive, got inf"),
+    ({"tol": "1e-12"}, "tol must be finite and positive, got '1e-12'"),
+    ({"tol": None}, "tol must be finite and positive, got None"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"seed": "7"}, "seed must be an integer, got '7'"),
+]
+
+
+@pytest.mark.parametrize(
+    "kwargs, message", BAD_ARGUMENTS, ids=[repr(kwargs) for kwargs, _ in BAD_ARGUMENTS]
+)
+def test_bad_arguments_rejected_before_any_check(monkeypatch, kwargs, message):
+    def no_work(*_args, **_kwargs):
+        raise AssertionError("a check ran before the arguments were checked")
+
+    monkeypatch.setattr(task, "theta_grid", no_work)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_verification(**kwargs)
+
+
+def test_numpy_integer_seed_accepted():
+    assert run_verification(points=1, seed=np.int64(7)) == run_verification(points=1, seed=7)
 
 
 def test_unknown_fault_rejected():
